@@ -225,12 +225,27 @@ def _cmd_recolor(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _load_colored(args):
+    """Graph and coloring files of one command, checked against each other."""
     g = read_edge_list(args.infile)
     c = read_coloring(args.coloring)
+    if c.m != g.m:
+        raise ValueError(f"{args.coloring} colors {c.m} edges but {args.infile} has {g.m}")
+    return g, c
+
+
+def _check_vertices(g, *named: tuple[str, int]) -> None:
+    for name, v in named:
+        if not 0 <= v < g.n:
+            raise ValueError(f"{name} {v} is not a vertex of a graph on {g.n} vertices")
+
+
+def _cmd_verify(args) -> int:
+    g, c = _load_colored(args)
     if (args.x is None) != (args.y is None):
         raise ValueError("give both --x and --y or neither")
     if args.x is not None:
+        _check_vertices(g, ("--x", args.x), ("--y", args.y))
         if args.mode == "sample":
             raise ValueError("sample mode draws its own pairs; drop --x/--y")
         if args.mode == "exact":
@@ -292,8 +307,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    g = read_edge_list(args.infile)
-    c = read_coloring(args.coloring)
+    g, c = _load_colored(args)
+    _check_vertices(g, ("--x", args.x), ("--y", args.y))
     bundle = build_witness_paths(g, args.x, args.y, k=args.k, gamma=args.gamma, d=args.d)
     print(bundle_text(bundle), end="")
     w = rainbow_witness(g, c, args.x, args.y, bundle)

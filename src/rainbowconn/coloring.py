@@ -505,19 +505,24 @@ def write_coloring(c: EdgeColoring, path: Union[str, Path]) -> None:
 
 def read_coloring(path: Union[str, Path]) -> EdgeColoring:
     tokens = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if body:
-            tokens.append(body)
+            tokens.append((lineno, body))
     if not tokens:
         raise ValueError(f"{path}: empty coloring file")
-    m, palette = (int(t) for t in tokens[0].split())
+    m, palette = (int(t) for t in tokens[0][1].split())
     if len(tokens) - 1 != m:
         raise ValueError(f"{path}: expected {m} color lines")
     colors = [0] * m
-    prov = [""] * m
-    for body in tokens[1:]:
+    prov: list[Optional[str]] = [None] * m
+    for lineno, body in tokens[1:]:
         eid_s, col_s, tag = body.split()
-        colors[int(eid_s)] = int(col_s)
-        prov[int(eid_s)] = tag
+        eid = int(eid_s)
+        if not 0 <= eid < m:
+            raise ValueError(f"{path}:{lineno}: edge id {eid} outside [0, {m})")
+        if prov[eid] is not None:
+            raise ValueError(f"{path}:{lineno}: edge id {eid} colored twice")
+        colors[eid] = int(col_s)
+        prov[eid] = tag
     return EdgeColoring(tuple(colors), palette, tuple(prov))

@@ -686,7 +686,7 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     if dist[y] <= 2 * k + 1:
         # close pair: the shortest path spans at most the two tree depths,
         # so under a distance-2k proper coloring it is rainbow as-is
-        w = _shortest_path_witness(g, c, x, y)
+        w = _shortest_path_witness(g, c, x, y, dist)
         if w is not None:
             return w
     try:
@@ -696,10 +696,9 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     return rainbow_witness(g, c, x, y, bundle)
 
 
-def _shortest_path_witness(g: Graph, c: EdgeColoring, x: int, y: int) -> Optional[PathWitness]:
-    dist = bfs_distances(g, x)
-    if dist[y] < 0:
-        return None
+def _shortest_path_witness(g: Graph, c: EdgeColoring, x: int, y: int,
+                           dist) -> Optional[PathWitness]:
+    """Walk back from y along ``dist`` (BFS distances from x, y reachable)."""
     verts = [y]
     eids = []
     cur = y

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
-from .errors import GuardError, NotConnected
+from .errors import GuaranteeViolation, GuardError, NotConnected
 from .graphs import Graph, bfs_distances, diameter
 from .rng import derive_seed, stream
 
@@ -69,7 +69,8 @@ def _make_witness(g: Graph, c: EdgeColoring, vertices: Sequence[int],
                   edge_ids: Sequence[int]) -> PathWitness:
     w = PathWitness(tuple(vertices), tuple(edge_ids),
                     frozenset(c.colors[e] for e in edge_ids))
-    assert witness_ok(g, c, w), "constructed witness failed validation"
+    if not witness_ok(g, c, w):
+        raise GuaranteeViolation(f"constructed path {w.vertices} is not a rainbow path")
     return w
 
 
@@ -164,6 +165,10 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     the used-color set prunes non-rainbow extensions, and branches that
     cannot reach y within the current limit (hop distance lower bound) are
     cut.  The expansion budget is shared across all deepening rounds.
+
+    Each call runs one BFS, from y.  The default ``max_len`` derives from
+    the double-sweep diameter, which is computed once per graph and then
+    kept on ``g``, so only the first search on a graph pays for its sweep.
     """
     if x == y:
         return PathWitness((x,), (), frozenset())

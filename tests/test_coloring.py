@@ -465,6 +465,27 @@ class TestColoringFile:
             with pytest.raises(ValueError):
                 read_coloring(path)
 
+    def test_negative_edge_id_rejected(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.colors"
+            path.write_text("2 2\n0 1 random\n-1 0 random\n")
+            with pytest.raises(ValueError, match=r"c\.colors:3: edge id -1 outside"):
+                read_coloring(path)
+
+    def test_edge_id_past_end_rejected(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.colors"
+            path.write_text("2 2\n0 1 random\n2 0 random\n")
+            with pytest.raises(ValueError, match=r"c\.colors:3: edge id 2 outside"):
+                read_coloring(path)
+
+    def test_repeated_edge_id_rejected(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "c.colors"
+            path.write_text("2 2\n# note\n0 1 random\n0 0 random\n")
+            with pytest.raises(ValueError, match=r"c\.colors:4: edge id 0 colored twice"):
+                read_coloring(path)
+
     def test_random_coloring_round_trip(self):
         g = star_graph(6)
         c = random_coloring(g, 9, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rainbowconn import graphs as graphs_mod
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
                                 check_local_density, check_small_separation,
@@ -172,6 +173,66 @@ class TestDistances:
         from rainbowconn.graphs import _bfs_vectorized
         g = gen_gnp(GenParams(n=300, p=0.02, omega=None, r=None, seed=4))
         assert np.array_equal(bfs_distances(g, 17), _bfs_vectorized(g, 17))
+
+    @pytest.mark.parametrize("name", ["long_path", "disconnected", "threshold_gnp"])
+    def test_vectorized_bfs_agrees_with_deque_at_scale(self, name, monkeypatch):
+        # the long path has only narrow levels; the threshold graph has wide
+        # levels (above n // 64) that take the dist-scan dedup
+        n = 5000
+        if name == "long_path":
+            g = path_graph(n)
+        elif name == "disconnected":
+            g = gen_gnp(GenParams(n=n, p=1.2 / n, seed=3))
+        else:
+            g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+        assert g.n >= graphs_mod._VECTOR_BFS_MIN_N
+        sources = (0, g.n // 2, g.n - 1)
+        vectorized = [bfs_distances(g, s) for s in sources]
+        monkeypatch.setattr(graphs_mod, "_VECTOR_BFS_MIN_N", g.n + 1)
+        for s, got in zip(sources, vectorized):
+            want = bfs_distances(g, s)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            sizes = oracles.bfs_levels(g.n, g.edges, s)
+            assert np.bincount(got[got >= 0]).tolist() == sizes
+        if name == "disconnected":
+            assert all((d < 0).any() for d in vectorized)
+        if name == "threshold_gnp":
+            assert max(np.bincount(vectorized[0][vectorized[0] >= 0])) > n // 64
+
+
+class TestSweepMemo:
+    @pytest.fixture
+    def counted_bfs(self, monkeypatch):
+        calls = []
+        inner = graphs_mod.bfs_distances
+
+        def counting(g, source):
+            calls.append(source)
+            return inner(g, source)
+
+        monkeypatch.setattr(graphs_mod, "bfs_distances", counting)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gnp(GenParams(n=5000, omega=2.0, seed=1)),
+        lambda: cycle_graph(41),
+        lambda: Graph(4, [(0, 1), (2, 3)]),
+        lambda: gen_gnp(GenParams(n=5000, p=1.2 / 5000, seed=3)),
+    ], ids=["threshold_gnp", "cycle", "two_edges", "disconnected_gnp"])
+    def test_memo_equals_fresh_sweep(self, make, counted_bfs):
+        g = make()
+        first = diameter(g, mode="double_sweep")
+        assert len(counted_bfs) in (1, 2)
+        counted_bfs.clear()
+        assert diameter(g, mode="double_sweep") == first
+        assert counted_bfs == []
+        # a fresh Graph on the same edges has no memo and must agree
+        fresh = diameter(Graph(g.n, g.edges), mode="double_sweep")
+        assert len(counted_bfs) in (1, 2)
+        assert fresh == first
+        # None, the disconnected verdict, is memoized like any value
+        assert (first is None) == (not connected(g))
 
 
 class TestDegreeStats:

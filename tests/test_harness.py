@@ -445,6 +445,30 @@ class TestCliColorVerify:
         assert outs[0] == outs[1]
         assert "pairs_checked=6" in outs[0]
 
+    def test_coloring_of_another_graph_rejected(self, tmp_path, capsys):
+        p4 = write_p4(tmp_path)
+        short = tmp_path / "short.col"
+        write_coloring(distinct_coloring(2), short)
+        for extra in ([], ["--x", "0", "--y", "3"]):
+            rc = main(["verify", "exact", "--in", str(p4), "--coloring", str(short)] + extra)
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.err.startswith("error:")
+            assert "colors 2 edges" in captured.err and "has 3" in captured.err
+
+    @pytest.mark.parametrize("mode", ["exact", "search"])
+    @pytest.mark.parametrize("x, y", [(0, 4), (-1, 2), (9, 0)])
+    def test_endpoint_out_of_range_rejected(self, tmp_path, capsys, mode, x, y):
+        p4 = write_p4(tmp_path)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        rc = main(["verify", mode, "--in", str(p4), "--coloring", str(good),
+                   "--x", str(x), "--y", str(y)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert "not a vertex" in captured.err
+
     def test_half_pair_rejected(self, tmp_path, capsys):
         p4 = write_p4(tmp_path)
         good = tmp_path / "good.col"
@@ -525,6 +549,21 @@ class TestCliWitness:
         out = capsys.readouterr().out
         assert "sigma=" in out and "levels_x=" in out
         assert "witness length 13" in out
+
+    def test_witness_rejects_mismatch_and_range(self, tmp_path, capsys):
+        p4 = write_p4(tmp_path)
+        short = tmp_path / "short.col"
+        write_coloring(distinct_coloring(2), short)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        for cpath, y, msg in ((short, 3, "colors 2 edges"), (good, 9, "--y 9 is not a vertex")):
+            rc = main(["witness", "--in", str(p4), "--coloring", str(cpath),
+                       "--x", "0", "--y", str(y), "--k", "1", "--gamma", "1",
+                       "--d", "2"])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert captured.err.startswith("error:")
+            assert msg in captured.err
 
     def test_witness_mono_coloring_fails_honestly(self, witness_files, capsys):
         gpath, _, mpath = witness_files

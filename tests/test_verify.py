@@ -1,13 +1,20 @@
 """Exact and budgeted rainbow path finding, report plumbing, brute-force rc."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rainbowconn import graphs as graphs_mod
+from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, random_coloring
 from rainbowconn.errors import GuardError, NotConnected
-from rainbowconn.graphs import Graph, graph_from_edges
+from rainbowconn.graphs import GenParams, Graph, diameter, gen_gnp, graph_from_edges
 from rainbowconn.verify import (
     PathWitness,
     brute_force_rc,
@@ -371,3 +378,52 @@ class TestBruteForceRc:
         if rep.pairs_connected == rep.pairs_checked:
             rc, _ = brute_force_rc(g)
             assert rc <= q
+
+
+# ----------------------------------------------------------------------------
+# witness validation and per-pair BFS cost
+# ----------------------------------------------------------------------------
+
+SRC = Path(verify_mod.__file__).resolve().parents[1]
+
+
+def test_make_witness_check_survives_optimize_flag():
+    """python -O strips asserts; the witness check must still reject."""
+    script = (
+        "from rainbowconn.coloring import EdgeColoring\n"
+        "from rainbowconn.errors import RainbowError\n"
+        "from rainbowconn.graphs import path_graph\n"
+        "from rainbowconn.verify import _make_witness\n"
+        "c = EdgeColoring((0, 0), 1, ('random', 'random'))\n"
+        "try:\n"
+        "    _make_witness(path_graph(3), c, [0, 1, 2], [0, 1])\n"
+        "except RainbowError as exc:\n"
+        "    print('rejected', type(exc).__name__)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "rejected GuaranteeViolation"
+
+
+def test_search_runs_one_bfs_per_pair(monkeypatch):
+    g = gen_gnp(GenParams(n=5000, omega=2.0, seed=0))
+    c = random_coloring(g, 40, seed=1)
+    calls = []
+    inner = graphs_mod.bfs_distances
+
+    def counting(graph, source):
+        calls.append(source)
+        return inner(graph, source)
+
+    monkeypatch.setattr(graphs_mod, "bfs_distances", counting)
+    monkeypatch.setattr(verify_mod, "bfs_distances", counting)
+    diameter(g, mode="double_sweep")
+    calls.clear()
+    pairs = [(3, 4000), (17, 2500), (100, 4999), (0, 1), (1234, 321)]
+    for x, y in pairs:
+        rainbow_path_search(g, c, x, y, budget=20000, seed=x)
+    assert calls == [y for _, y in pairs]
