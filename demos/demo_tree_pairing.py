@@ -10,7 +10,6 @@ ones.
 """
 
 from rainbowconn.pairing import (build_tree_pair_graph, pair_tree_paths,
-                                 pair_tree_paths_binary,
                                  random_rainbow_tree_coloring)
 
 d, ell = 3, 2
@@ -19,8 +18,7 @@ print(f"twin {d}-ary trees of depth {ell}: {g.n} vertices, {g.m} edges")
 
 c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * (g.m // 2), seed=9)
 res = pair_tree_paths(t1, t2, c, d)
-floor = (d - 1) ** ell
-print(f"pairs found: {len(res.pairs)} (guaranteed floor {floor})")
+print(f"pairs found: {len(res.pairs)} (guaranteed floor {res.floor})")
 
 for i, (p1, p2) in enumerate(res.pairs):
     cols = [c.colors[e] for e in p1.edge_ids] + [c.colors[e] for e in p2.edge_ids]
@@ -28,10 +26,10 @@ for i, (p1, p2) in enumerate(res.pairs):
     print(f"  {i}: {'-'.join(map(str, p1.vertices))} | "
           f"{'-'.join(map(str, p2.vertices))}  colors {cols} {tag}")
 
-# the binary rule trades arity for depth: 2^(ell//2) pairs
+# binary trees pair two levels per round, trading arity for depth:
+# 2^(ell//2) pairs
 d, ell = 2, 4
 g, t1, t2 = build_tree_pair_graph(d, ell)
 c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * (g.m // 2), seed=9)
-res = pair_tree_paths_binary(t1, t2, c)
-print(f"\nbinary depth {ell}: {len(res.pairs)} pairs "
-      f"(floor {2 ** (ell // 2)})")
+res = pair_tree_paths(t1, t2, c)
+print(f"\nbinary depth {ell}: {len(res.pairs)} pairs (floor {res.floor})")

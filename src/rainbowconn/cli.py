@@ -25,8 +25,7 @@ from .experiment import config_from_mapping, load_config, run_experiment
 from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp,
                      gen_regular_config, read_edge_list, write_edge_list)
 from .pairing import (build_tree_pair_graph, build_witness_paths, bundle_text,
-                      pair_tree_paths, pair_tree_paths_binary,
-                      random_rainbow_tree_coloring, rainbow_witness)
+                      pair_tree_paths, random_rainbow_tree_coloring, rainbow_witness)
 from .verify import (brute_force_rc, rainbow_path_exact, rainbow_path_search,
                      report_text, verify_all_pairs, verify_sampled, witness_lines)
 
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair = sub.add_parser("pair", help="matched path pairing on rainbow trees")
     pair_sub = pair.add_subparsers(dest="rule", required=True)
     lemcol = pair_sub.add_parser("lemcol", help="pair synthetic rainbow d-ary trees")
-    lemcol.add_argument("--d", type=int, required=True, help="arity (2 uses the binary rule)")
+    lemcol.add_argument("--d", type=int, required=True, help="arity (2 pairs two levels per round)")
     lemcol.add_argument("--ell", type=int, required=True, help="depth")
     lemcol.add_argument("--palette", type=int, default=None)
     lemcol.add_argument("--seed", type=int, default=None)
@@ -292,12 +291,8 @@ def _cmd_pair(args) -> int:
     per_tree = g.m // 2
     palette = args.palette if args.palette is not None else 2 * per_tree
     c = random_rainbow_tree_coloring(g, t1, t2, palette=palette, seed=_seed(args))
-    if args.d == 2:
-        res = pair_tree_paths_binary(t1, t2, c)
-    else:
-        res = pair_tree_paths(t1, t2, c, args.d)
-    floor = 2 ** (args.ell // 2) if args.d == 2 else (args.d - 1) ** args.ell
-    print(f"d={args.d} ell={args.ell} palette={palette} pairs={len(res.pairs)} floor={floor}")
+    res = pair_tree_paths(t1, t2, c, args.d)
+    print(f"d={args.d} ell={args.ell} palette={palette} pairs={len(res.pairs)} floor={res.floor}")
     for i, (p1, p2) in enumerate(res.pairs):
         cols = [c.colors[e] for e in p1.edge_ids] + [c.colors[e] for e in p2.edge_ids]
         print(f"pair {i}: left={'-'.join(map(str, p1.vertices))} "

@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import NotConnected, PaletteExhausted
-from .graphs import AMBIGUOUS, Graph, connected, neighborhood_cycle
+from .graphs import (AMBIGUOUS, Graph, connected, neighborhood_cycle, parse_fields,
+                     read_text_lines)
 from .rng import np_stream, stream
 
 __all__ = [
@@ -504,25 +505,20 @@ def write_coloring(c: EdgeColoring, path: Union[str, Path]) -> None:
 
 
 def read_coloring(path: Union[str, Path]) -> EdgeColoring:
-    tokens = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((lineno, body))
-    if not tokens:
+    lines = read_text_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty coloring file")
-    m, palette = (int(t) for t in tokens[0][1].split())
-    if len(tokens) - 1 != m:
+    m, palette = parse_fields(*lines[0], (int, int))
+    if len(lines) - 1 != m:
         raise ValueError(f"{path}: expected {m} color lines")
     colors = [0] * m
     prov: list[Optional[str]] = [None] * m
-    for lineno, body in tokens[1:]:
-        eid_s, col_s, tag = body.split()
-        eid = int(eid_s)
+    for where, body in lines[1:]:
+        eid, col, tag = parse_fields(where, body, (int, int, str))
         if not 0 <= eid < m:
-            raise ValueError(f"{path}:{lineno}: edge id {eid} outside [0, {m})")
+            raise ValueError(f"{where}: edge id {eid} outside [0, {m})")
         if prov[eid] is not None:
-            raise ValueError(f"{path}:{lineno}: edge id {eid} colored twice")
-        colors[eid] = int(col_s)
+            raise ValueError(f"{where}: edge id {eid} colored twice")
+        colors[eid] = col
         prov[eid] = tag
     return EdgeColoring(tuple(colors), palette, tuple(prov))

@@ -32,11 +32,12 @@ from typing import Optional, Sequence, Union
 from .coloring import (color_greedy_power, color_threshold, recolor_cycle_classes,
                        regular_params, threshold_params)
 from .errors import GenerationExhausted, GuaranteeViolation, PaletteExhausted
-from .graphs import GenParams, connected, degree_stats, diameter, gen_gnp, gen_regular_config
-from .pairing import build_tree_pair_graph, pair_tree_paths, pair_tree_paths_binary, \
+from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp, gen_regular_config,
+                     read_text_lines)
+from .pairing import build_tree_pair_graph, pair_tree_paths, pairing_floor, \
     random_rainbow_tree_coloring, witness_via_trees
-from .rng import derive_seed, stream
-from .verify import brute_force_rc, rainbow_path_search
+from .rng import derive_seed
+from .verify import brute_force_rc, rainbow_path_search, sample_pairs, verify_sampled
 
 __all__ = [
     "SCHEMA",
@@ -175,14 +176,13 @@ def _f6(x: Optional[float]) -> Optional[str]:
 # ----------------------------------------------------------------------------
 
 def load_config(path: Union[str, Path]) -> dict[str, str]:
+    """Flat key=value lines; blank lines and ``#`` comments, whole-line or
+    inline, are skipped.  A later assignment of a key wins."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, val = line.partition("=")
+    for where, body in read_text_lines(path):
+        if "=" not in body:
+            raise ValueError(f"{where}: expected key=value, got {body!r}")
+        key, _, val = body.partition("=")
         out[key.strip()] = val.strip()
     return out
 
@@ -240,8 +240,11 @@ def _trial_thm1(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Experi
     c = color_threshold(g, tp, seed=derive_seed(tseed, "color"))
     rec.Q = c.palette_size
     rec.flags.extend(c.flags)
-    rep = _search_pairs(g, c, cfg.sampled_pairs, tseed, cfg.budget)
-    rec.pairs_tried, rec.pairs_connected, rec.mean_witness_len = rep
+    rep = verify_sampled(g, c, cfg.sampled_pairs, seed=tseed, budget=cfg.budget,
+                         keep_witnesses=True)
+    rec.pairs_tried, rec.pairs_connected = rep.pairs_checked, rep.pairs_connected
+    lens = [w.length for w in rep.witnesses.values()]
+    rec.mean_witness_len = statistics.fmean(lens) if lens else None
     rec.success_rate = rec.pairs_connected / rec.pairs_tried if rec.pairs_tried else None
     return rec
 
@@ -277,10 +280,9 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
     rec.Q = c.palette_size
     d = r - 2
     rec.d = d if d >= 2 else None
-    pairs = _sample_pairs(g.n, cfg.sampled_pairs, tseed)
     tried = won = via_tree = 0
     lens: list[int] = []
-    for u, v in pairs:
+    for u, v in sample_pairs(g.n, cfg.sampled_pairs, tseed):
         tried += 1
         w = None
         if d >= 2:
@@ -339,13 +341,9 @@ def _trial_lemcol(cfg: ExperimentConfig, trial: int, tseed: int) -> ExperimentRe
     palette = 2 * (g.m // 2)
     c = random_rainbow_tree_coloring(g, t1, t2, palette=palette, seed=tseed)
     rec.Q = palette
-    floor = 2 ** (ell // 2) if d == 2 else (d - 1) ** ell
-    rec.sigma = floor
+    rec.sigma = pairing_floor(d, ell)  # kept on a violation row: the floor it missed
     try:
-        if d == 2:
-            res = pair_tree_paths_binary(t1, t2, c)
-        else:
-            res = pair_tree_paths(t1, t2, c, d)
+        res = pair_tree_paths(t1, t2, c, d)
     except GuaranteeViolation:
         rec.flags.append("guarantee_violation")
         rec.pairs_tried = 0
@@ -357,32 +355,6 @@ def _trial_lemcol(cfg: ExperimentConfig, trial: int, tseed: int) -> ExperimentRe
     rec.success_rate = 1.0
     rec.mean_witness_len = float(2 * ell)
     return rec
-
-
-def _sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
-    rng = stream(seed, "sample-pairs")
-    total = n * (n - 1) // 2
-    count = min(count, total)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < count:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            chosen.add((min(u, v), max(u, v)))
-    return sorted(chosen)
-
-
-def _search_pairs(g, c, count: int, seed: int, budget: int):
-    tried = won = 0
-    lens: list[int] = []
-    for u, v in _sample_pairs(g.n, count, seed):
-        tried += 1
-        w = rainbow_path_search(g, c, u, v, budget=budget,
-                                seed=derive_seed(seed, f"pair:{u}:{v}"))
-        if w is not None:
-            won += 1
-            lens.append(w.length)
-    return tried, won, (statistics.fmean(lens) if lens else None)
 
 
 # ----------------------------------------------------------------------------

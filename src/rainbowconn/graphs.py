@@ -16,7 +16,9 @@ of loops and repeated edges.
 File format (``write_edge_list``/``read_edge_list``): line 1 is ``n m``,
 followed by ``m`` lines ``u v`` in canonical order, so line ``i+1`` defines
 edge id ``i``.  Blank lines and ``#`` comments are accepted on read and never
-written, keeping byte-identical round trips for generated files.
+written, keeping byte-identical round trips for generated files.  The same
+comment-stripping reader (``read_text_lines``) serves coloring and config
+files, so a malformed line is reported as ``path:line`` in every format.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ __all__ = [
     "neighborhood_cycle",
     "write_edge_list",
     "read_edge_list",
+    "read_text_lines",
+    "parse_fields",
     "path_graph",
     "cycle_graph",
     "complete_graph",
@@ -327,9 +331,11 @@ def _bfs_vectorized(g: Graph, source: int) -> np.ndarray:
 
 
 def connected(g: Graph) -> bool:
+    """Whether g is connected, read off the memoized double sweep, so it
+    costs no BFS once the sweep diameter is known."""
     if g.n <= 1:
         return True
-    return bool((bfs_distances(g, 0) >= 0).all())
+    return diameter(g, "double_sweep") is not None
 
 
 def diameter(g: Graph, mode: str = "exact") -> Optional[int]:
@@ -508,26 +514,43 @@ def write_edge_list(g: Graph, path: Union[str, Path]) -> None:
     Path(path).write_text("".join(lines))
 
 
-def read_edge_list(path: Union[str, Path]) -> Graph:
-    tokens: list[str] = []
-    for line in Path(path).read_text().splitlines():
+def read_text_lines(path: Union[str, Path]) -> list[tuple[str, str]]:
+    """Non-blank lines of a text file with any ``#`` comment cut off.
+
+    Returns (where, body) pairs, ``where`` being "path:line", so that every
+    parse error can name the line it comes from.
+    """
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if body:
-            tokens.append(body)
-    if not tokens:
+            out.append((f"{path}:{lineno}", body))
+    return out
+
+
+def parse_fields(where: str, body: str, types: Sequence[type]) -> list:
+    """Split ``body`` into exactly one whitespace-separated field per entry of
+    ``types``, each converted by its type; ValueError naming ``where`` else."""
+    parts = body.split()
+    if len(parts) != len(types):
+        raise ValueError(f"{where}: expected {len(types)} fields, got {body!r}")
+    out = []
+    for tok, typ in zip(parts, types):
+        try:
+            out.append(typ(tok))
+        except ValueError:
+            raise ValueError(f"{where}: expected {typ.__name__}, got {tok!r}") from None
+    return out
+
+
+def read_edge_list(path: Union[str, Path]) -> Graph:
+    lines = read_text_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty graph file")
-    head = tokens[0].split()
-    if len(head) != 2:
-        raise ValueError(f"{path}: header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(tokens) - 1 != m:
-        raise ValueError(f"{path}: expected {m} edge lines, found {len(tokens) - 1}")
-    edges = []
-    for body in tokens[1:]:
-        parts = body.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad edge line {body!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    n, m = parse_fields(*lines[0], (int, int))
+    if len(lines) - 1 != m:
+        raise ValueError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
+    edges = [tuple(parse_fields(where, body, (int, int))) for where, body in lines[1:]]
     return Graph(n, edges)
 
 

@@ -12,9 +12,9 @@ between a vertex pair (x, y) in three stages:
    branch j on the y side when i's entry color appears nowhere in j's branch
    and vice versa.  A maximum matching of H (size >= d-1 is guaranteed for
    rainbow trees) selects the branch pairs to recurse into, multiplying the
-   path count by at least d-1 per level.  Binary trees use the same idea two
-   levels at a time on the four grandchild branches, where a matching of
-   size >= 2 is guaranteed.
+   path count by at least d-1 per level.  Binary trees use the same
+   recursion two levels at a time on the four grandchild branches, where a
+   matching of size >= 2 is expected (see ``pair_tree_paths``).
 3. Join each paired leaf to its partner through the hanging trees and a
    connecting edge found between their leaf sets, then validate the full
    x..y path end to end.
@@ -44,7 +44,7 @@ __all__ = [
     "bipartite_matching",
     "compatibility_matrix",
     "pair_tree_paths",
-    "pair_tree_paths_binary",
+    "pairing_floor",
     "build_witness_paths",
     "bundle_text",
     "rainbow_witness",
@@ -111,9 +111,14 @@ class TreePath:
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Matched (x-side path, y-side path) pairs with rainbow unions."""
+    """Matched (x-side path, y-side path) pairs with rainbow unions.
+
+    ``floor`` is the pair count the pairing guarantees for the trees' arity
+    and depth: the product of the matching floors of its rounds.
+    """
 
     pairs: tuple[tuple[TreePath, TreePath], ...]
+    floor: int
 
 
 def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
@@ -277,51 +282,80 @@ def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
     """
     x_node = t1.root if x_node is None else x_node
     y_node = t2.root if y_node is None else y_node
-    sub1 = _subtree_colors(t1, c)
-    sub2 = _subtree_colors(t2, c)
-    return _branch_matrix(t1, t2, c, x_node, y_node, sub1, sub2)
+    return _branch_matrix(_branches(t1, x_node, 1), _branches(t2, y_node, 1), c,
+                          _subtree_colors(t1, c), _subtree_colors(t2, c))
 
 
-def _branch_matrix(t1, t2, c, x_node, y_node, sub1, sub2) -> list[list[bool]]:
-    xs = t1.children[x_node]
-    ys = t2.children[y_node]
-    cx = [c.colors[t1.parent[w][1]] for w in xs]
-    cy = [c.colors[t2.parent[w][1]] for w in ys]
-    H = []
-    for i, xi in enumerate(xs):
-        row = []
-        for j, yj in enumerate(ys):
-            ok = (cx[i] not in sub2[yj] and cx[i] != cy[j]
-                  and cy[j] not in sub1[xi] and cy[j] != cx[i])
-            row.append(ok)
-        H.append(row)
-    return H
+def _branches(t: RootedTree, node: int, step: int) -> list[tuple[list[int], list[int]]]:
+    """(vertices, edge ids) of the paths from ``node`` down ``step`` levels,
+    in child order and then grandchild order."""
+    out = [([node], [])]
+    for _ in range(step):
+        out = [(verts + [w], eids + [t.parent[w][1]])
+               for verts, eids in out for w in t.children[verts[-1]]]
+    return out
+
+
+def _branch_matrix(bx, by, c: EdgeColoring, sub1, sub2) -> list[list[bool]]:
+    """Entry (i, j): x-branch i's colors miss y-branch j's colors and every
+    color below j's end, and y-branch j's colors miss every color below i's
+    end."""
+    cx = [{c.colors[e] for e in eids} for _, eids in bx]
+    cy = [{c.colors[e] for e in eids} for _, eids in by]
+    below_y = [cy[j] | sub2[verts[-1]] for j, (verts, _) in enumerate(by)]
+    return [[cx[i].isdisjoint(below_y[j]) and cy[j].isdisjoint(sub1[verts[-1]])
+             for j in range(len(by))]
+            for i, (verts, _) in enumerate(bx)]
+
+
+def _step(d: int, remaining: int) -> tuple[int, int]:
+    """(levels consumed, matching floor) of the next pairing round."""
+    return (2, 2) if d == 2 and remaining >= 2 else (1, d - 1)
+
+
+def pairing_floor(d: int, depth: int) -> int:
+    """Pairs ``pair_tree_paths`` guarantees on two d-ary trees of this depth:
+    the product of its rounds' matching floors, (d-1)^depth for d >= 3 and
+    2^(depth//2) for d = 2."""
+    floor = 1
+    while depth:
+        step, f = _step(d, depth)
+        floor *= f
+        depth -= step
+    return floor
 
 
 def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
                     d: Optional[int] = None) -> PairingResult:
-    """Pair root-to-leaf paths across two rainbow d-ary trees, d >= 3.
+    """Pair root-to-leaf paths across two rainbow d-ary trees, d >= 2.
 
-    Recursing level by level over matched branch pairs yields at least
-    (d-1)^depth pairs whose unions are rainbow.  A matching below d-1
-    anywhere raises GuaranteeViolation: for rainbow inputs the compatibility
-    graph always supports d-1, so a smaller one means the input was not
-    rainbow or the implementation broke.
+    Each round matches the branches below the current node pair and recurses
+    into the matched pairs.  For d >= 3 a branch is one child: the d x d
+    compatibility graph always supports a matching of size d-1, so at least
+    (d-1)^depth pairs come out.  For d = 2 a round takes two levels: the four
+    grandchild branches per side each carry two path colors, and any one
+    color can block at most two branches on the other side, which is meant
+    to force a matching of size >= 2.  A final odd level falls back to a
+    one-level round with floor 1, so at least 2^(depth//2) pairs come out.
+    A matching below its floor raises GuaranteeViolation.  For d >= 3 that
+    means the input was not rainbow or the implementation broke; for d = 2
+    it also happens, rarely, on rainbow trees (4 of 1200 colorings at depths
+    3-6 with palette = per-tree edge count, 1 of 1500 at depth 6 with twice
+    that).
     """
     if d is None:
         d = t1.arity()
-    elif t1.arity() != d:
-        raise ValueError(f"tree arity {t1.arity()} does not match requested d={d}")
-    if d < 3:
-        raise ValueError("pair_tree_paths needs arity >= 3; use the binary variant")
-    if t2.arity() != d or t1.target_depth != t2.target_depth:
-        raise ValueError("trees must share arity and depth")
+    if d < 2:
+        raise ValueError(f"pairing needs arity >= 2, got {d}")
+    if t1.arity() != d or t2.arity() != d:
+        raise ValueError(f"tree arities {t1.arity()} and {t2.arity()} do not match d={d}")
+    if t1.target_depth != t2.target_depth:
+        raise ValueError("trees must share depth")
     if t1.vertices() & t2.vertices():
         raise ValueError("trees must be vertex-disjoint")
-    _check_complete(t1, d)
-    _check_complete(t2, d)
-    _check_rainbow(t1, c)
-    _check_rainbow(t2, c)
+    for t in (t1, t2):
+        _check_complete(t, d)
+        _check_rainbow(t, c)
     sub1 = _subtree_colors(t1, c)
     sub2 = _subtree_colors(t2, c)
 
@@ -329,99 +363,25 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
         # returns (verts1, eids1, verts2, eids2) suffixes from xn/yn down
         if remaining == 0:
             return [([xn], [], [yn], [])]
-        H = _branch_matrix(t1, t2, c, xn, yn, sub1, sub2)
-        matched = bipartite_matching(H)
-        if len(matched) < d - 1:
+        step, floor = _step(d, remaining)
+        bx = _branches(t1, xn, step)
+        by = _branches(t2, yn, step)
+        matched = bipartite_matching(_branch_matrix(bx, by, c, sub1, sub2))
+        if len(matched) < floor:
             raise GuaranteeViolation(
-                f"matching of size {len(matched)} < {d - 1} at nodes ({xn}, {yn})"
+                f"matching of size {len(matched)} < {floor} at nodes ({xn}, {yn})"
             )
         out = []
         for i, j in sorted(matched):
-            xi = t1.children[xn][i]
-            yj = t2.children[yn][j]
-            e1 = t1.parent[xi][1]
-            e2 = t2.parent[yj][1]
-            for v1, p1, v2, p2 in recurse(xi, yj, remaining - 1):
-                out.append(([xn] + v1, [e1] + p1, [yn] + v2, [e2] + p2))
-        return out
-
-    raw = recurse(t1.root, t2.root, t1.target_depth)
-    pairs = _finalize_pairs(raw, c, (d - 1) ** t1.target_depth)
-    return PairingResult(pairs)
-
-
-def pair_tree_paths_binary(t1: RootedTree, t2: RootedTree, c: EdgeColoring) -> PairingResult:
-    """Binary-tree variant: recurse two levels at a time over grandchildren.
-
-    The four depth-2 branches on each side form a 4x4 compatibility graph;
-    each branch carries two path colors, and any one color can block at most
-    two branches on the other side, which forces a matching of size >= 2.
-    Depth is consumed two levels per round (a final odd level falls back to
-    a 2x2 round with floor 1), so at least 2^(depth//2) pairs come out.
-    """
-    if t1.arity() != 2 or t2.arity() != 2:
-        raise ValueError("binary variant needs arity exactly 2")
-    if t1.target_depth != t2.target_depth:
-        raise ValueError("trees must share depth")
-    if t1.vertices() & t2.vertices():
-        raise ValueError("trees must be vertex-disjoint")
-    _check_complete(t1, 2)
-    _check_complete(t2, 2)
-    _check_rainbow(t1, c)
-    _check_rainbow(t2, c)
-    sub1 = _subtree_colors(t1, c)
-    sub2 = _subtree_colors(t2, c)
-
-    def grand_branches(t: RootedTree, node: int) -> list[tuple[int, list[int]]]:
-        out = []
-        for child in t.children[node]:
-            for gc in t.children[child]:
-                out.append((gc, [t.parent[child][1], t.parent[gc][1]]))
-        return out
-
-    def recurse(xn: int, yn: int, remaining: int):
-        if remaining == 0:
-            return [([xn], [], [yn], [])]
-        if remaining == 1:
-            H = _branch_matrix(t1, t2, c, xn, yn, sub1, sub2)
-            matched = bipartite_matching(H)
-            if len(matched) < 1:
-                raise GuaranteeViolation(f"empty 2x2 matching at ({xn}, {yn})")
-            out = []
-            for i, j in sorted(matched):
-                xi, yj = t1.children[xn][i], t2.children[yn][j]
-                out.append(([xn, xi], [t1.parent[xi][1]], [yn, yj], [t2.parent[yj][1]]))
-            return out
-        gx = grand_branches(t1, xn)
-        gy = grand_branches(t2, yn)
-        H = []
-        for gxi, ex in gx:
-            cset_x = {c.colors[e] for e in ex}
-            row = []
-            for gyj, ey in gy:
-                cset_y = {c.colors[e] for e in ey}
-                ok = (not cset_x & (sub2[gyj] | cset_y)
-                      and not cset_y & (sub1[gxi] | cset_x))
-                row.append(ok)
-            H.append(row)
-        matched = bipartite_matching(H)
-        if len(matched) < 2:
-            raise GuaranteeViolation(
-                f"matching of size {len(matched)} < 2 at nodes ({xn}, {yn})"
-            )
-        out = []
-        for i, j in sorted(matched):
-            gxi, ex = gx[i]
-            gyj, ey = gy[j]
-            vx = [xn, t1.parent[gxi][0], gxi]
-            vy = [yn, t2.parent[gyj][0], gyj]
-            for v1, p1, v2, p2 in recurse(gxi, gyj, remaining - 2):
+            vx, ex = bx[i]
+            vy, ey = by[j]
+            for v1, p1, v2, p2 in recurse(vx[-1], vy[-1], remaining - step):
                 out.append((vx[:-1] + v1, ex + p1, vy[:-1] + v2, ey + p2))
         return out
 
+    floor = pairing_floor(d, t1.target_depth)
     raw = recurse(t1.root, t2.root, t1.target_depth)
-    pairs = _finalize_pairs(raw, c, 2 ** (t1.target_depth // 2))
-    return PairingResult(pairs)
+    return PairingResult(_finalize_pairs(raw, c, floor), floor)
 
 
 def _finalize_pairs(raw, c: EdgeColoring, floor: int) -> tuple:
@@ -642,17 +602,13 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
                     bundle: WitnessBundle) -> Optional[PathWitness]:
     """First fully rainbow x..y path assembled from the bundle under c.
 
-    Runs the matched pairing on the two pruned trees (binary variant when
-    d = 2), then walks pairs in order, fetching the connector for each
+    Runs the matched pairing on the two pruned trees, then walks pairs in order, fetching the connector for each
     matched leaf pair and validating the composed path end to end.  Returns
     None when the trees are not rainbow under c or no composition survives
     validation.
     """
     try:
-        if bundle.d >= 3:
-            pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
-        else:
-            pairing = pair_tree_paths_binary(bundle.tree_x, bundle.tree_y, c)
+        pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
     except GuaranteeViolation:
         return None
     leaf_index_x = {v: i for i, v in enumerate(bundle.tree_x.leaves)}

@@ -41,6 +41,7 @@ __all__ = [
     "rainbow_path_search",
     "verify_all_pairs",
     "verify_sampled",
+    "sample_pairs",
     "brute_force_rc",
     "witness_ok",
     "report_text",
@@ -246,31 +247,55 @@ class VerifyReport:
         return self.pairs_connected / self.pairs_checked if self.pairs_checked else 1.0
 
 
-def verify_all_pairs(g: Graph, c: EdgeColoring, mode: str = "exact",
-                     max_len: Optional[int] = None, budget: int = 10 ** 6,
-                     seed: int = 0, keep_witnesses: bool = True) -> VerifyReport:
-    """Check every vertex pair; exact mode propagates the state-space guard."""
-    if mode not in ("exact", "search"):
-        raise ValueError(f"unknown mode {mode!r}")
+def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
+    """``count`` distinct pairs u < v drawn uniformly, sorted; all pairs when
+    fewer exist.  The draw has its own stream, so it depends on
+    (n, count, seed) only."""
+    total = n * (n - 1) // 2
+    count = min(count, total)
+    rng = stream(seed, "sample-pairs")
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < count:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            chosen.add((min(u, v), max(u, v)))
+    return sorted(chosen)
+
+
+def _verify_pairs(pairs, find, mode: str, keep_witnesses: bool) -> VerifyReport:
+    """Run ``find(u, v)`` over ``pairs`` and tally the witnesses it returns."""
     t0 = time.perf_counter()
     witnesses: dict[tuple[int, int], PathWitness] = {}
     connected_pairs = 0
     checked = 0
     max_len_seen = 0
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            checked += 1
-            if mode == "exact":
-                w = rainbow_path_exact(g, c, u, v, max_len)
-            else:
-                w = rainbow_path_search(g, c, u, v, max_len, budget, seed)
-            if w is not None:
-                connected_pairs += 1
-                max_len_seen = max(max_len_seen, w.length)
-                if keep_witnesses:
-                    witnesses[(u, v)] = w
+    for u, v in pairs:
+        checked += 1
+        w = find(u, v)
+        if w is not None:
+            connected_pairs += 1
+            max_len_seen = max(max_len_seen, w.length)
+            if keep_witnesses:
+                witnesses[(u, v)] = w
     return VerifyReport(checked, connected_pairs, witnesses if keep_witnesses else None,
                         max_len_seen, mode, time.perf_counter() - t0)
+
+
+def verify_all_pairs(g: Graph, c: EdgeColoring, mode: str = "exact",
+                     max_len: Optional[int] = None, budget: int = 10 ** 6,
+                     seed: int = 0, keep_witnesses: bool = True) -> VerifyReport:
+    """Check every vertex pair; exact mode propagates the state-space guard."""
+    if mode == "exact":
+        def find(u, v):
+            return rainbow_path_exact(g, c, u, v, max_len)
+    elif mode == "search":
+        def find(u, v):
+            return rainbow_path_search(g, c, u, v, max_len, budget, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
+    return _verify_pairs(pairs, find, mode, keep_witnesses)
 
 
 def verify_sampled(g: Graph, c: EdgeColoring, num_pairs: int, seed: int = 0,
@@ -279,32 +304,13 @@ def verify_sampled(g: Graph, c: EdgeColoring, num_pairs: int, seed: int = 0,
     """Search over uniformly sampled distinct pairs, one derived seed per pair.
 
     Per-pair seeds depend on (seed, u, v) only, so results are stable under
-    any evaluation order; the pair sample itself is drawn without
-    replacement from its own stream.
+    any evaluation order; the pairs come from ``sample_pairs``.
     """
-    total = g.n * (g.n - 1) // 2
-    num_pairs = min(num_pairs, total)
-    rng = stream(seed, "sample-pairs")
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < num_pairs:
-        u = rng.randrange(g.n)
-        v = rng.randrange(g.n)
-        if u != v:
-            chosen.add((min(u, v), max(u, v)))
-    t0 = time.perf_counter()
-    witnesses: dict[tuple[int, int], PathWitness] = {}
-    connected_pairs = 0
-    max_len_seen = 0
-    for u, v in sorted(chosen):
-        w = rainbow_path_search(g, c, u, v, max_len, budget,
-                                seed=derive_seed(seed, f"pair:{u}:{v}"))
-        if w is not None:
-            connected_pairs += 1
-            max_len_seen = max(max_len_seen, w.length)
-            if keep_witnesses:
-                witnesses[(u, v)] = w
-    return VerifyReport(num_pairs, connected_pairs, witnesses if keep_witnesses else None,
-                        max_len_seen, "search", time.perf_counter() - t0)
+    def find(u, v):
+        return rainbow_path_search(g, c, u, v, max_len, budget,
+                                   seed=derive_seed(seed, f"pair:{u}:{v}"))
+
+    return _verify_pairs(sample_pairs(g.n, num_pairs, seed), find, "search", keep_witnesses)
 
 
 def report_text(rep: VerifyReport, include_timing: bool = False) -> str:

@@ -30,7 +30,6 @@ from rainbowconn.graphs import GenParams, connected, gen_gnp, gen_regular_config
 from rainbowconn.pairing import (
     build_tree_pair_graph,
     pair_tree_paths,
-    pair_tree_paths_binary,
     random_rainbow_tree_coloring,
 )
 from rainbowconn.rng import derive_seed, stream
@@ -181,7 +180,7 @@ def test_gate_3_pairing_floor(announce):
         for seed in range(1000):
             c = random_rainbow_tree_coloring(g, tx, ty, palette=palette, seed=seed)
             try:
-                res = pair_tree_paths_binary(tx, ty, c)
+                res = pair_tree_paths(tx, ty, c)
             except GuaranteeViolation:
                 blowups += 1
                 continue

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowconn import graphs as graphs_mod
+from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
                                 check_local_density, check_small_separation,
@@ -233,6 +234,16 @@ class TestSweepMemo:
         assert fresh == first
         # None, the disconnected verdict, is memoized like any value
         assert (first is None) == (not connected(g))
+
+    def test_threshold_setup_runs_one_sweep(self, counted_bfs):
+        # degree stats, the sweep diameter, the connectivity probe and the
+        # threshold coloring's own connectivity check share one double sweep
+        g = gen_gnp(GenParams(n=5000, omega=2.0, seed=1))
+        degree_stats(g)
+        diameter(g, mode="double_sweep")
+        assert connected(g)
+        color_threshold(g, threshold_params(g.n), seed=0)
+        assert len(counted_bfs) == 2
 
 
 class TestDegreeStats:

@@ -67,6 +67,11 @@ class TestLoadConfig:
         p.write_text("seed=1\nseed=2\nmode=brute\n")
         assert load_config(p)["seed"] == "2"
 
+    def test_inline_comments_stripped(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text("mode=brute  # exact rc\nseed=3# trailing\n")
+        assert load_config(p) == {"mode": "brute", "seed": "3"}
+
 
 class TestConfigFromMapping:
     BASE = {"mode": "brute", "n_values": "5,6", "p": "0.5"}
@@ -236,6 +241,16 @@ class TestRunExperiment:
             assert rec.sigma == 4
         assert summary.startswith("5 rows")
         assert "min/q1/med/q3/max = 1.0000" in summary
+
+    def test_violation_row_keeps_floor(self, tmp_path):
+        # trial 299 colors the two depth-6 binary trees so that a two-level
+        # round matches only one branch pair; its row still names the floor
+        cfg = ExperimentConfig(mode="lemcol_stress", d=2, ell=6, trials=300,
+                               seed=0, out=str(tmp_path / "l.csv"))
+        records, _ = run_experiment(cfg)
+        bad = [rec for rec in records if "guarantee_violation" in rec.flags]
+        assert [rec.trial for rec in bad] == [299]
+        assert (bad[0].sigma, bad[0].pairs_tried) == (8, 0)
 
     def test_regular_mode_populates_recolor_fields(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -477,6 +492,20 @@ class TestCliColorVerify:
                    "--x", "0"])
         assert rc == 1
         assert "both --x and --y" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edges, colors, bad, line", [
+        ("4 3\n0 1\n1 2\n2 3\n", "3\n0 0 random\n1 1 random\n2 2 random\n", "c.col", 1),
+        ("4 3\n0 1\n1 2\n2 3\n", "3 3\n0 0 random\n1 x random\n2 2 random\n", "c.col", 3),
+        ("4 3\n0 1\n# middle\n1 x\n2 3\n", "3 3\n0 0 random\n", "g.el", 4),
+    ], ids=["coloring_header", "coloring_token", "edge_list_token"])
+    def test_malformed_line_named(self, tmp_path, capsys, edges, colors, bad, line):
+        (tmp_path / "g.el").write_text(edges)
+        (tmp_path / "c.col").write_text(colors)
+        rc = main(["verify", "exact", "--in", str(tmp_path / "g.el"),
+                   "--coloring", str(tmp_path / "c.col")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {tmp_path / bad}:{line}: ")
 
 
 # ----------------------------------------------------------------------------

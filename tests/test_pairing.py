@@ -1,5 +1,6 @@
 """Tree growth, the recursive path-pairing lemma, and witness bundles."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,6 @@ from rainbowconn.pairing import (
     compatibility_matrix,
     grow_bfs_tree,
     pair_tree_paths,
-    pair_tree_paths_binary,
     prune_to_arity,
     rainbow_witness,
     random_rainbow_tree_coloring,
@@ -194,30 +194,41 @@ def worst_deficiency(H, d):
     return worst
 
 
+# (d, ell, guaranteed pairs): (d-1)^ell, and 2^(ell//2) for binary trees,
+# which pair two levels per round
+FLOOR_CASES = [(3, 1, 2), (3, 2, 4), (3, 3, 8), (4, 1, 3), (4, 2, 9),
+               (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 6, 8)]
+
+
 class TestPairTreePaths:
     def test_disjoint_palettes_full_pairing(self):
-        g, t1, t2 = build_tree_pair_graph(3, 1)
-        c = EdgeColoring((0, 1, 2, 3, 4, 5), 6, ("random",) * 6)
-        assert compatibility_matrix(t1, t2, c) == [[True] * 3] * 3
-        res = pair_tree_paths(t1, t2, c)
-        assert len(res.pairs) == 3
+        for d, ell, want in ((3, 1, 3), (2, 2, 4)):
+            g, t1, t2 = build_tree_pair_graph(d, ell)
+            c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+            assert compatibility_matrix(t1, t2, c) == [[True] * d] * d
+            res = pair_tree_paths(t1, t2, c)
+            assert len(res.pairs) == want
 
     def test_identical_palettes_minus_diagonal(self):
-        g, t1, t2 = build_tree_pair_graph(3, 1)
-        c = EdgeColoring((0, 1, 2, 0, 1, 2), 3, ("random",) * 6)
-        H = compatibility_matrix(t1, t2, c)
-        assert H == [[i != j for j in range(3)] for i in range(3)]
-        res = pair_tree_paths(t1, t2, c)
-        assert len(res.pairs) == 3
+        for d, ell, want in ((3, 1, 3), (2, 2, 4)):
+            g, t1, t2 = build_tree_pair_graph(d, ell)
+            half = g.m // 2
+            c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
+            H = compatibility_matrix(t1, t2, c)
+            assert H == [[i != j for j in range(d)] for i in range(d)]
+            res = pair_tree_paths(t1, t2, c)
+            assert len(res.pairs) == want
 
-    @pytest.mark.parametrize("d,ell", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
-    def test_random_rainbow_floor(self, d, ell):
+    @pytest.mark.parametrize("d,ell,floor", FLOOR_CASES,
+                             ids=[f"{d}-{ell}" for d, ell, _ in FLOOR_CASES])
+    def test_random_rainbow_floor(self, d, ell, floor):
         g, t1, t2 = build_tree_pair_graph(d, ell)
         per_tree = len(t1.edge_ids())
         for seed in range(200):
             c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * per_tree, seed=seed)
             res = pair_tree_paths(t1, t2, c)
-            assert len(res.pairs) >= (d - 1) ** ell
+            assert res.floor == floor
+            assert len(res.pairs) >= floor
             for p1, p2 in res.pairs:
                 cols = ([c.colors[e] for e in p1.edge_ids]
                         + [c.colors[e] for e in p2.edge_ids])
@@ -234,10 +245,11 @@ class TestPairTreePaths:
             assert len(leaves) == len(set(leaves))
 
     def test_non_rainbow_input_rejected(self):
-        g, t1, t2 = build_tree_pair_graph(3, 2)
-        c = EdgeColoring((0,) * g.m, 4, ("random",) * g.m)
-        with pytest.raises(GuaranteeViolation):
-            pair_tree_paths(t1, t2, c)
+        for d in (3, 2):
+            g, t1, t2 = build_tree_pair_graph(d, 2)
+            c = EdgeColoring((0,) * g.m, 4, ("random",) * g.m)
+            with pytest.raises(GuaranteeViolation):
+                pair_tree_paths(t1, t2, c)
 
     def test_structure_violations(self):
         g, t1, t2 = build_tree_pair_graph(3, 1)
@@ -250,6 +262,18 @@ class TestPairTreePaths:
         with pytest.raises(ValueError):
             pair_tree_paths(b2, b2, EdgeColoring(tuple(range(g2.m)), g2.m,
                                                  ("random",) * g2.m))
+        for d, ell in ((1, 2), (3, 0)):  # unary trees, depth-0 trees
+            g3, u1, u2 = build_tree_pair_graph(d, ell)
+            c3 = EdgeColoring(tuple(range(g3.m)), g3.m, ("random",) * g3.m)
+            for explicit in (None, d):
+                with pytest.raises(ValueError):
+                    pair_tree_paths(u1, u2, c3, d=explicit)
+
+    def test_wrong_arity_rejected(self):
+        g, t1, t2 = build_tree_pair_graph(3, 2)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        with pytest.raises(ValueError):
+            pair_tree_paths(t1, t2, c, d=2)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_deficiency_stays_within_one(self, d):
@@ -274,46 +298,32 @@ class TestPairTreePaths:
         assert len(bipartite_matching(H)) == 2
         assert len(pair_tree_paths(t1, t2, c).pairs) >= 4
 
-
-class TestPairTreePathsBinary:
-    def test_depth2_disjoint_palettes(self):
-        g, t1, t2 = build_tree_pair_graph(2, 2)
-        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        res = pair_tree_paths_binary(t1, t2, c)
-        assert len(res.pairs) >= 2
-
-    def test_depth2_identical_colorings(self):
-        g, t1, t2 = build_tree_pair_graph(2, 2)
-        half = g.m // 2
-        c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
-        res = pair_tree_paths_binary(t1, t2, c)
-        assert len(res.pairs) >= 2
-
-    @pytest.mark.parametrize("k,floor", [(2, 2), (3, 2), (4, 4), (6, 8)])
-    def test_random_rainbow_floor(self, k, floor):
-        g, t1, t2 = build_tree_pair_graph(2, k)
-        per_tree = len(t1.edge_ids())
-        seeds = 200 if k <= 4 else 50
-        for seed in range(seeds):
-            c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * per_tree, seed=seed)
-            res = pair_tree_paths_binary(t1, t2, c)
-            assert len(res.pairs) >= floor == 2 ** (k // 2)
-            for p1, p2 in res.pairs:
-                cols = ([c.colors[e] for e in p1.edge_ids]
-                        + [c.colors[e] for e in p2.edge_ids])
-                assert len(set(cols)) == len(cols)
-
-    def test_wrong_arity_rejected(self):
-        g, t1, t2 = build_tree_pair_graph(3, 2)
-        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        with pytest.raises(ValueError):
-            pair_tree_paths_binary(t1, t2, c)
-
-    def test_non_rainbow_rejected(self):
-        g, t1, t2 = build_tree_pair_graph(2, 2)
-        c = EdgeColoring((0,) * g.m, 3, ("random",) * g.m)
-        with pytest.raises(GuaranteeViolation):
-            pair_tree_paths_binary(t1, t2, c)
+    def test_pinned_pairing_digest(self):
+        # Differential guard: every pair (vertices and edge ids) over 6600
+        # rainbow colorings, hashed.  The digest was taken from the separate
+        # d-ary and binary recursions that pair_tree_paths replaced; palettes
+        # of one per-tree edge count hit a few d = 2 guarantee violations,
+        # which are part of the pinned outcome.
+        grid = [(2, ell) for ell in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+        h = hashlib.sha256()
+        for d, ell in grid:
+            g, t1, t2 = build_tree_pair_graph(d, ell)
+            per_tree = len(t1.edge_ids())
+            for mult in (1, 2):
+                for seed in range(300):
+                    c = random_rainbow_tree_coloring(g, t1, t2, palette=mult * per_tree,
+                                                     seed=seed)
+                    try:
+                        res = pair_tree_paths(t1, t2, c, d)
+                    except GuaranteeViolation:
+                        h.update(b"violation;")
+                        continue
+                    for p1, p2 in res.pairs:
+                        h.update(repr((p1.vertices, p1.edge_ids,
+                                       p2.vertices, p2.edge_ids)).encode())
+                    h.update(b";")
+        assert h.hexdigest() == (
+            "4a8b680cbb625813bfa8e73e379455aeee453be86e0a5b2e92d4eb86228d7b45")
 
 
 def find_structured_pair(g, p, d, candidates):
