@@ -202,22 +202,20 @@ FLOOR_CASES = [(3, 1, 2), (3, 2, 4), (3, 3, 8), (4, 1, 3), (4, 2, 9),
 
 class TestPairTreePaths:
     def test_disjoint_palettes_full_pairing(self):
-        for d, ell, want in ((3, 1, 3), (2, 2, 4)):
-            g, t1, t2 = build_tree_pair_graph(d, ell)
-            c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-            assert compatibility_matrix(t1, t2, c) == [[True] * d] * d
-            res = pair_tree_paths(t1, t2, c)
-            assert len(res.pairs) == want
+        g, t1, t2 = build_tree_pair_graph(3, 1)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        assert compatibility_matrix(t1, t2, c) == [[True] * 3] * 3
+        res = pair_tree_paths(t1, t2, c)
+        assert len(res.pairs) == 3
 
     def test_identical_palettes_minus_diagonal(self):
-        for d, ell, want in ((3, 1, 3), (2, 2, 4)):
-            g, t1, t2 = build_tree_pair_graph(d, ell)
-            half = g.m // 2
-            c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
-            H = compatibility_matrix(t1, t2, c)
-            assert H == [[i != j for j in range(d)] for i in range(d)]
-            res = pair_tree_paths(t1, t2, c)
-            assert len(res.pairs) == want
+        g, t1, t2 = build_tree_pair_graph(3, 1)
+        half = g.m // 2
+        c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
+        H = compatibility_matrix(t1, t2, c)
+        assert H == [[i != j for j in range(3)] for i in range(3)]
+        res = pair_tree_paths(t1, t2, c)
+        assert len(res.pairs) == 3
 
     @pytest.mark.parametrize("d,ell,floor", FLOOR_CASES,
                              ids=[f"{d}-{ell}" for d, ell, _ in FLOOR_CASES])
@@ -245,11 +243,10 @@ class TestPairTreePaths:
             assert len(leaves) == len(set(leaves))
 
     def test_non_rainbow_input_rejected(self):
-        for d in (3, 2):
-            g, t1, t2 = build_tree_pair_graph(d, 2)
-            c = EdgeColoring((0,) * g.m, 4, ("random",) * g.m)
-            with pytest.raises(GuaranteeViolation):
-                pair_tree_paths(t1, t2, c)
+        g, t1, t2 = build_tree_pair_graph(3, 2)
+        c = EdgeColoring((0,) * g.m, 4, ("random",) * g.m)
+        with pytest.raises(GuaranteeViolation):
+            pair_tree_paths(t1, t2, c)
 
     def test_structure_violations(self):
         g, t1, t2 = build_tree_pair_graph(3, 1)
@@ -324,6 +321,33 @@ class TestPairTreePaths:
                     h.update(b";")
         assert h.hexdigest() == (
             "4a8b680cbb625813bfa8e73e379455aeee453be86e0a5b2e92d4eb86228d7b45")
+
+
+class TestPairTreePathsBinary:
+    """d = 2: the recursion pairs two levels per round with floor 2."""
+
+    def test_depth2_disjoint_palettes(self):
+        g, t1, t2 = build_tree_pair_graph(2, 2)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        assert compatibility_matrix(t1, t2, c) == [[True] * 2] * 2
+        res = pair_tree_paths(t1, t2, c, d=2)
+        assert res.floor == 2
+        assert len(res.pairs) == 4
+
+    def test_depth2_identical_colorings(self):
+        g, t1, t2 = build_tree_pair_graph(2, 2)
+        half = g.m // 2
+        c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
+        H = compatibility_matrix(t1, t2, c)
+        assert H == [[i != j for j in range(2)] for i in range(2)]
+        res = pair_tree_paths(t1, t2, c, d=2)
+        assert len(res.pairs) == 4
+
+    def test_non_rainbow_rejected(self):
+        g, t1, t2 = build_tree_pair_graph(2, 2)
+        c = EdgeColoring((0,) * g.m, 3, ("random",) * g.m)
+        with pytest.raises(GuaranteeViolation):
+            pair_tree_paths(t1, t2, c, d=2)
 
 
 def find_structured_pair(g, p, d, candidates):
