@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import NotConnected, PaletteExhausted
 from .graphs import (AMBIGUOUS, Graph, connected, neighborhood_cycle, parse_fields,
                      read_text_lines)
@@ -235,8 +237,11 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     """
     if not connected(g):
         raise NotConnected("color_threshold needs a connected graph")
-    degs = g.degrees()
-    z1 = sum(1 for d in degs if d == 1)
+    indptr, _, eids = g.csr()
+    degs = np.diff(indptr)
+    # the one edge at each degree-1 vertex, in vertex order
+    pendant_edges = eids[indptr[:-1][degs == 1]].tolist()
+    z1 = len(pendant_edges)
     base = max(z1, params.q)
     palette = base + 2
     red, blue = palette - 2, palette - 1
@@ -246,10 +251,7 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     flags: list[str] = []
 
     next_pendant = 0
-    for v in range(g.n):
-        if degs[v] != 1:
-            continue
-        _, eid = g.adj[v][0]
+    for eid in pendant_edges:
         if provenance[eid] != "pendant":
             colors[eid] = next_pendant
             provenance[eid] = "pendant"
@@ -257,10 +259,9 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
 
     if small_threshold is None:
         small_threshold = math.log(g.n) / 100 if g.n >= 2 else 0.0
-    for v in range(g.n):
-        if degs[v] < 2 or degs[v] >= small_threshold:
-            continue
-        usable = sorted(eid for _, eid in g.adj[v] if provenance[eid] != "pendant")
+    for v in np.flatnonzero((degs >= 2) & (degs < small_threshold)).tolist():
+        usable = sorted(e for e in eids[indptr[v]:indptr[v + 1]].tolist()
+                        if provenance[e] != "pendant")
         have_red = any(colors[e] == red and provenance[e] == "red_blue" for e in usable)
         have_blue = any(colors[e] == blue and provenance[e] == "red_blue" for e in usable)
         open_edges = [e for e in usable if provenance[e] != "red_blue"]
@@ -289,13 +290,14 @@ def line_distance_neighbors(g: Graph, edge_id: int, radius: int) -> set[int]:
     """Edge ids within line-graph distance <= radius of ``edge_id`` (itself excluded)."""
     if not 0 <= edge_id < g.m:
         raise ValueError(f"edge id {edge_id} out of range")
+    adj, edges = g.adj, g.edges
     seen = {edge_id}
     frontier = [edge_id]
     for _ in range(radius):
         nxt = []
         for f in frontier:
-            for endpoint in g.edges[f]:
-                for _, fid in g.adj[endpoint]:
+            for endpoint in edges[f]:
+                for _, fid in adj[endpoint]:
                     if fid not in seen:
                         seen.add(fid)
                         nxt.append(fid)
@@ -320,6 +322,7 @@ def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColo
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = stream(seed, "greedy")
+    adj, edges = g.adj, g.edges
     m = g.m
     colors = [-1] * m
     visited = [0] * m
@@ -332,8 +335,8 @@ def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColo
         for _ in range(radius):
             nxt = []
             for f in frontier:
-                for endpoint in g.edges[f]:
-                    for _, fid in g.adj[endpoint]:
+                for endpoint in edges[f]:
+                    for _, fid in adj[endpoint]:
                         if visited[fid] != stamp:
                             visited[fid] = stamp
                             nxt.append(fid)

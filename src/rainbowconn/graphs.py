@@ -3,10 +3,15 @@
 Graphs are undirected, simple, on vertices ``0..n-1``, held in canonical form:
 the edge list stores each edge as ``(u, v)`` with ``u < v``, sorted
 lexicographically, and the position of an edge in that list is its edge id.
-Adjacency lists are sorted by neighbor.  Two graphs built from the same edge
-set are therefore identical objects field-for-field, and every downstream
-coloring or traversal that iterates "in edge order" or "in neighbor order" is
-reproducible.
+The constructor builds the adjacency once, as numpy CSR arrays with each
+vertex's neighbors in increasing order; vectorized code reads the arrays,
+and Python loops over small graphs read ``Graph.adj``, the same lists as
+tuples, built on first use.  Two graphs built from the same edge set are
+therefore identical objects field-for-field, and every downstream coloring
+or traversal that iterates "in edge order" or "in neighbor order" is
+reproducible.  Constructor violations (a pair out of range or out of order)
+are found by vectorized checks, and ``read_edge_list`` reports them as
+``path:line``.
 
 The generators cover the two random families studied here: binomial graphs at
 the connectivity threshold ``p = (log n + omega)/n`` via skip sampling, and
@@ -65,37 +70,36 @@ _VECTOR_BFS_MIN_N = 4096
 
 
 class Graph:
-    """Simple undirected graph in canonical form.
+    """Simple undirected graph in canonical form, held as arrays.
 
-    ``edges[i]`` is the pair with edge id ``i``; ``adj[v]`` lists
-    ``(neighbor, edge_id)`` sorted by neighbor.  ``meta`` carries generator
-    diagnostics (attempt counts, effective p) and is not part of identity.
+    ``edges[i]`` is the pair with edge id ``i``; the tuple is the graph's
+    identity for ``==`` and ``hash``.  The adjacency is CSR, built once by
+    the constructor and read-only: the neighbors of ``v`` are
+    ``nbr[indptr[v]:indptr[v + 1]]`` in increasing order, and ``eid`` holds
+    the id of the edge to each.  ``adj[v]`` gives the same lists as
+    ``(neighbor, edge_id)`` tuples for Python loops over small graphs; it is
+    built on first use, so work on large graphs that reads only the arrays
+    never pays for it.  ``meta`` carries generator diagnostics (attempt
+    counts, effective p) and is not part of identity.
     """
 
-    __slots__ = ("n", "edges", "adj", "meta", "_csr_cache", "_eid_cache", "_sweep_cache")
+    __slots__ = ("n", "edges", "indptr", "nbr", "eid", "meta",
+                 "_adj_cache", "_eid_cache", "_sweep_cache")
 
-    def __init__(self, n: int, edges: Sequence[tuple[int, int]], meta: Optional[dict] = None):
+    def __init__(self, n: int, edges: Union[Sequence[tuple[int, int]], np.ndarray],
+                 meta: Optional[dict] = None):
         if n < 0:
             raise ValueError("n must be nonnegative")
-        prev = (-1, -1)
-        for e in edges:
-            u, v = e
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge {e} violates 0 <= u < v < n={n}")
-            if not prev < (u, v):
-                raise ValueError(f"edge list not sorted/deduplicated at {e}")
-            prev = (u, v)
+        e = _edge_array(edges)
+        bad = _first_violation(n, e)
+        if bad is not None:
+            raise ValueError(bad[1])
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple((u, v) for u, v in edges)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        for lst in adj:
-            lst.sort()
-        self.adj: tuple[tuple[tuple[int, int], ...], ...] = tuple(tuple(l) for l in adj)
+        u, v = e[:, 0], e[:, 1]
+        self.edges: tuple[tuple[int, int], ...] = tuple(zip(u.tolist(), v.tolist()))
+        self.indptr, self.nbr, self.eid = _build_csr(n, u, v)
         self.meta: dict = dict(meta) if meta else {}
-        self._csr_cache = None
+        self._adj_cache = None
         self._eid_cache = None
         self._sweep_cache = None
 
@@ -103,11 +107,25 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``adj[v]``: ``(neighbor, edge_id)`` tuples sorted by neighbor."""
+        if self._adj_cache is None:
+            # In edge order every vertex meets its lower neighbors first, in
+            # increasing order, then its higher ones, so no list needs sorting.
+            # Built from ``edges``, the tuples share its int objects.
+            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+            for i, (u, v) in enumerate(self.edges):
+                adj[u].append((v, i))
+                adj[v].append((u, i))
+            self._adj_cache = tuple(map(tuple, adj))
+        return self._adj_cache
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        return np.diff(self.indptr).tolist()
 
     def edge_id(self, u: int, v: int) -> int:
         """Id of edge {u, v}; KeyError when absent."""
@@ -120,20 +138,9 @@ class Graph:
             self._eid_cache = {e: i for i, e in enumerate(self.edges)}
         return ((u, v) if u < v else (v, u)) in self._eid_cache
 
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) arrays for vectorized BFS; built once on demand."""
-        if self._csr_cache is None:
-            if self.m == 0:
-                self._csr_cache = (np.zeros(self.n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-            else:
-                e = np.asarray(self.edges, dtype=np.int64)
-                src = np.concatenate([e[:, 0], e[:, 1]])
-                dst = np.concatenate([e[:, 1], e[:, 0]])
-                order = np.argsort(src, kind="stable")
-                counts = np.bincount(src, minlength=self.n)
-                indptr = np.concatenate([[0], np.cumsum(counts)])
-                self._csr_cache = (indptr, dst[order])
-        return self._csr_cache
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only CSR arrays ``(indptr, nbr, eid)``, built by the constructor."""
+        return self.indptr, self.nbr, self.eid
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -143,6 +150,52 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_array(edges) -> np.ndarray:
+    e = np.asarray(edges, dtype=np.int64)
+    if e.size == 0:
+        return e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    return e
+
+
+def _first_violation(n: int, e: np.ndarray) -> Optional[tuple[int, str]]:
+    """Index and message of the first edge that breaks ``0 <= u < v < n`` or
+    strictly increasing lexicographic order; None when the list is canonical."""
+    u, v = e[:, 0], e[:, 1]
+    out_of_range = (u < 0) | (u >= v) | (v >= n)
+    unordered = np.zeros(len(e), dtype=bool)
+    unordered[1:] = (u[:-1] > u[1:]) | ((u[:-1] == u[1:]) & (v[:-1] >= v[1:]))
+    bad = np.flatnonzero(out_of_range | unordered)
+    if bad.size == 0:
+        return None
+    i = int(bad[0])
+    pair = (int(u[i]), int(v[i]))
+    if out_of_range[i]:
+        return i, f"edge {pair} violates 0 <= u < v < n={n}"
+    return i, f"edge list not sorted/deduplicated at {pair}"
+
+
+def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR of a canonical edge list, neighbors in increasing order.
+
+    Each edge is listed at v (neighbor u) before it is listed at u (neighbor
+    v).  A stable sort by owner then hands every vertex its lower neighbors
+    first, in edge order, which is increasing because the list is sorted by
+    u, and then its higher neighbors, also in edge order and increasing.
+    """
+    m = len(u)
+    owner = np.concatenate([v, u])
+    order = np.argsort(owner, kind="stable")
+    nbr = np.concatenate([u, v])[order]
+    eid = order % max(m, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    for arr in (indptr, nbr, eid):
+        arr.flags.writeable = False
+    return indptr, nbr, eid
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
@@ -200,6 +253,8 @@ def gen_gnp(params: GenParams) -> Graph:
     With ``omega`` given instead of ``p``, uses ``p = (log n + omega)/n``
     clamped to [0, 1]; the effective p and clamp flag land in ``meta``.
     Runs in O(n + m) draws, so threshold-density graphs at n = 1e5 are cheap.
+    The drawn pairs are sorted as arrays and handed to ``Graph`` as one
+    ``(m, 2)`` array.
     """
     n = params.n
     if n < 1:
@@ -216,12 +271,15 @@ def gen_gnp(params: GenParams) -> Graph:
         p = min(1.0, max(0.0, raw))
         clamped = raw != p
     rng = stream(params.seed, "gnp")
-    edges: list[tuple[int, int]] = []
+    # edges (w, v), w < v, in column order
+    ws: list[int] = []
+    vs: list[int] = []
     if p >= 1.0:
-        edges = [(u, v) for v in range(n) for u in range(v)]
+        for v in range(n):
+            ws.extend(range(v))
+            vs.extend([v] * v)
     elif p > 0.0:
-        # Batagelj-Brandes: jump over non-edges with geometric gaps, visiting
-        # candidate pairs (w, v), w < v, in column order.
+        # Batagelj-Brandes: jump over non-edges with geometric gaps
         log1p = math.log(1.0 - p)
         v, w = 1, -1
         while v < n:
@@ -230,8 +288,13 @@ def gen_gnp(params: GenParams) -> Graph:
                 w -= v
                 v += 1
             if v < n:
-                edges.append((w, v))
-    edges.sort()
+                ws.append(w)
+                vs.append(v)
+    u_arr = np.array(ws, dtype=np.int64)
+    v_arr = np.array(vs, dtype=np.int64)
+    del ws, vs  # freed before the Graph is built, to keep peak memory down
+    order = np.lexsort((v_arr, u_arr))
+    edges = np.column_stack((u_arr[order], v_arr[order]))
     return Graph(n, edges, meta={"p": p, "p_clamped": clamped})
 
 
@@ -280,11 +343,12 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; -1 marks unreachable vertices.
 
     Graphs with at least ``_VECTOR_BFS_MIN_N`` vertices take the vectorized
-    CSR sweep, smaller ones a deque walk over ``adj``.  Both paths stay
-    because the sweep pays a fixed numpy cost per level and so loses badly
-    when levels are many and narrow.  On a 2-vCPU VM (Python 3.11, numpy
-    2.4) the sweep took 480 ms against the deque's 21 ms on
-    ``path_graph(20000)``, and 24 ms against 2 ms on ``cycle_graph(2000)``.
+    sweep over the CSR arrays, smaller ones a deque walk over ``adj``, which
+    such graphs build on first use.  Both paths stay because the sweep pays
+    a fixed numpy cost per level and so loses badly when levels are many and
+    narrow.  On a 2-vCPU VM (Python 3.11, numpy 2.4) the sweep took 480 ms
+    against the deque's 21 ms on ``path_graph(20000)``, and 24 ms against
+    2 ms on ``cycle_graph(2000)``.
     On the threshold G(10^5, p), with about ten wide levels, it takes 40 ms.
     """
     if g.n >= _VECTOR_BFS_MIN_N:
@@ -304,7 +368,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
 
 def _bfs_vectorized(g: Graph, source: int) -> np.ndarray:
-    indptr, indices = g.csr()
+    indptr, indices, _ = g.csr()
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -389,8 +453,7 @@ def degree_stats(g: Graph, small_threshold: Optional[float] = None) -> DegreeSta
     hist: dict[int, int] = {}
     small = []
     z1 = 0
-    for v in range(g.n):
-        d = g.degree(v)
+    for v, d in enumerate(g.degrees()):
         hist[d] = hist.get(d, 0) + 1
         if d == 1:
             z1 += 1
@@ -402,13 +465,14 @@ def degree_stats(g: Graph, small_threshold: Optional[float] = None) -> DegreeSta
 
 def _ball(g: Graph, x: int, radius: int) -> dict[int, int]:
     """Vertices within ``radius`` hops of x, mapped to their distance."""
+    adj = g.adj
     dist = {x: 0}
     queue = deque([x])
     while queue:
         u = queue.popleft()
         if dist[u] == radius:
             continue
-        for v, _ in g.adj[u]:
+        for v, _ in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -454,9 +518,10 @@ def check_local_density(g: Graph, radius: int, t: int) -> list[tuple[int, int, i
 
 
 def _induced_edge_count(g: Graph, vertices: dict[int, int]) -> int:
+    adj = g.adj
     total = 0
     for u in vertices:
-        for v, _ in g.adj[u]:
+        for v, _ in adj[u]:
             if v in vertices:
                 total += 1
     return total // 2
@@ -477,9 +542,10 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     if e_count >= len(ball) + 1:
         return AMBIGUOUS
     # Exactly one cycle: peel degree-1 vertices until only the cycle remains.
+    adj = g.adj
     deg = {}
     for u in ball:
-        deg[u] = sum(1 for v, _ in g.adj[u] if v in ball)
+        deg[u] = sum(1 for v, _ in adj[u] if v in ball)
     queue = deque(u for u, d in deg.items() if d <= 1)
     alive = set(ball)
     while queue:
@@ -487,17 +553,17 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
         if u not in alive:
             continue
         alive.discard(u)
-        for v, _ in g.adj[u]:
+        for v, _ in adj[u]:
             if v in alive and v in deg:
                 deg[v] -= 1
                 if deg[v] == 1:
                     queue.append(v)
     start = min(alive)
-    cycle_nbrs = sorted(v for v, _ in g.adj[start] if v in alive)
+    cycle_nbrs = sorted(v for v, _ in adj[start] if v in alive)
     order = [start, cycle_nbrs[0]]
     while True:
         here, prev = order[-1], order[-2]
-        nxt = [v for v, _ in g.adj[here] if v in alive and v != prev]
+        nxt = [v for v, _ in adj[here] if v in alive and v != prev]
         if nxt[0] == start:
             break
         order.append(nxt[0])
@@ -548,9 +614,15 @@ def read_edge_list(path: Union[str, Path]) -> Graph:
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     n, m = parse_fields(*lines[0], (int, int))
+    if n < 0:
+        raise ValueError(f"{lines[0][0]}: n must be nonnegative")
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
-    edges = [tuple(parse_fields(where, body, (int, int))) for where, body in lines[1:]]
+    edges = _edge_array([parse_fields(where, body, (int, int)) for where, body in lines[1:]])
+    bad = _first_violation(n, edges)
+    if bad is not None:
+        index, msg = bad
+        raise ValueError(f"{lines[index + 1][0]}: {msg}")
     return Graph(n, edges)
 
 

@@ -141,12 +141,13 @@ def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
     bad: dict[int, int] = {}
     shortfall: Optional[int] = None
     level = [root]
+    adj = g.adj
     for d in range(depth):
         nxt: list[int] = []
         for v in level:
             kids = []
             skipped = 0
-            for w, eid in g.adj[v]:
+            for w, eid in adj[v]:
                 if v != root and w == parent[v][0]:
                     continue
                 if w in forbidden or w in depth_of:
@@ -482,8 +483,9 @@ def _find_connector(g: Graph, hx: RootedTree, hy: RootedTree):
         verts, eids = swapped
         return tuple(reversed(verts)), tuple(reversed(eids))
     members_y = {v: None for v in ly}
+    adj = g.adj
     for u in lx:
-        for v, eid in g.adj[u]:
+        for v, eid in adj[u]:
             if v in members_y:
                 up = hx.path_from_root(u)
                 down = hy.path_from_root(v)
@@ -655,11 +657,12 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
 def _shortest_path_witness(g: Graph, c: EdgeColoring, x: int, y: int,
                            dist) -> Optional[PathWitness]:
     """Walk back from y along ``dist`` (BFS distances from x, y reachable)."""
+    adj = g.adj
     verts = [y]
     eids = []
     cur = y
     while cur != x:
-        for w, eid in g.adj[cur]:
+        for w, eid in adj[cur]:
             if dist[w] == dist[cur] - 1:
                 eids.append(eid)
                 verts.append(w)

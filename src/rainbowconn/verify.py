@@ -184,7 +184,13 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
         return None
     rng = stream(seed, f"search:{x}:{y}")
     colors = c.colors
-    adj = g.adj
+    indptr, nbr, eids = g.csr()
+
+    def incident(v: int) -> list[tuple[int, int]]:
+        # adj[v] as a fresh list, read off the CSR so that adj is never built
+        a, b = indptr[v], indptr[v + 1]
+        return list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
+
     expansions = 0
 
     for limit in range(dist[x], limit_cap + 1):
@@ -193,7 +199,7 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
         on_path = {x}
         edge_path: list[int] = []
         used: set[int] = set()
-        first = list(adj[x])
+        first = incident(x)
         rng.shuffle(first)
         stack: list[tuple[int, list, int]] = [(x, first, 0)]
         while stack:
@@ -223,7 +229,7 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
             on_path.add(v)
             edge_path.append(eid)
             used.add(col)
-            nxt = list(adj[v])
+            nxt = incident(v)
             rng.shuffle(nxt)
             stack.append((v, nxt, 0))
     return None

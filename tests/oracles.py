@@ -135,3 +135,28 @@ def line_distance(edges, e1, e2):
                     nxt.append(f)
         frontier = nxt
     return None
+
+
+def canonical_violation(n, edges):
+    """The message the edge-by-edge constructor check gave for the first
+    edge out of range or out of lexicographic order, None if there is none."""
+    prev = (-1, -1)
+    for u, v in edges:
+        if not (0 <= u < v < n):
+            return f"edge {(u, v)} violates 0 <= u < v < n={n}"
+        if not prev < (u, v):
+            return f"edge list not sorted/deduplicated at {(u, v)}"
+        prev = (u, v)
+    return None
+
+
+def canonical_adjacency(n, edges):
+    """Tuple-of-tuples adjacency of a canonical edge list, built the way the
+    Graph constructor used to: ``adj[v]`` lists (neighbor, edge id) sorted."""
+    adj = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(edges):
+        adj[u].append((v, eid))
+        adj[v].append((u, eid))
+    for lst in adj:
+        lst.sort()
+    return tuple(tuple(lst) for lst in adj)

@@ -15,7 +15,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["TMPDIR"] = str(tmp_path)  # demos that write scratch files keep them here
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env["TMPDIR"] = str(scratch)  # demos that write scratch files keep them here
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert list(scratch.iterdir()) == [], "the demo left files in its temp directory"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,27 +16,48 @@ from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
                                 gen_regular_config, graph_from_edges,
                                 neighborhood_cycle, path_graph, petersen_graph,
                                 read_edge_list, star_graph, write_edge_list)
+from rainbowconn.rng import derive_seed
+from rainbowconn.verify import rainbow_path_search, sample_pairs
 
 import oracles
 from strategies import forests, graphs
 
 
+def rejected(n, edges) -> str:
+    with pytest.raises(ValueError) as exc:
+        Graph(n, edges)
+    return str(exc.value)
+
+
 class TestGraphForm:
     def test_rejects_loops(self):
-        with pytest.raises(ValueError):
-            Graph(3, [(1, 1)])
+        assert rejected(3, [(1, 1)]) == "edge (1, 1) violates 0 <= u < v < n=3"
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            Graph(3, [(0, 1), (0, 1)])
+        assert rejected(3, [(0, 1), (0, 1)]) == "edge list not sorted/deduplicated at (0, 1)"
 
     def test_rejects_reversed_pair(self):
-        with pytest.raises(ValueError):
-            Graph(3, [(1, 0)])
+        assert rejected(3, [(1, 0)]) == "edge (1, 0) violates 0 <= u < v < n=3"
 
     def test_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError):
-            Graph(4, [(1, 2), (0, 3)])
+        assert rejected(4, [(1, 2), (0, 3)]) == "edge list not sorted/deduplicated at (0, 3)"
+
+    def test_rejects_out_of_range(self):
+        assert rejected(3, [(0, 1), (1, 3)]) == "edge (1, 3) violates 0 <= u < v < n=3"
+        assert rejected(3, [(-1, 2)]) == "edge (-1, 2) violates 0 <= u < v < n=3"
+        assert rejected(-1, []) == "n must be nonnegative"
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=8))))
+    @settings(max_examples=200)
+    def test_first_violation_matches_edge_by_edge_check(self, case):
+        # the vectorized check names the same first bad edge as the loop it replaced
+        n, edges = case
+        want = oracles.canonical_violation(n, edges)
+        if want is None:
+            assert Graph(n, edges).edges == tuple(edges)
+        else:
+            assert rejected(n, edges) == want
 
     def test_graph_from_edges_normalizes(self):
         g = graph_from_edges(4, [(3, 0), (2, 1)])
@@ -56,6 +78,53 @@ class TestGraphForm:
     @given(graphs())
     def test_degrees_sum_to_twice_m(self, g):
         assert sum(g.degrees()) == 2 * g.m
+
+
+def assert_adjacency_matches_reference(g):
+    ref = oracles.canonical_adjacency(g.n, g.edges)
+    assert g.adj == ref
+    assert g.degrees() == [len(a) for a in ref]
+    assert [g.degree(v) for v in range(g.n)] == g.degrees()
+    indptr, nbr, eid = g.csr()
+    assert indptr.tolist() == [0] + list(np.cumsum([len(a) for a in ref]))
+    for v in range(g.n):
+        a, b = indptr[v], indptr[v + 1]
+        assert list(zip(nbr[a:b].tolist(), eid[a:b].tolist())) == list(ref[v])
+
+
+class TestArrayAdjacency:
+    """The CSR arrays and the lazy ``adj`` against the tuple-of-tuples builder."""
+
+    @given(graphs(min_n=0, max_n=12))
+    @settings(max_examples=150)
+    def test_matches_reference_builder(self, g):
+        assert_adjacency_matches_reference(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(0, []),
+        lambda: Graph(1, []),
+        lambda: Graph(5, []),
+        lambda: Graph(6, [(1, 4), (2, 4)]),
+        lambda: complete_graph(7),
+        lambda: star_graph(5),
+        lambda: gen_gnp(GenParams(n=300, p=0.03, seed=2)),
+        lambda: gen_regular_config(GenParams(n=50, r=3, seed=1)),
+    ], ids=["n0", "n1", "m0", "isolated", "complete", "star", "gnp", "regular"])
+    def test_matches_reference_on_fixed_graphs(self, make):
+        assert_adjacency_matches_reference(make())
+
+    def test_array_input_equals_list_input(self):
+        edges = [(0, 2), (0, 3), (1, 2), (2, 3)]
+        a = Graph(4, edges)
+        b = Graph(4, np.array(edges))
+        assert a == b and hash(a) == hash(b)
+        assert all(type(x) is int for e in b.edges for x in e)
+
+    def test_arrays_read_only(self):
+        indptr, nbr, eid = complete_graph(4).csr()
+        for arr in (indptr, nbr, eid):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestGenGnp:
@@ -244,6 +313,39 @@ class TestSweepMemo:
         assert connected(g)
         color_threshold(g, threshold_params(g.n), seed=0)
         assert len(counted_bfs) == 2
+
+
+class TestThresholdPipeline:
+    """A thm1 set-up and searches at n = 2*10^4, where BFS is vectorized."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        n = 20000
+        g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+        assert g.n >= graphs_mod._VECTOR_BFS_MIN_N
+        degree_stats(g)
+        diameter(g, mode="double_sweep")
+        assert connected(g)
+        c = color_threshold(g, threshold_params(n), seed=derive_seed(0, "color"))
+        h = hashlib.sha256()
+        h.update(repr((g.n, g.edges)).encode())
+        h.update(repr((c.colors, c.palette_size, c.provenance, c.flags)).encode())
+        for u, v in sample_pairs(n, 20, seed=0):
+            w = rainbow_path_search(g, c, u, v, seed=derive_seed(0, f"{u}:{v}"))
+            h.update(repr((u, v, None if w is None else (w.vertices, w.edge_ids))).encode())
+        return g, h.hexdigest()
+
+    def test_pinned_digest(self, run):
+        # graph, coloring with provenance, and 20 seeded witnesses, hashed;
+        # the digest was taken with the tuple-of-tuples adjacency that the
+        # CSR arrays replaced
+        _, digest = run
+        assert digest == "abcc274bace9c2e54c5c66ca242cca3d05ce4acda4a2c857e6fd87b1d3c8cbdc"
+
+    def test_adj_never_built(self, run):
+        # generation, probes, coloring and search read only the CSR arrays
+        g, _ = run
+        assert g._adj_cache is None
 
 
 class TestDegreeStats:

@@ -497,7 +497,14 @@ class TestCliColorVerify:
         ("4 3\n0 1\n1 2\n2 3\n", "3\n0 0 random\n1 1 random\n2 2 random\n", "c.col", 1),
         ("4 3\n0 1\n1 2\n2 3\n", "3 3\n0 0 random\n1 x random\n2 2 random\n", "c.col", 3),
         ("4 3\n0 1\n# middle\n1 x\n2 3\n", "3 3\n0 0 random\n", "g.el", 4),
-    ], ids=["coloring_header", "coloring_token", "edge_list_token"])
+        ("4 3\n0 1\n2 3\n\n1 2\n", "3 3\n0 0 random\n", "g.el", 5),
+        ("4 3\n0 1\n0 1\n2 3\n", "3 3\n0 0 random\n", "g.el", 3),
+        ("4 3\n# c\n0 1\n2 1\n2 3\n", "3 3\n0 0 random\n", "g.el", 4),
+        ("4 3\n0 1\n1 2\n2 4\n", "3 3\n0 0 random\n", "g.el", 4),
+        ("-1 0\n", "0 0\n", "g.el", 1),
+    ], ids=["coloring_header", "coloring_token", "edge_list_token", "edge_list_unsorted",
+            "edge_list_duplicate", "edge_list_reversed", "edge_list_out_of_range",
+            "edge_list_negative_n"])
     def test_malformed_line_named(self, tmp_path, capsys, edges, colors, bad, line):
         (tmp_path / "g.el").write_text(edges)
         (tmp_path / "c.col").write_text(colors)
