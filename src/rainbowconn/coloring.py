@@ -423,6 +423,8 @@ def recolor_cycle_classes(g: Graph, base: EdgeColoring, k: int
     """
     if base.m != g.m:
         raise ValueError("coloring does not match graph")
+    if k < 0:
+        raise ValueError(f"neighborhood depth k={k} is negative")
     by_cycle: dict[tuple[int, ...], list[int]] = {}
     ambiguous = 0
     for x in range(g.n):

@@ -4,14 +4,14 @@ Graphs are undirected, simple, on vertices ``0..n-1``, held in canonical form:
 the edge list stores each edge as ``(u, v)`` with ``u < v``, sorted
 lexicographically, and the position of an edge in that list is its edge id.
 The constructor builds the adjacency once, as numpy CSR arrays with each
-vertex's neighbors in increasing order; vectorized code reads the arrays,
-and Python loops over small graphs read ``Graph.adj``, the same lists as
-tuples, built on first use.  Two graphs built from the same edge set are
-therefore identical objects field-for-field, and every downstream coloring
-or traversal that iterates "in edge order" or "in neighbor order" is
-reproducible.  Constructor violations (a pair out of range or out of order)
-are found by vectorized checks, and ``read_edge_list`` reports them as
-``path:line``.
+vertex's neighbors in increasing order; BFS and edge lookups read only the
+arrays, and Python loops over small neighborhoods read ``Graph.adj``, the
+same lists as tuples, built on first use.  Two graphs built from the same
+edge set are therefore identical objects field-for-field, and every
+downstream coloring or traversal that iterates "in edge order" or "in
+neighbor order" is reproducible.  Constructor violations (a pair out of
+range or out of order) are found by vectorized checks, and
+``read_edge_list`` reports them as ``path:line``.
 
 The generators cover the two random families studied here: binomial graphs at
 the connectivity threshold ``p = (log n + omega)/n`` via skip sampling, and
@@ -65,10 +65,6 @@ __all__ = [
     "petersen_graph",
 ]
 
-# BFS switches to vectorized CSR sweeps above this vertex count.
-_VECTOR_BFS_MIN_N = 4096
-
-
 class Graph:
     """Simple undirected graph in canonical form, held as arrays.
 
@@ -76,15 +72,16 @@ class Graph:
     identity for ``==`` and ``hash``.  The adjacency is CSR, built once by
     the constructor and read-only: the neighbors of ``v`` are
     ``nbr[indptr[v]:indptr[v + 1]]`` in increasing order, and ``eid`` holds
-    the id of the edge to each.  ``adj[v]`` gives the same lists as
-    ``(neighbor, edge_id)`` tuples for Python loops over small graphs; it is
-    built on first use, so work on large graphs that reads only the arrays
-    never pays for it.  ``meta`` carries generator diagnostics (attempt
-    counts, effective p) and is not part of identity.
+    the id of the edge to each; ``edge_id`` binary-searches the slice of the
+    smaller endpoint.  ``adj[v]`` gives the same lists as ``(neighbor,
+    edge_id)`` tuples for Python loops over small graphs; it is built on
+    first use, so work that reads only the arrays never pays for it.
+    ``meta`` carries generator diagnostics (attempt counts, effective p) and
+    is not part of identity.
     """
 
     __slots__ = ("n", "edges", "indptr", "nbr", "eid", "meta",
-                 "_adj_cache", "_eid_cache", "_sweep_cache")
+                 "_adj_cache", "_sweep_cache")
 
     def __init__(self, n: int, edges: Union[Sequence[tuple[int, int]], np.ndarray],
                  meta: Optional[dict] = None):
@@ -100,7 +97,6 @@ class Graph:
         self.indptr, self.nbr, self.eid = _build_csr(n, u, v)
         self.meta: dict = dict(meta) if meta else {}
         self._adj_cache = None
-        self._eid_cache = None
         self._sweep_cache = None
 
     @property
@@ -129,14 +125,22 @@ class Graph:
 
     def edge_id(self, u: int, v: int) -> int:
         """Id of edge {u, v}; KeyError when absent."""
-        if self._eid_cache is None:
-            self._eid_cache = {e: i for i, e in enumerate(self.edges)}
-        return self._eid_cache[(u, v) if u < v else (v, u)]
+        i = self._slot(u, v)
+        if i < 0:
+            raise KeyError((u, v) if u < v else (v, u))
+        return int(self.eid[i])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._eid_cache is None:
-            self._eid_cache = {e: i for i, e in enumerate(self.edges)}
-        return ((u, v) if u < v else (v, u)) in self._eid_cache
+        return self._slot(u, v) >= 0
+
+    def _slot(self, u: int, v: int) -> int:
+        """CSR position of edge {u, v} in the row of its smaller end; -1 if absent."""
+        u, v = min(u, v), max(u, v)
+        if u < 0 or v >= self.n:
+            return -1
+        a, b = self.indptr[u], self.indptr[u + 1]
+        i = int(a + np.searchsorted(self.nbr[a:b], v))
+        return i if i < b and self.nbr[i] == v else -1
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only CSR arrays ``(indptr, nbr, eid)``, built by the constructor."""
@@ -342,33 +346,19 @@ def gen_regular_config(params: GenParams) -> Graph:
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; -1 marks unreachable vertices.
 
-    Graphs with at least ``_VECTOR_BFS_MIN_N`` vertices take the vectorized
-    sweep over the CSR arrays, smaller ones a deque walk over ``adj``, which
-    such graphs build on first use.  Both paths stay because the sweep pays
-    a fixed numpy cost per level and so loses badly when levels are many and
-    narrow.  On a 2-vCPU VM (Python 3.11, numpy 2.4) the sweep took 480 ms
-    against the deque's 21 ms on ``path_graph(20000)``, and 24 ms against
-    2 ms on ``cycle_graph(2000)``.
-    On the threshold G(10^5, p), with about ten wide levels, it takes 40 ms.
+    One level sweep over the CSR arrays serves every graph: each level
+    gathers the frontier's neighbor slices at once, so ``adj`` is never
+    built.  It pays about 18 us of numpy overhead per level (2-vCPU VM,
+    Python 3.11, numpy 2.4), so it wins on graphs with few levels and loses
+    on long thin ones.  Per call, the random 3-, 4- and 5-regular graphs at
+    n = 2000 take 0.2-0.45 ms against 1.6-3.3 ms for the deque walk it
+    replaced, and the threshold G(10^5, p) 20-25 ms; but ``cycle_graph(2000)``
+    takes 19 ms against 1.2 ms and ``path_graph(4000)`` 72 ms against 3 ms.
+    No library caller runs BFS-heavy work on such graphs at scale.
     """
-    if g.n >= _VECTOR_BFS_MIN_N:
-        return _bfs_vectorized(g, source)
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v, _ in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
-def _bfs_vectorized(g: Graph, source: int) -> np.ndarray:
-    indptr, indices, _ = g.csr()
+    if not 0 <= source < g.n:
+        raise ValueError(f"source {source} is not a vertex of a graph on {g.n} vertices")
+    indptr, nbr = g.indptr, g.nbr
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
@@ -378,12 +368,12 @@ def _bfs_vectorized(g: Graph, source: int) -> np.ndarray:
     while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
         if total == 0:
             break
-        cum = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        nbrs = indices[np.repeat(starts, counts) + offsets]
+        # slot j, owned by frontier vertex i, reads nbr[starts[i] + j - (ends[i] - counts[i])]
+        nbrs = nbr[np.arange(total) + np.repeat(starts - ends + counts, counts)]
         fresh = nbrs[dist[nbrs] < 0]
         if fresh.size == 0:
             break
@@ -535,6 +525,8 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     walking toward that vertex's smaller cycle neighbor), and the AMBIGUOUS
     sentinel when two or more independent cycles appear.
     """
+    if depth < 0:
+        raise ValueError(f"neighborhood depth {depth} is negative")
     ball = _ball(g, x, depth)
     e_count = _induced_edge_count(g, ball)
     if e_count <= len(ball) - 1:

@@ -132,6 +132,8 @@ def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
     such vertex is recorded as ``shortfall``; growth continues regardless so
     callers see the whole picture.
     """
+    if depth < 0:
+        raise ValueError(f"tree depth {depth} is negative")
     if root in forbidden:
         raise ValueError(f"root {root} is forbidden")
     parent: dict[int, tuple[int, int]] = {}

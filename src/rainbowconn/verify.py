@@ -310,8 +310,12 @@ def verify_sampled(g: Graph, c: EdgeColoring, num_pairs: int, seed: int = 0,
     """Search over uniformly sampled distinct pairs, one derived seed per pair.
 
     Per-pair seeds depend on (seed, u, v) only, so results are stable under
-    any evaluation order; the pairs come from ``sample_pairs``.
+    any evaluation order; the pairs come from ``sample_pairs``.  Raises
+    ValueError for ``num_pairs < 1``, which would check nothing.
     """
+    if num_pairs < 1:
+        raise ValueError(f"need at least one sampled pair, got {num_pairs}")
+
     def find(u, v):
         return rainbow_path_search(g, c, u, v, max_len, budget,
                                    seed=derive_seed(seed, f"pair:{u}:{v}"))

@@ -5,6 +5,7 @@ enumeration, no pruning beyond what correctness requires.  Library results
 are compared against these on instances small enough for the naive cost.
 """
 
+from collections import deque
 from itertools import product
 
 
@@ -71,6 +72,23 @@ def naive_rc(n, edges, q_cap=None):
             if rainbow_connected(n, edges, coloring):
                 return q
     return None
+
+
+def bfs_distances(n, edges, source):
+    """Hop distances from source by a deque walk, -1 for unreachable; the
+    walk ``graphs.bfs_distances`` took on graphs below 4096 vertices before
+    the CSR level sweep served every size."""
+    adj = adjacency(n, edges)
+    dist = [-1] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 def bfs_levels(n, edges, root):

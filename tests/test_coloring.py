@@ -431,6 +431,12 @@ class TestRecolorCycleClasses:
         with pytest.raises(ValueError):
             recolor_cycle_classes(g, wrong, k=1)
 
+    def test_negative_depth_rejected(self):
+        # a radius below 0 used to make every ball the whole graph
+        g = cycle_graph(6)
+        with pytest.raises(ValueError, match="negative"):
+            recolor_cycle_classes(g, random_coloring(g, 6, seed=0), k=-1)
+
 
 class TestColoringFile:
     def test_exact_bytes(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowconn import graphs as graphs_mod
@@ -69,11 +69,23 @@ class TestGraphForm:
         assert g.adj[3] == ((0, 2), (1, 3))
 
     def test_edge_id_lookup(self):
-        g = complete_graph(4)
-        for eid, (u, v) in enumerate(g.edges):
-            assert g.edge_id(u, v) == eid
-            assert g.edge_id(v, u) == eid
-        assert g.has_edge(0, 1) and not g.has_edge(0, 0)
+        for g in (complete_graph(4), Graph(6, [(0, 2), (0, 5), (1, 2), (2, 4)]),
+                  Graph(1, []), petersen_graph()):
+            ids = {e: i for i, e in enumerate(g.edges)}
+            for eid, (u, v) in enumerate(g.edges):
+                assert g.edge_id(u, v) == eid
+                assert g.edge_id(v, u) == eid
+                assert type(g.edge_id(u, v)) is int
+            # absent, reversed, self and out-of-range pairs, negative ids included
+            for u in range(-2, g.n + 2):
+                for v in range(-2, g.n + 2):
+                    want = ids.get((min(u, v), max(u, v)))
+                    assert g.has_edge(u, v) == (want is not None)
+                    if want is None:
+                        with pytest.raises(KeyError):
+                            g.edge_id(u, v)
+                    else:
+                        assert g.edge_id(u, v) == want
 
     @given(graphs())
     def test_degrees_sum_to_twice_m(self, g):
@@ -240,35 +252,62 @@ class TestDistances:
         assert int(np.sum(dist < 0)) == g.n - sum(sizes)
 
     def test_vectorized_bfs_agrees_with_deque(self):
-        from rainbowconn.graphs import _bfs_vectorized
         g = gen_gnp(GenParams(n=300, p=0.02, omega=None, r=None, seed=4))
-        assert np.array_equal(bfs_distances(g, 17), _bfs_vectorized(g, 17))
+        assert bfs_distances(g, 17).tolist() == oracles.bfs_distances(g.n, g.edges, 17)
 
-    @pytest.mark.parametrize("name", ["long_path", "disconnected", "threshold_gnp"])
-    def test_vectorized_bfs_agrees_with_deque_at_scale(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", ["long_path", "disconnected", "threshold_gnp",
+                                      "regular_r3", "regular_r4", "regular_r5"])
+    def test_vectorized_bfs_agrees_with_deque_at_scale(self, name):
         # the long path has only narrow levels; the threshold graph has wide
-        # levels (above n // 64) that take the dist-scan dedup
+        # levels (above n // 64) that take the dist-scan dedup; the regular
+        # graphs are gate 4's, whose pair queries run one BFS each
         n = 5000
         if name == "long_path":
             g = path_graph(n)
         elif name == "disconnected":
             g = gen_gnp(GenParams(n=n, p=1.2 / n, seed=3))
-        else:
+        elif name == "threshold_gnp":
             g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
-        assert g.n >= graphs_mod._VECTOR_BFS_MIN_N
+        else:
+            g = gen_regular_config(GenParams(n=2000, r=int(name[-1]), seed=0))
         sources = (0, g.n // 2, g.n - 1)
-        vectorized = [bfs_distances(g, s) for s in sources]
-        monkeypatch.setattr(graphs_mod, "_VECTOR_BFS_MIN_N", g.n + 1)
-        for s, got in zip(sources, vectorized):
-            want = bfs_distances(g, s)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        got = [bfs_distances(g, s) for s in sources]
+        for s, dist in zip(sources, got):
+            assert dist.dtype == np.int64
+            assert dist.tolist() == oracles.bfs_distances(g.n, g.edges, s)
             sizes = oracles.bfs_levels(g.n, g.edges, s)
-            assert np.bincount(got[got >= 0]).tolist() == sizes
+            assert np.bincount(dist[dist >= 0]).tolist() == sizes
         if name == "disconnected":
-            assert all((d < 0).any() for d in vectorized)
+            assert all((d < 0).any() for d in got)
         if name == "threshold_gnp":
-            assert max(np.bincount(vectorized[0][vectorized[0] >= 0])) > n // 64
+            assert max(np.bincount(got[0][got[0] >= 0])) > n // 64
+
+    @given(graphs(min_n=1, max_n=12))
+    @example(Graph(1, []))
+    @example(Graph(5, []))
+    @example(Graph(7, [(0, 1), (1, 2), (4, 5)]))
+    @settings(max_examples=150)
+    def test_bfs_matches_deque_oracle_from_every_source(self, g):
+        for s in range(g.n):
+            assert bfs_distances(g, s).tolist() == oracles.bfs_distances(g.n, g.edges, s)
+
+    def test_bfs_leaves_adj_unbuilt(self):
+        # every graph takes the CSR sweep; none builds the tuple adjacency
+        g = petersen_graph()
+        for s in range(g.n):
+            bfs_distances(g, s)
+        assert diameter(g) == 2
+        assert g._adj_cache is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: path_graph(5),
+        lambda: gen_gnp(GenParams(n=5000, omega=2.0, seed=1)),
+    ], ids=["small", "large"])
+    def test_bfs_rejects_source_out_of_range(self, make):
+        g = make()
+        for s in (-1, g.n, -g.n - 1):
+            with pytest.raises(ValueError, match=f"source {s} is not a vertex .* {g.n} vertices"):
+                bfs_distances(g, s)
 
 
 class TestSweepMemo:
@@ -316,13 +355,12 @@ class TestSweepMemo:
 
 
 class TestThresholdPipeline:
-    """A thm1 set-up and searches at n = 2*10^4, where BFS is vectorized."""
+    """A thm1 set-up and searches at n = 2*10^4."""
 
     @pytest.fixture(scope="class")
     def run(self):
         n = 20000
         g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
-        assert g.n >= graphs_mod._VECTOR_BFS_MIN_N
         degree_stats(g)
         diameter(g, mode="double_sweep")
         assert connected(g)
@@ -402,6 +440,10 @@ class TestLocalStructure:
 
     def test_neighborhood_cycle_k4_ambiguous(self):
         assert neighborhood_cycle(complete_graph(4), 0, 2) is AMBIGUOUS
+
+    def test_neighborhood_cycle_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match="negative"):
+            neighborhood_cycle(cycle_graph(5), 0, -1)
 
 
 class TestFileFormat:

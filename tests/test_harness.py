@@ -448,6 +448,18 @@ class TestCliColorVerify:
         assert rc == 1
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("pairs", ["0", "-5"])
+    def test_sample_mode_needs_a_pair(self, tmp_path, capsys, pairs):
+        p4 = write_p4(tmp_path)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        rc = main(["verify", "sample", "--in", str(p4), "--coloring", str(good),
+                   "--pairs", pairs])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "at least one" in captured.err
+
     def test_sample_mode_clamps_and_repeats(self, tmp_path, capsys):
         p4 = write_p4(tmp_path)
         good = tmp_path / "good.col"
@@ -561,6 +573,19 @@ class TestCliPairRecolor:
         assert rc == 1
         assert "error:" in captured.err
 
+    def test_recolor_negative_depth_rejected(self, tmp_path, capsys):
+        gpath = tmp_path / "g.el"
+        write_edge_list(cycle_graph(6), gpath)
+        cpath = tmp_path / "base.col"
+        write_coloring(distinct_coloring(6), cpath)
+        out = tmp_path / "o.col"
+        rc = main(["recolor", "cycles", "--in", str(gpath), "--coloring", str(cpath),
+                   "--k", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and "negative" in captured.err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def witness_files(tmp_path_factory):
@@ -600,6 +625,16 @@ class TestCliWitness:
             assert rc == 1
             assert captured.err.startswith("error:")
             assert msg in captured.err
+
+    @pytest.mark.parametrize("k, gamma", [(2, -1), (-1, 2)], ids=["gamma", "k"])
+    def test_witness_negative_depth_rejected(self, witness_files, capsys, k, gamma):
+        gpath, cpath, _ = witness_files
+        rc = main(["witness", "--in", str(gpath), "--coloring", str(cpath),
+                   "--x", "3", "--y", "777", "--k", str(k), "--gamma", str(gamma),
+                   "--d", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and "negative" in captured.err
 
     def test_witness_mono_coloring_fails_honestly(self, witness_files, capsys):
         gpath, _, mpath = witness_files

@@ -86,6 +86,10 @@ class TestGrowBfsTree:
         with pytest.raises(ValueError):
             grow_bfs_tree(complete_graph(4), 0, 1, forbidden=frozenset({0}))
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            grow_bfs_tree(complete_graph(4), 0, -1)
+
     def test_path_from_root_reaches_each_leaf(self):
         t = grow_bfs_tree(PETERSEN, 0, 2)
         for leaf in t.leaves:

@@ -266,6 +266,12 @@ class TestVerifyDrivers:
         assert (rep.pairs_checked, rep.pairs_connected) == (again.pairs_checked,
                                                             again.pairs_connected)
 
+    @pytest.mark.parametrize("num_pairs", [0, -5])
+    def test_sampled_needs_a_pair(self, num_pairs):
+        g = cycle_graph(7)
+        with pytest.raises(ValueError, match="at least one"):
+            verify_sampled(g, distinct(g), num_pairs=num_pairs)
+
     def test_sampled_subset(self):
         g = cycle_graph(10)
         c = distinct(g)
