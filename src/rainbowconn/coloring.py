@@ -380,8 +380,10 @@ def _hanging_tree(g: Graph, root: int, members: frozenset[int], on_cycle: set[in
     return tuple(shape)
 
 
-def _class_traversal(g: Graph, cycle: tuple[int, ...], members: frozenset[int]):
-    """Canonical traversal of one cycle class.
+def _class_traversal(g: Graph, cycle: tuple[int, ...], members: frozenset[int],
+                     induced: list[int]):
+    """Canonical traversal of one cycle class; ``induced`` holds the ids of
+    the edges within ``members`` in ascending order.
 
     Returns (shape, edge_order): a hashable structure (cycle length plus
     per-position hanging-tree shapes) and the induced edge ids in canonical
@@ -399,8 +401,6 @@ def _class_traversal(g: Graph, cycle: tuple[int, ...], members: frozenset[int]):
     shapes = []
     for c in cycle:
         shapes.append(_hanging_tree(g, c, members, on_cycle, seen, edge_order))
-    induced = sorted(eid for eid, (u, v) in enumerate(g.edges)
-                     if u in members and v in members)
     if seen != set(members) or sorted(edge_order) != induced:
         return None
     return (ln, tuple(shapes)), edge_order
@@ -445,15 +445,15 @@ def recolor_cycle_classes(g: Graph, base: EdgeColoring, k: int
     # canonical traversal per cycle; group by length, then by shape
     per_length: dict[int, list[tuple[tuple[int, ...], object, list[int]]]] = {}
     irregular = 0
+    adj = g.adj
     for cycle in sorted(by_cycle):
         members = frozenset(by_cycle[cycle])
-        got = _class_traversal(g, cycle, members)
+        induced = sorted(eid for u in members for v, eid in adj[u] if u < v and v in members)
+        got = _class_traversal(g, cycle, members, induced)
         if got is None:
             irregular += 1
             # unique shape token so this class never shares positions
             shape: object = ("irregular", cycle)
-            induced = [eid for eid, (u, v) in enumerate(g.edges)
-                       if u in members and v in members]
             edge_order = induced
         else:
             shape, edge_order = got

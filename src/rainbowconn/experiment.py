@@ -37,7 +37,8 @@ from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp, gen_
 from .pairing import build_tree_pair_graph, pair_tree_paths, pairing_floor, \
     random_rainbow_tree_coloring, witness_via_trees
 from .rng import derive_seed
-from .verify import brute_force_rc, rainbow_path_search, sample_pairs, verify_sampled
+from .verify import (VerifyReport, brute_force_rc, rainbow_path_search, sample_pairs,
+                     verify_pairs, verify_sampled)
 
 __all__ = [
     "SCHEMA",
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {_MODES}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.budget < 0:
+            raise ValueError(f"budget {self.budget} is negative")
         if self.mode == "lemcol_stress":
             if self.d is None or self.ell is None:
                 raise ValueError("lemcol_stress needs d and ell")
@@ -240,13 +243,17 @@ def _trial_thm1(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Experi
     c = color_threshold(g, tp, seed=derive_seed(tseed, "color"))
     rec.Q = c.palette_size
     rec.flags.extend(c.flags)
-    rep = verify_sampled(g, c, cfg.sampled_pairs, seed=tseed, budget=cfg.budget,
-                         keep_witnesses=True)
+    _tally(rec, verify_sampled(g, c, cfg.sampled_pairs, seed=tseed, budget=cfg.budget,
+                               keep_witnesses=True))
+    return rec
+
+
+def _tally(rec: ExperimentRecord, rep: VerifyReport) -> None:
+    """Copy a pair report (run with ``keep_witnesses``) into the row."""
     rec.pairs_tried, rec.pairs_connected = rep.pairs_checked, rep.pairs_connected
     lens = [w.length for w in rep.witnesses.values()]
     rec.mean_witness_len = statistics.fmean(lens) if lens else None
     rec.success_rate = rec.pairs_connected / rec.pairs_tried if rec.pairs_tried else None
-    return rec
 
 
 def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> ExperimentRecord:
@@ -280,24 +287,19 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
     rec.Q = c.palette_size
     d = r - 2
     rec.d = d if d >= 2 else None
-    tried = won = via_tree = 0
-    lens: list[int] = []
-    for u, v in sample_pairs(g.n, cfg.sampled_pairs, tseed):
-        tried += 1
-        w = None
-        if d >= 2:
-            w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=d)
-        if w is not None:
-            via_tree += 1
-        else:
-            w = rainbow_path_search(g, c, u, v, budget=cfg.budget,
-                                    seed=derive_seed(tseed, f"pair:{u}:{v}"))
-        if w is not None:
-            won += 1
-            lens.append(w.length)
-    rec.pairs_tried, rec.pairs_connected = tried, won
-    rec.success_rate = won / tried if tried else None
-    rec.mean_witness_len = statistics.fmean(lens) if lens else None
+    via_tree = 0
+
+    def find(u, v):
+        nonlocal via_tree
+        w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=d) if d >= 2 else None
+        if w is None:
+            return rainbow_path_search(g, c, u, v, budget=cfg.budget,
+                                       seed=derive_seed(tseed, f"pair:{u}:{v}"))
+        via_tree += 1
+        return w
+
+    _tally(rec, verify_pairs(sample_pairs(g.n, cfg.sampled_pairs, tseed), find, "search",
+                             keep_witnesses=True))
     rec.flags.append(f"tree_witness:{via_tree}")
     return rec
 

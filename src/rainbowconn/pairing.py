@@ -16,8 +16,10 @@ between a vertex pair (x, y) in three stages:
    recursion two levels at a time on the four grandchild branches, where a
    matching of size >= 2 is expected (see ``pair_tree_paths``).
 3. Join each paired leaf to its partner through the hanging trees and a
-   connecting edge found between their leaf sets, then validate the full
-   x..y path end to end.
+   connecting edge found between their leaf sets.  Every x..y path is the
+   same join (root path, middle, reversed root path), and every returned
+   witness goes through ``verify.make_witness``, the one checked constructor,
+   which re-checks it end to end.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
 its floor (non-rainbow input or a bug), NoStructure when the graph cannot
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, InsufficientArity, NoStructure
 from .graphs import Graph, bfs_distances
-from .verify import PathWitness, witness_ok
+from .verify import PathWitness, make_witness
 
 __all__ = [
     "RootedTree",
@@ -264,16 +266,14 @@ def _check_complete(t: RootedTree, d: int) -> None:
                              f"children, expected exactly {d}")
 
 
-def _check_rainbow(t: RootedTree, c: EdgeColoring) -> None:
-    cols = [c.colors[eid] for eid in t.edge_ids()]
-    if len(set(cols)) != len(cols):
-        raise GuaranteeViolation(f"tree at {t.root} is not rainbow under this coloring")
+def _rainbow(c: EdgeColoring, eids) -> bool:
+    cols = [c.colors[e] for e in eids]
+    return len(set(cols)) == len(cols)
 
 
-def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
-                         x_node: Optional[int] = None, y_node: Optional[int] = None
+def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring
                          ) -> list[list[bool]]:
-    """The branch compatibility graph H at one interior node pair.
+    """The branch compatibility graph H at the two roots.
 
     Entry (i, j) is True when the color entering x-branch i appears neither
     on y-branch j's entry edge nor inside its subtree, and symmetrically.
@@ -283,9 +283,7 @@ def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
     (all of the other root's entry colors landing inside it), so no stronger
     per-branch degree bound holds.
     """
-    x_node = t1.root if x_node is None else x_node
-    y_node = t2.root if y_node is None else y_node
-    return _branch_matrix(_branches(t1, x_node, 1), _branches(t2, y_node, 1), c,
+    return _branch_matrix(_branches(t1, t1.root, 1), _branches(t2, t2.root, 1), c,
                           _subtree_colors(t1, c), _subtree_colors(t2, c))
 
 
@@ -358,7 +356,8 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
         raise ValueError("trees must be vertex-disjoint")
     for t in (t1, t2):
         _check_complete(t, d)
-        _check_rainbow(t, c)
+        if not _rainbow(c, t.edge_ids()):
+            raise GuaranteeViolation(f"tree at {t.root} is not rainbow under this coloring")
     sub1 = _subtree_colors(t1, c)
     sub2 = _subtree_colors(t2, c)
 
@@ -394,8 +393,7 @@ def _finalize_pairs(raw, c: EdgeColoring, floor: int) -> tuple:
     leaves1: set[int] = set()
     leaves2: set[int] = set()
     for v1, p1, v2, p2 in raw:
-        cols = [c.colors[e] for e in p1] + [c.colors[e] for e in p2]
-        if len(set(cols)) != len(cols):
+        if not _rainbow(c, p1 + p2):
             raise GuaranteeViolation("paired paths share a color; pairing is broken")
         if v1[-1] in leaves1 or v2[-1] in leaves2:
             raise GuaranteeViolation("leaf reused within one side")
@@ -434,15 +432,11 @@ class WitnessBundle:
     excluded_leaves: int
     diagnostics: dict
     _graph: Graph = field(repr=False, default=None)
-    _leaf_owner_y: dict = field(repr=False, default_factory=dict)
     _conn_cache: dict = field(repr=False, default_factory=dict)
 
-    def usable(self, side: str, i: int) -> bool:
-        hats = self.hats_x if side == "x" else self.hats_y
-        return hats[i] is not None
-
     def connector(self, i: int, j: int):
-        """Middle segment joining x-leaf i to y-leaf j, or None.
+        """Middle segment joining x-leaf i to y-leaf j, or None (also when
+        either leaf's hanging tree was excluded).
 
         Looks for any graph edge between the two hanging-tree leaf sets,
         scanning the smaller side in canonical order; cached per (i, j).
@@ -475,6 +469,14 @@ def _hat_is_bad(hat: RootedTree, cutoff: int) -> bool:
     return False
 
 
+def _join(up: TreePath, middle, down: TreePath):
+    """(vertices, edge ids) of up's root ->..-> up.leaf, then ``middle`` (a
+    (vertices, edge ids) path between the leaves), then down.leaf ->..-> down's root."""
+    verts, eids = middle
+    return (up.vertices + verts[1:-1] + tuple(reversed(down.vertices)),
+            up.edge_ids + eids + tuple(reversed(down.edge_ids)))
+
+
 def _find_connector(g: Graph, hx: RootedTree, hy: RootedTree):
     """(vertices, edge_ids) of the path hx.root ->..-> u - v ->..-> hy.root."""
     lx, ly = hx.leaves, hy.leaves
@@ -489,23 +491,18 @@ def _find_connector(g: Graph, hx: RootedTree, hy: RootedTree):
     for u in lx:
         for v, eid in adj[u]:
             if v in members_y:
-                up = hx.path_from_root(u)
-                down = hy.path_from_root(v)
-                verts = up.vertices + tuple(reversed(down.vertices))
-                eids = up.edge_ids + (eid,) + tuple(reversed(down.edge_ids))
-                return verts, eids
+                return _join(hx.path_from_root(u), ((u, v), (eid,)), hy.path_from_root(v))
     return None
 
 
-def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int,
-                        bad_levels: Optional[int] = None) -> WitnessBundle:
+def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
+                        ) -> WitnessBundle:
     """Grow the disjoint tree scaffold between x and y and pre-assemble paths.
 
-    ``bad_levels`` is how many early levels of a hanging tree must grow
-    cleanly before collisions stop disqualifying its leaf; the default is a
-    tenth of the hanging depth, reflecting that only the thin early levels
-    are vulnerable (a single lost branch low down costs a constant fraction
-    of the leaf set, while losses higher up are negligible).
+    A hanging tree disqualifies its leaf when it collides within its first
+    tenth of the hanging depth (at least one level): only the thin early
+    levels are vulnerable (a single lost branch low down costs a constant
+    fraction of the leaf set, while losses higher up are negligible).
 
     Raises NoStructure when either pruned depth-k d-ary tree cannot be grown
     (including y falling inside x's tree) or when not a single full x..y
@@ -515,8 +512,7 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int,
     """
     if x == y:
         raise ValueError("x and y must differ")
-    if bad_levels is None:
-        bad_levels = max(1, -(-gamma // 10))
+    cutoff = max(1, -(-gamma // 10))
     try:
         raw_x = grow_bfs_tree(g, x, k, min_branching=d)
         if raw_x.shortfall is not None:
@@ -538,7 +534,7 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int,
     for side, tree, hats in (("x", tree_x, hats_x), ("y", tree_y, hats_y)):
         for idx, leaf in enumerate(tree.leaves):
             hat = grow_bfs_tree(g, leaf, gamma, forbidden=frozenset(used - {leaf}))
-            if _hat_is_bad(hat, bad_levels):
+            if _hat_is_bad(hat, cutoff):
                 hats.append(None)
                 excluded[side].append(idx)
             else:
@@ -557,18 +553,15 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int,
     full_paths = []
     missing = 0
     for i in range(len(tree_x.leaves)):
-        if not (bundle.usable("x", i) and bundle.usable("y", i)):
+        if hats_x[i] is None or hats_y[i] is None:
             continue
         conn = bundle.connector(i, i)
         if conn is None:
             missing += 1
             continue
         connectors.append(conn[0])
-        up = tree_x.path_from_root(tree_x.leaves[i])
-        down = tree_y.path_from_root(tree_y.leaves[i])
-        verts = up.vertices + conn[0][1:-1] + tuple(reversed(down.vertices))
-        eids = up.edge_ids + conn[1] + tuple(reversed(down.edge_ids))
-        full_paths.append((verts, eids))
+        full_paths.append(_join(tree_x.path_from_root(tree_x.leaves[i]), conn,
+                                tree_y.path_from_root(tree_y.leaves[i])))
     bundle.connectors = tuple(connectors)
     bundle.full_paths = tuple(full_paths)
     bundle.diagnostics["missing_connectors"] = missing
@@ -606,10 +599,13 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
                     bundle: WitnessBundle) -> Optional[PathWitness]:
     """First fully rainbow x..y path assembled from the bundle under c.
 
-    Runs the matched pairing on the two pruned trees, then walks pairs in order, fetching the connector for each
-    matched leaf pair and validating the composed path end to end.  Returns
-    None when the trees are not rainbow under c or no composition survives
-    validation.
+    Runs the matched pairing on the two pruned trees, then walks the pairs
+    in order, joining each matched leaf pair through its connector.  A
+    composition whose colors repeat is skipped; the first rainbow one is
+    returned through ``make_witness``.  Returns None when the trees are not
+    rainbow under c or no composition is rainbow.  Raises GuaranteeViolation
+    when a rainbow composition fails the structural re-check, which means
+    the scaffold is broken.
     """
     try:
         pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
@@ -618,28 +614,21 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     leaf_index_x = {v: i for i, v in enumerate(bundle.tree_x.leaves)}
     leaf_index_y = {v: i for i, v in enumerate(bundle.tree_y.leaves)}
     for px, py in pairing.pairs:
-        i = leaf_index_x[px.leaf]
-        j = leaf_index_y[py.leaf]
-        if not (bundle.usable("x", i) and bundle.usable("y", j)):
-            continue
-        conn = bundle.connector(i, j)
+        conn = bundle.connector(leaf_index_x[px.leaf], leaf_index_y[py.leaf])
         if conn is None:
             continue
-        verts = px.vertices + conn[0][1:-1] + tuple(reversed(py.vertices))
-        eids = px.edge_ids + conn[1] + tuple(reversed(py.edge_ids))
-        cols = [c.colors[e] for e in eids]
-        if len(set(cols)) != len(cols):
-            continue
-        w = PathWitness(verts, tuple(eids), frozenset(cols))
-        if witness_ok(g, c, w):
-            return w
+        verts, eids = _join(px, conn, py)
+        if _rainbow(c, eids):
+            return make_witness(g, c, verts, eids)
     return None
 
 
 def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
                       k: int, gamma: int, d: int) -> Optional[PathWitness]:
     """End-to-end driver: direct short path when the trees would overlap,
-    otherwise bundle assembly plus matched pairing; None on any failure."""
+    otherwise bundle assembly plus matched pairing (``rainbow_witness``).
+    Every witness it returns was re-checked by ``make_witness``; None when y
+    is unreachable, the scaffold cannot be grown, or no path is rainbow."""
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None
@@ -670,12 +659,7 @@ def _shortest_path_witness(g: Graph, c: EdgeColoring, x: int, y: int,
                 verts.append(w)
                 cur = w
                 break
-    verts.reverse()
-    eids.reverse()
-    cols = [c.colors[e] for e in eids]
-    if len(set(cols)) != len(cols):
-        return None
-    return PathWitness(tuple(verts), tuple(eids), frozenset(cols))
+    return make_witness(g, c, verts[::-1], eids[::-1]) if _rainbow(c, eids) else None
 
 
 # ----------------------------------------------------------------------------

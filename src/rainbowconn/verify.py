@@ -44,6 +44,8 @@ __all__ = [
     "sample_pairs",
     "brute_force_rc",
     "witness_ok",
+    "make_witness",
+    "verify_pairs",
     "report_text",
     "report_csv_header",
     "report_csv_row",
@@ -66,8 +68,11 @@ class PathWitness:
         return len(self.edge_ids)
 
 
-def _make_witness(g: Graph, c: EdgeColoring, vertices: Sequence[int],
-                  edge_ids: Sequence[int]) -> PathWitness:
+def make_witness(g: Graph, c: EdgeColoring, vertices: Sequence[int],
+                 edge_ids: Sequence[int]) -> PathWitness:
+    """The one checked constructor: the witness for this path, re-checked by
+    ``witness_ok``.  Raises GuaranteeViolation (never an ``assert``, so
+    ``python -O`` keeps the check) when the path is not a rainbow path."""
     w = PathWitness(tuple(vertices), tuple(edge_ids),
                     frozenset(c.colors[e] for e in edge_ids))
     if not witness_ok(g, c, w):
@@ -89,6 +94,14 @@ def witness_ok(g: Graph, c: EdgeColoring, w: PathWitness) -> bool:
     return len(set(cols)) == len(cols) and frozenset(cols) == w.color_set
 
 
+def _check_bounds(max_len: Optional[int], budget: int = 0) -> None:
+    """A negative bound would slip past the guards and bound nothing."""
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len {max_len} is negative")
+    if budget < 0:
+        raise ValueError(f"budget {budget} is negative")
+
+
 # ----------------------------------------------------------------------------
 # exact verifier
 # ----------------------------------------------------------------------------
@@ -100,7 +113,9 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
     Exactness: BFS over (vertex, color-bitmask) states visits each state
     once; a rainbow walk that revisits a vertex shortcuts to a strictly
     shorter rainbow walk, so the first state reaching y is a simple path.
+    Raises ValueError for a negative ``max_len``.
     """
+    _check_bounds(max_len)
     if max_len is None:
         max_len = g.n - 1
     if c.palette_size > _EXACT_GUARD_BITS and max_len > _EXACT_GUARD_BITS:
@@ -139,7 +154,7 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
                     cur = (pu, pmask)
                 verts.reverse()
                 eids.reverse()
-                return _make_witness(g, c, verts, eids)
+                return make_witness(g, c, verts, eids)
             queue.append((v, state[1], depth + 1))
     return None
 
@@ -170,7 +185,9 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     Each call runs one BFS, from y.  The default ``max_len`` derives from
     the double-sweep diameter, which is computed once per graph and then
     kept on ``g``, so only the first search on a graph pays for its sweep.
+    Raises ValueError for a negative ``max_len`` or ``budget``.
     """
+    _check_bounds(max_len, budget)
     if x == y:
         return PathWitness((x,), (), frozenset())
     dist_arr = bfs_distances(g, y)
@@ -224,7 +241,7 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
             if expansions > budget:
                 return None
             if v == y:
-                return _make_witness(g, c, path + [v], edge_path + [eid])
+                return make_witness(g, c, path + [v], edge_path + [eid])
             path.append(v)
             on_path.add(v)
             edge_path.append(eid)
@@ -269,7 +286,7 @@ def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
     return sorted(chosen)
 
 
-def _verify_pairs(pairs, find, mode: str, keep_witnesses: bool) -> VerifyReport:
+def verify_pairs(pairs, find, mode: str, keep_witnesses: bool) -> VerifyReport:
     """Run ``find(u, v)`` over ``pairs`` and tally the witnesses it returns."""
     t0 = time.perf_counter()
     witnesses: dict[tuple[int, int], PathWitness] = {}
@@ -301,7 +318,7 @@ def verify_all_pairs(g: Graph, c: EdgeColoring, mode: str = "exact",
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pairs = ((u, v) for u in range(g.n) for v in range(u + 1, g.n))
-    return _verify_pairs(pairs, find, mode, keep_witnesses)
+    return verify_pairs(pairs, find, mode, keep_witnesses)
 
 
 def verify_sampled(g: Graph, c: EdgeColoring, num_pairs: int, seed: int = 0,
@@ -320,7 +337,7 @@ def verify_sampled(g: Graph, c: EdgeColoring, num_pairs: int, seed: int = 0,
         return rainbow_path_search(g, c, u, v, max_len, budget,
                                    seed=derive_seed(seed, f"pair:{u}:{v}"))
 
-    return _verify_pairs(sample_pairs(g.n, num_pairs, seed), find, "search", keep_witnesses)
+    return verify_pairs(sample_pairs(g.n, num_pairs, seed), find, "search", keep_witnesses)
 
 
 def report_text(rep: VerifyReport, include_timing: bool = False) -> str:
@@ -372,29 +389,24 @@ def brute_force_rc(g: Graph, q_max: Optional[int] = None
     """
     if g.n <= 1:
         return 0, EdgeColoring((), 0, ())
-    dia = diameter(g, "exact")
-    if dia is None:
-        raise NotConnected("brute_force_rc needs a connected graph")
-    if q_max is None:
-        q_max = max(1, g.n - 1)
-    # pendant-edge count: equals z1 except on a single edge, where the two
-    # degree-1 endpoints share one pendant edge
-    pendant_edges = len({g.adj[v][0][1] for v in range(g.n) if g.degree(v) == 1})
-    lower = max(1, pendant_edges, dia)
-
-    # long-distance pairs reject bad colorings fastest; fix the check order
+    # one BFS per source gives connectivity, the exact diameter and the pair
+    # check order: long-distance pairs reject bad colorings fastest
     pair_dist = []
     for u in range(g.n):
         dd = bfs_distances(g, u)
+        if (dd < 0).any():
+            raise NotConnected("brute_force_rc needs a connected graph")
         for v in range(u + 1, g.n):
             pair_dist.append((-int(dd[v]), u, v))
     pair_dist.sort()
     pair_order = [(u, v) for _, u, v in pair_dist]
-
-    pendant = [False] * g.m
-    for v in range(g.n):
-        if g.degree(v) == 1:
-            pendant[g.adj[v][0][1]] = True
+    if q_max is None:
+        q_max = max(1, g.n - 1)
+    # pendant-edge count: equals z1 except on a single edge, where the two
+    # degree-1 endpoints share one pendant edge
+    pendant_ids = {g.adj[v][0][1] for v in range(g.n) if g.degree(v) == 1}
+    lower = max(1, len(pendant_ids), -pair_dist[0][0])
+    pendant = [eid in pendant_ids for eid in range(g.m)]
 
     for q in range(lower, q_max + 1):
         found = _first_rainbow_coloring(g, q, pair_order, pendant)

@@ -146,6 +146,11 @@ class TestConfigValidate:
         with pytest.raises(ValueError, match="sampled_pairs"):
             cfg.validate()
 
+    def test_negative_budget_rejected(self):
+        cfg = ExperimentConfig(mode="regular", n_values=(30,), r=3, budget=-1)
+        with pytest.raises(ValueError, match="budget -1"):
+            cfg.validate()
+
 
 # ----------------------------------------------------------------------------
 # CSV schema and row formatting
@@ -437,6 +442,19 @@ class TestCliColorVerify:
         out = capsys.readouterr().out
         assert "rainbow path length 3" in out
         assert "vertices 0>1>2>3" in out
+
+    @pytest.mark.parametrize("mode, flag", [("exact", "--max-len"), ("search", "--max-len"),
+                                            ("search", "--budget")])
+    def test_single_pair_negative_bound_rejected(self, tmp_path, capsys, mode, flag):
+        p4 = write_p4(tmp_path)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        rc = main(["verify", mode, "--in", str(p4), "--coloring", str(good),
+                   "--x", "0", "--y", "3", flag, "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "-1 is negative" in captured.err
 
     def test_sample_mode_rejects_endpoints(self, tmp_path, capsys):
         p4 = write_p4(tmp_path)

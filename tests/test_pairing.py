@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, color_greedy_power, regular_params
 from rainbowconn.errors import GuaranteeViolation, InsufficientArity, NoStructure
-from rainbowconn.graphs import GenParams, Graph, gen_regular_config, graph_from_edges
+from rainbowconn.graphs import GenParams, Graph, bfs_distances, gen_regular_config, graph_from_edges
 from rainbowconn.pairing import (
+    WitnessBundle,
     bipartite_matching,
     build_tree_pair_graph,
     build_witness_paths,
@@ -24,7 +26,7 @@ from rainbowconn.pairing import (
     random_rainbow_tree_coloring,
     witness_via_trees,
 )
-from rainbowconn.verify import witness_ok
+from rainbowconn.verify import sample_pairs, witness_ok
 from strategies import graphs
 
 
@@ -464,6 +466,28 @@ class TestRainbowWitness:
         c = EdgeColoring((0,) * g.m, 1, ("random",) * g.m)
         assert rainbow_witness(g, c, x, y, bundle) is None
 
+    def test_broken_composition_raises(self, monkeypatch):
+        # a rainbow composition that is not a path means the scaffold is
+        # broken: it must surface, not read as "no witness here"
+        g, p = regular_instance()
+        bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        tree_edges = set(bundle.tree_x.edge_ids()) | set(bundle.tree_y.edge_ids())
+        real = WitnessBundle.connector
+
+        def corrupt(self, i, j):
+            conn = real(self, i, j)
+            if conn is None:
+                return None
+            verts, eids = conn
+            stray = next(e for e in range(g.m)
+                         if not set(g.edges[e]) & set(verts) and e not in tree_edges)
+            return verts, eids[:-1] + (stray,)
+
+        monkeypatch.setattr(WitnessBundle, "connector", corrupt)
+        with pytest.raises(GuaranteeViolation, match="not a rainbow path"):
+            rainbow_witness(g, c, 3, 777, bundle)
+
     def test_greedy_coloring_sound(self):
         g, p = regular_instance()
         c = color_greedy_power(g, radius=2 * p.k, q=p.q, seed=0)
@@ -491,6 +515,28 @@ class TestWitnessViaTrees:
         g = path_graph(30)
         c = EdgeColoring(tuple(range(29)), 29, ("random",) * 29)
         assert witness_via_trees(g, c, 0, 29, k=2, gamma=2, d=2) is None
+
+    def test_every_witness_is_rechecked(self, monkeypatch):
+        # close pairs (the shortest-path shortcut) and bundle pairs alike
+        # return only witnesses that went through verify.witness_ok
+        g, p = regular_instance()
+        c = color_greedy_power(g, radius=2 * p.k, q=p.q, seed=0)
+        checked = []
+        real = verify_mod.witness_ok
+
+        def spy(g_, c_, w):
+            checked.append(w)
+            return real(g_, c_, w)
+
+        monkeypatch.setattr(verify_mod, "witness_ok", spy)
+        found = {"close": 0, "far": 0}
+        for x, y in sample_pairs(g.n, 60, 0):
+            w = witness_via_trees(g, c, x, y, k=p.k, gamma=p.gamma, d=3)
+            if w is None:
+                continue
+            assert any(w is seen for seen in checked)
+            found["close" if bfs_distances(g, x)[y] <= 2 * p.k + 1 else "far"] += 1
+        assert found["close"] and found["far"]
 
     def test_regular_graph_success_and_soundness(self):
         g, p = regular_instance()

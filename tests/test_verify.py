@@ -136,6 +136,15 @@ class TestRainbowPathExact:
         narrow = random_coloring(g, 24, seed=0)
         rainbow_path_exact(g, narrow, 0, 25)
 
+    def test_negative_max_len_rejected(self):
+        # -1 used to pass the state-space guard and bound nothing
+        g = cycle_graph(40)
+        c = distinct(g)
+        with pytest.raises(GuardError):
+            rainbow_path_exact(g, c, 0, 20, max_len=30)
+        with pytest.raises(ValueError, match="max_len -1"):
+            rainbow_path_exact(g, c, 0, 20, max_len=-1)
+
     @given(graphs(min_n=2, max_n=6), st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80, deadline=None)
@@ -167,6 +176,14 @@ class TestRainbowPathSearch:
     def test_budget_zero_returns_none(self):
         g = path_graph(4)
         assert rainbow_path_search(g, distinct(g), 0, 3, budget=0) is None
+
+    @pytest.mark.parametrize("kwargs, name", [({"max_len": -1}, "max_len"),
+                                              ({"budget": -1}, "budget")])
+    def test_negative_bounds_rejected(self, kwargs, name):
+        # both used to return None, which reads as "no rainbow path"
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=f"{name} -1"):
+            rainbow_path_search(g, distinct(g), 0, 3, **kwargs)
 
     def test_disconnected_pair(self):
         g = graph_from_edges(4, [(0, 1), (2, 3)])
@@ -399,10 +416,10 @@ def test_make_witness_check_survives_optimize_flag():
         "from rainbowconn.coloring import EdgeColoring\n"
         "from rainbowconn.errors import RainbowError\n"
         "from rainbowconn.graphs import path_graph\n"
-        "from rainbowconn.verify import _make_witness\n"
+        "from rainbowconn.verify import make_witness\n"
         "c = EdgeColoring((0, 0), 1, ('random', 'random'))\n"
         "try:\n"
-        "    _make_witness(path_graph(3), c, [0, 1, 2], [0, 1])\n"
+        "    make_witness(path_graph(3), c, [0, 1, 2], [0, 1])\n"
         "except RainbowError as exc:\n"
         "    print('rejected', type(exc).__name__)\n"
         "else:\n"
