@@ -501,23 +501,20 @@ def check_local_density(g: Graph, radius: int, t: int) -> list[tuple[int, int, i
     out = []
     for x in range(g.n):
         ball = _ball(g, x, radius)
-        e_count = sum(_induced_degrees(g, ball).values()) // 2
+        e_count = _induced_edge_count(g, ball)
         if e_count >= len(ball) + t:
             out.append((x, len(ball), e_count))
     return out
 
 
-def _induced_degrees(g: Graph, vertices: dict[int, int]) -> dict[int, int]:
-    """Each vertex's degree in the subgraph that ``vertices`` induce."""
+def _induced_edge_count(g: Graph, vertices: dict[int, int]) -> int:
     adj = g.adj
-    deg = {}
+    total = 0
     for u in vertices:
-        d = 0  # a plain loop: per-vertex generators doubled neighborhood_cycle's time
         for v, _ in adj[u]:
             if v in vertices:
-                d += 1
-        deg[u] = d
-    return deg
+                total += 1
+    return total // 2
 
 
 def neighborhood_cycle(g: Graph, x: int, depth: int):
@@ -531,14 +528,16 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     if depth < 0:
         raise ValueError(f"neighborhood depth {depth} is negative")
     ball = _ball(g, x, depth)
-    deg = _induced_degrees(g, ball)
-    e_count = sum(deg.values()) // 2
+    e_count = _induced_edge_count(g, ball)
     if e_count <= len(ball) - 1:
         return None
     if e_count >= len(ball) + 1:
         return AMBIGUOUS
     # Exactly one cycle: peel degree-1 vertices until only the cycle remains.
     adj = g.adj
+    deg = {}
+    for u in ball:
+        deg[u] = sum(1 for v, _ in adj[u] if v in ball)
     queue = deque(u for u, d in deg.items() if d <= 1)
     alive = set(ball)
     while queue:

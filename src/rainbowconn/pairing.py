@@ -18,8 +18,8 @@ between a vertex pair (x, y) in three stages:
 3. Join each paired leaf to its partner through the hanging trees and a
    connecting edge found between their leaf sets.  Every x..y path is the
    same join (root path, middle, reversed root path), and every returned
-   witness goes through ``verify.make_witness``, the one checked constructor,
-   which re-checks it end to end.
+   witness runs from x to y and goes through ``verify.make_witness``, the
+   one checked constructor, which re-checks the path and its colors.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
 its floor (non-rainbow input or a bug), NoStructure when the graph cannot
@@ -602,10 +602,9 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     Runs the matched pairing on the two pruned trees, then walks the pairs
     in order, joining each matched leaf pair through its connector.  A
     composition whose colors repeat is skipped; the first rainbow one is
-    returned through ``make_witness``.  Returns None when the trees are not
-    rainbow under c or no composition is rainbow.  Raises GuaranteeViolation
-    when a rainbow composition fails the structural re-check, which means
-    the scaffold is broken.
+    returned through ``make_witness``.  None when the trees are not rainbow
+    under c or no composition is rainbow; GuaranteeViolation (a broken
+    scaffold) when a rainbow one fails the re-check or does not run x..y.
     """
     try:
         pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
@@ -619,6 +618,8 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
             continue
         verts, eids = _join(px, conn, py)
         if _rainbow(c, eids):
+            if (verts[0], verts[-1]) != (x, y):
+                raise GuaranteeViolation(f"witness runs {verts[0]}..{verts[-1]}, not {x}..{y}")
             return make_witness(g, c, verts, eids)
     return None
 
@@ -627,8 +628,8 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
                       k: int, gamma: int, d: int) -> Optional[PathWitness]:
     """End-to-end driver: direct short path when the trees would overlap,
     otherwise bundle assembly plus matched pairing (``rainbow_witness``).
-    Every witness it returns was re-checked by ``make_witness``; None when y
-    is unreachable, the scaffold cannot be grown, or no path is rainbow."""
+    Every witness it returns runs x..y and was re-checked by ``make_witness``;
+    None when y is unreachable, the scaffold cannot be grown, or no path is rainbow."""
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None

@@ -488,6 +488,15 @@ class TestRainbowWitness:
         with pytest.raises(GuaranteeViolation, match="not a rainbow path"):
             rainbow_witness(g, c, 3, 777, bundle)
 
+    def test_wrong_pair_bundle_raises(self):
+        # a valid rainbow path between the wrong vertices is no witness for (x, y)
+        g, p = regular_instance()
+        bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        assert rainbow_witness(g, c, 3, 777, bundle) is not None
+        with pytest.raises(GuaranteeViolation, match="not 3..900"):
+            rainbow_witness(g, c, 3, 900, bundle)
+
     def test_greedy_coloring_sound(self):
         g, p = regular_instance()
         c = color_greedy_power(g, radius=2 * p.k, q=p.q, seed=0)
