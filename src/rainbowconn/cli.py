@@ -15,13 +15,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from .coloring import (color_greedy_power, color_threshold, read_coloring,
-                       recolor_cycle_classes, regular_params, threshold_params,
-                       write_coloring)
+                       recolor_cycle_classes, threshold_params, write_coloring)
 from .errors import RainbowError
-from .experiment import config_from_mapping, load_config, run_experiment
+from .experiment import ExperimentConfig, config_from_mapping, load_config, run_experiment
 from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp,
                      gen_regular_config, read_edge_list, write_edge_list)
 from .pairing import (build_tree_pair_graph, build_witness_paths, bundle_text,
@@ -239,7 +239,15 @@ def _check_vertices(g, *named: tuple[str, int]) -> None:
             raise ValueError(f"{name} {v} is not a vertex of a graph on {g.n} vertices")
 
 
+def _print_path(c, w) -> None:
+    print("  vertices " + ">".join(map(str, w.vertices)))
+    print("  colors   " + ",".join(str(c.colors[e]) for e in w.edge_ids))
+
+
 def _cmd_verify(args) -> int:
+    if args.budget < 0:
+        # the exact verifier takes no budget, so nothing below would refuse it
+        raise ValueError(f"budget {args.budget} is negative")
     g, c = _load_colored(args)
     if (args.x is None) != (args.y is None):
         raise ValueError("give both --x and --y or neither")
@@ -256,8 +264,7 @@ def _cmd_verify(args) -> int:
             print(f"pair ({args.x},{args.y}): no rainbow path")
             return 1
         print(f"pair ({args.x},{args.y}): rainbow path length {w.length}")
-        print("  vertices " + ">".join(map(str, w.vertices)))
-        print("  colors   " + ",".join(str(c.colors[e]) for e in w.edge_ids))
+        _print_path(c, w)
         return 0
     if args.mode == "sample":
         rep = verify_sampled(g, c, args.pairs, seed=_seed(args), max_len=args.max_len,
@@ -311,26 +318,19 @@ def _cmd_witness(args) -> int:
         print("no rainbow witness from this bundle")
         return 1
     print(f"witness length {w.length}")
-    print("  vertices " + ">".join(map(str, w.vertices)))
-    print("  colors   " + ",".join(str(c.colors[e]) for e in w.edge_ids))
+    _print_path(c, w)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    mapping: dict[str, str] = {}
+    mapping: dict[str, object] = {}
     if args.config:
         mapping.update(load_config(args.config))
-    overrides = {
-        "mode": args.mode, "n_values": args.n_values, "p": args.p,
-        "omega": args.omega, "r": args.r, "d": args.d, "ell": args.ell,
-        "epsilon": args.epsilon, "trials": args.trials,
-        "sampled_pairs": args.sampled_pairs, "budget": args.budget,
-        "q_max": args.q_max, "seed": args.seed, "out": args.out,
-        "timing": args.timing,
-    }
-    for key, val in overrides.items():
+    # each flag's dest is its config key, so a given flag overrides the file
+    for f in fields(ExperimentConfig):
+        val = getattr(args, f.name)
         if val is not None:
-            mapping[key] = val
+            mapping[f.name] = val
     if "seed" not in mapping:
         mapping["seed"] = _env_seed()
     records, summary = run_experiment(config_from_mapping(mapping))

@@ -34,8 +34,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotConnected, PaletteExhausted
-from .graphs import (AMBIGUOUS, Graph, connected, neighborhood_cycle, parse_fields,
-                     read_text_lines)
+from .graphs import (AMBIGUOUS, Graph, connected, default_small_threshold,
+                     neighborhood_cycle, parse_fields, read_text_lines)
 from .rng import np_stream, stream
 
 __all__ = [
@@ -231,9 +231,10 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     gets Red and Blue on its two lowest-id non-pendant edges so that local
     detours around it stay rainbow.
 
-    ``small_threshold`` defaults to the analysis cutoff log n / 100, which
-    no degree-2 vertex clears until n is astronomical; pass an explicit
-    cutoff to exercise the reserved-pair rule on concrete graphs.
+    ``small_threshold`` defaults to ``default_small_threshold``, the
+    analysis cutoff log n / 100, which no degree-2 vertex clears until n is
+    astronomical; pass an explicit cutoff to exercise the reserved-pair rule
+    on concrete graphs.
     """
     if not connected(g):
         raise NotConnected("color_threshold needs a connected graph")
@@ -258,7 +259,7 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
             next_pendant += 1
 
     if small_threshold is None:
-        small_threshold = math.log(g.n) / 100 if g.n >= 2 else 0.0
+        small_threshold = default_small_threshold(g.n)
     for v in np.flatnonzero((degs >= 2) & (degs < small_threshold)).tolist():
         usable = sorted(e for e in eids[indptr[v]:indptr[v + 1]].tolist()
                         if provenance[e] != "pendant")

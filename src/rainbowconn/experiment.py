@@ -7,6 +7,11 @@ they are written; a crashed sweep leaves a readable prefix.  Identical
 configs produce byte-identical files: elapsed times are written as NA unless
 timing is requested, and all floats go through fixed formats.
 
+The two dataclasses are the schema.  The CSV columns are ``schema`` followed
+by the fields of ``ExperimentRecord``, in order; the config keys, in files
+and as ``experiment`` flags, are the fields of ``ExperimentConfig``.  Each
+mode is a key of ``_TRIALS``, which maps it to its per-cell trial function.
+
 Modes
   thm1           G(n, p) at the connectivity threshold, pendant-first
                  coloring, sampled-pair search verification.
@@ -25,15 +30,15 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_type_hints
 
 from .coloring import (color_greedy_power, color_threshold, recolor_cycle_classes,
                        regular_params, threshold_params)
 from .errors import GenerationExhausted, GuaranteeViolation, PaletteExhausted
-from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp, gen_regular_config,
-                     read_text_lines)
+from .graphs import (GenParams, Graph, connected, degree_stats, diameter, gen_gnp,
+                     gen_regular_config, read_text_lines)
 from .pairing import build_tree_pair_graph, pair_tree_paths, pairing_floor, \
     random_rainbow_tree_coloring, witness_via_trees
 from .rng import derive_seed
@@ -52,16 +57,6 @@ __all__ = [
 ]
 
 SCHEMA = "rainbowconn-exp-1"
-
-CSV_HEADER = (
-    "schema", "mode", "trial", "seed", "n", "m", "p", "omega", "r", "d", "ell",
-    "epsilon", "L", "k", "gamma", "q", "p0", "theta_r", "sigma", "Q", "z1",
-    "diameter", "diameter_mode", "rc", "rc_lower_bound", "pairs_tried",
-    "pairs_connected", "success_rate", "mean_witness_len", "fresh_colors",
-    "cycle_classes", "flags", "elapsed_s",
-)
-
-_MODES = ("thm1", "regular", "brute", "lemcol_stress")
 
 
 @dataclass
@@ -83,8 +78,8 @@ class ExperimentConfig:
     timing: bool = False
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {_MODES}")
+        if self.mode not in _TRIALS:
+            raise ValueError(f"unknown mode {self.mode!r}; choose from {tuple(_TRIALS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.budget < 0:
@@ -107,9 +102,17 @@ class ExperimentConfig:
             raise ValueError("sampled_pairs must be >= 1")
 
 
+# fixed float formats keep reruns byte-identical; other columns print as str()
+_FORMATS = {
+    "p": ".6g", "omega": ".6g", "epsilon": ".6g", "L": ".6g", "p0": ".6g",
+    "theta_r": ".6g", "success_rate": ".4f", "mean_witness_len": ".3f",
+    "elapsed_s": ".3f",
+}
+
+
 @dataclass
 class ExperimentRecord:
-    """One CSV row; every field lands in the fixed header order."""
+    """One CSV row: the fields, in order, are the columns after ``schema``."""
 
     mode: str
     trial: int
@@ -145,33 +148,22 @@ class ExperimentRecord:
     elapsed_s: Optional[float] = None
 
     def row(self, include_timing: bool) -> list[str]:
-        vals = {
-            "schema": SCHEMA, "mode": self.mode, "trial": self.trial, "seed": self.seed,
-            "n": self.n, "m": self.m, "p": _f6(self.p), "omega": _f6(self.omega),
-            "r": self.r, "d": self.d, "ell": self.ell, "epsilon": _f6(self.epsilon),
-            "L": _f6(self.L), "k": self.k, "gamma": self.gamma, "q": self.q,
-            "p0": _f6(self.p0), "theta_r": _f6(self.theta_r), "sigma": self.sigma,
-            "Q": self.Q, "z1": self.z1, "diameter": self.diameter,
-            "diameter_mode": self.diameter_mode, "rc": self.rc,
-            "rc_lower_bound": self.rc_lower_bound, "pairs_tried": self.pairs_tried,
-            "pairs_connected": self.pairs_connected,
-            "success_rate": None if self.success_rate is None else f"{self.success_rate:.4f}",
-            "mean_witness_len": None if self.mean_witness_len is None else f"{self.mean_witness_len:.3f}",
-            "fresh_colors": self.fresh_colors, "cycle_classes": self.cycle_classes,
-            "flags": ";".join(self.flags),
-            "elapsed_s": f"{self.elapsed_s:.3f}" if include_timing and self.elapsed_s is not None else "NA",
-        }
-        out = []
-        for col in CSV_HEADER:
-            v = vals[col]
-            if v is None:
-                v = "NA"
-            out.append(str(v))
+        """The row's cells: NA for None, ``flags`` joined with ``;``, and
+        ``elapsed_s`` only with ``include_timing``."""
+        out = [SCHEMA]
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "flags":
+                v = ";".join(v)
+            elif f.name == "elapsed_s" and not include_timing:
+                v = None
+            elif v is not None and f.name in _FORMATS:
+                v = format(v, _FORMATS[f.name])
+            out.append("NA" if v is None else str(v))
         return out
 
 
-def _f6(x: Optional[float]) -> Optional[str]:
-    return None if x is None else f"{x:.6g}"
+CSV_HEADER = ("schema",) + tuple(f.name for f in fields(ExperimentRecord))
 
 
 # ----------------------------------------------------------------------------
@@ -190,25 +182,30 @@ def load_config(path: Union[str, Path]) -> dict[str, str]:
     return out
 
 
-def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
-    known = {
-        "mode": str, "n_values": None, "p": float, "omega": float, "r": int,
-        "d": int, "ell": int, "epsilon": float, "trials": int,
-        "sampled_pairs": int, "budget": int, "q_max": int, "seed": int,
-        "out": str, "timing": None,
-    }
+def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
+    """Config from a mapping keyed by ``ExperimentConfig`` field names.  Each
+    value converts by its field's declared type, or raises ValueError naming
+    the key, the type and the raw value; None leaves the default."""
+    hints = get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in known:
+        if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "n_values":
-            kwargs[key] = tuple(int(tok) for tok in str(raw).replace(",", " ").split())
-        elif key == "timing":
-            kwargs[key] = str(raw).lower() in ("1", "true", "yes", "on")
-        elif raw is None:
+        if raw is None:
             continue
-        else:
-            kwargs[key] = known[key](raw)
+        if key == "timing":
+            kwargs[key] = str(raw).lower() in ("1", "true", "yes", "on")
+            continue
+        # Optional[X] converts as X, and tuple[int, ...] token by token as int
+        want = next((t for t in get_args(hints[key]) if t is not type(None)), hints[key])
+        try:
+            if key == "n_values":
+                kwargs[key] = tuple(want(tok) for tok in str(raw).replace(",", " ").split())
+            else:
+                kwargs[key] = want(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: expected {want.__name__}, "
+                             f"got {raw!r}") from None
     if "mode" not in kwargs:
         raise ValueError("config is missing mode")
     cfg = ExperimentConfig(**kwargs)
@@ -220,11 +217,18 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 # per-mode trial bodies
 # ----------------------------------------------------------------------------
 
+def _probe(rec: ExperimentRecord, g: Graph, diameter_mode: str) -> None:
+    """Fill the graph columns: m, Z1 and the diameter by ``diameter_mode``."""
+    rec.m = g.m
+    rec.z1 = degree_stats(g).z1
+    rec.diameter = diameter(g, mode=diameter_mode)
+    rec.diameter_mode = diameter_mode
+
+
 def _trial_thm1(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> ExperimentRecord:
-    rec = ExperimentRecord(mode="thm1", trial=trial, seed=tseed, n=n,
+    rec = ExperimentRecord(mode=cfg.mode, trial=trial, seed=tseed, n=n,
                            p=cfg.p, omega=cfg.omega)
     g = gen_gnp(GenParams(n=n, p=cfg.p, omega=cfg.omega, seed=tseed))
-    rec.m = g.m
     rec.p = g.meta["p"]
     if g.meta.get("p_clamped"):
         rec.flags.append("p_clamped")
@@ -232,10 +236,7 @@ def _trial_thm1(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Experi
     rec.epsilon, rec.L, rec.k = tp.epsilon, tp.L, tp.k
     rec.gamma, rec.q, rec.p0 = tp.gamma, tp.q, tp.p0
     rec.flags.extend(f"clamped:{name}" for name in tp.clamped)
-    st = degree_stats(g)
-    rec.z1 = st.z1
-    rec.diameter = diameter(g, mode="double_sweep")
-    rec.diameter_mode = "double_sweep"
+    _probe(rec, g, "double_sweep")
     if not connected(g):
         rec.flags.append("disconnected")
         return rec
@@ -258,21 +259,17 @@ def _tally(rec: ExperimentRecord, rep: VerifyReport) -> None:
 
 def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> ExperimentRecord:
     r = cfg.r
-    rec = ExperimentRecord(mode="regular", trial=trial, seed=tseed, n=n, r=r)
+    rec = ExperimentRecord(mode=cfg.mode, trial=trial, seed=tseed, n=n, r=r)
     try:
         g = gen_regular_config(GenParams(n=n, p=None, omega=None, r=r, seed=tseed))
     except GenerationExhausted:
         rec.flags.append("generation_exhausted")
         return rec
-    rec.m = g.m
     rp = regular_params(n, r, cfg.epsilon if cfg.epsilon is not None else 0.1)
     rec.epsilon, rec.k, rec.gamma = rp.epsilon, rp.k, rp.gamma
     rec.q, rec.theta_r, rec.sigma = rp.q, rp.theta_r, rp.sigma
     rec.flags.extend(f"clamped:{name}" for name in rp.clamped)
-    st = degree_stats(g)
-    rec.z1 = st.z1
-    rec.diameter = diameter(g, mode="double_sweep")
-    rec.diameter_mode = "double_sweep"
+    _probe(rec, g, "double_sweep")
     try:
         c = color_greedy_power(g, radius=2 * rp.k, q=rp.q,
                                seed=derive_seed(tseed, "color"))
@@ -305,7 +302,7 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
 
 
 def _trial_brute(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> ExperimentRecord:
-    rec = ExperimentRecord(mode="brute", trial=trial, seed=tseed, n=n,
+    rec = ExperimentRecord(mode=cfg.mode, trial=trial, seed=tseed, n=n,
                            p=cfg.p, omega=cfg.omega)
     g = None
     for attempt in range(200):
@@ -319,12 +316,8 @@ def _trial_brute(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exper
     if g is None:
         rec.flags.append("no_connected_instance")
         return rec
-    rec.m = g.m
     rec.p = g.meta["p"]
-    st = degree_stats(g)
-    rec.z1 = st.z1
-    rec.diameter = diameter(g, mode="exact")
-    rec.diameter_mode = "exact"
+    _probe(rec, g, "exact")
     rec.rc_lower_bound = max(rec.z1, rec.diameter)
     res = brute_force_rc(g, q_max=cfg.q_max)
     if res is None:
@@ -335,9 +328,9 @@ def _trial_brute(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exper
     return rec
 
 
-def _trial_lemcol(cfg: ExperimentConfig, trial: int, tseed: int) -> ExperimentRecord:
+def _trial_lemcol(cfg: ExperimentConfig, n: None, trial: int, tseed: int) -> ExperimentRecord:
     d, ell = cfg.d, cfg.ell
-    rec = ExperimentRecord(mode="lemcol_stress", trial=trial, seed=tseed, d=d, ell=ell)
+    rec = ExperimentRecord(mode=cfg.mode, trial=trial, seed=tseed, d=d, ell=ell)
     g, t1, t2 = build_tree_pair_graph(d, ell)
     rec.n, rec.m = g.n, g.m
     palette = 2 * (g.m // 2)
@@ -357,6 +350,14 @@ def _trial_lemcol(cfg: ExperimentConfig, trial: int, tseed: int) -> ExperimentRe
     rec.success_rate = 1.0
     rec.mean_witness_len = float(2 * ell)
     return rec
+
+
+_TRIALS = {
+    "thm1": _trial_thm1,
+    "regular": _trial_regular,
+    "brute": _trial_brute,
+    "lemcol_stress": _trial_lemcol,
+}
 
 
 # ----------------------------------------------------------------------------
@@ -387,14 +388,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[ExperimentRecord], str]:
                 tag = f"{cfg.mode}:{n if n is not None else cfg.d}"
                 tseed = derive_seed(cfg.seed, tag, trial)
                 t0 = time.perf_counter()
-                if cfg.mode == "thm1":
-                    rec = _trial_thm1(cfg, n, trial, tseed)
-                elif cfg.mode == "regular":
-                    rec = _trial_regular(cfg, n, trial, tseed)
-                elif cfg.mode == "brute":
-                    rec = _trial_brute(cfg, n, trial, tseed)
-                else:
-                    rec = _trial_lemcol(cfg, trial, tseed)
+                rec = _TRIALS[cfg.mode](cfg, n, trial, tseed)
                 rec.elapsed_s = time.perf_counter() - t0
                 records.append(rec)
                 writer.writerow(rec.row(cfg.timing))

@@ -51,6 +51,7 @@ __all__ = [
     "connected",
     "diameter",
     "degree_stats",
+    "default_small_threshold",
     "check_small_separation",
     "check_local_density",
     "neighborhood_cycle",
@@ -431,15 +432,22 @@ def _double_sweep(g: Graph) -> Optional[int]:
     return int(d1.max())
 
 
+def default_small_threshold(n: int) -> float:
+    """The analysis cutoff log(n)/100 below which a vertex of an n-vertex
+    graph counts as small; 0 when n < 2, where log n is not positive."""
+    return math.log(n) / 100 if n >= 2 else 0.0
+
+
 def degree_stats(g: Graph, small_threshold: Optional[float] = None) -> DegreeStats:
     """Degree histogram, pendant count z1, and the low-degree vertex set.
 
-    The default threshold is log(n)/100, the asymptotic cutoff below which
-    a vertex counts as small; at desk scale that classifies only isolated
-    vertices, so tests pass explicit thresholds when they need a nonempty set.
+    The default threshold is ``default_small_threshold(n)``, the asymptotic
+    cutoff log(n)/100 below which a vertex counts as small; at desk scale
+    that classifies only isolated vertices, so tests pass explicit
+    thresholds when they need a nonempty set.
     """
     if small_threshold is None:
-        small_threshold = math.log(g.n) / 100 if g.n >= 2 else 0.0
+        small_threshold = default_small_threshold(g.n)
     hist: dict[int, int] = {}
     small = []
     z1 = 0

@@ -17,8 +17,8 @@ with different truth guarantees:
   enumerating colorings in canonical color-introduction order.
 
 ``VerifyReport`` aggregates per-pair outcomes and serializes as key=value
-text or a CSV row.  Timing is reported as NA unless requested, keeping
-rerun outputs byte-identical.
+text.  Timing is reported as NA unless requested, keeping rerun outputs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "make_witness",
     "verify_pairs",
     "report_text",
-    "report_csv_header",
-    "report_csv_row",
     "witness_lines",
 ]
 
@@ -350,16 +348,6 @@ def report_text(rep: VerifyReport, include_timing: bool = False) -> str:
         f"max_witness_length={rep.max_witness_length}\n"
         f"elapsed={elapsed}\n"
     )
-
-
-def report_csv_header() -> str:
-    return "mode,pairs_checked,pairs_connected,success_rate,max_witness_length,elapsed"
-
-
-def report_csv_row(rep: VerifyReport, include_timing: bool = False) -> str:
-    elapsed = f"{rep.elapsed:.3f}" if include_timing else "NA"
-    return (f"{rep.mode},{rep.pairs_checked},{rep.pairs_connected},"
-            f"{rep.success_rate:.6f},{rep.max_witness_length},{elapsed}")
 
 
 def witness_lines(rep: VerifyReport) -> list[str]:

@@ -1,10 +1,12 @@
 """Experiment sweeps (config, CSV schema, per-mode runs) and the CLI."""
 
+import argparse
 import csv
+from dataclasses import fields
 
 import pytest
 
-from rainbowconn.cli import main
+from rainbowconn.cli import build_parser, main
 from rainbowconn.coloring import EdgeColoring, read_coloring, threshold_params, write_coloring
 from rainbowconn.experiment import (
     CSV_HEADER,
@@ -201,6 +203,25 @@ class TestRecordRow:
         rec = ExperimentRecord(mode="brute", trial=0, seed=0,
                                flags=["p_clamped", "regen:3"])
         assert dict(zip(CSV_HEADER, rec.row(False)))["flags"] == "p_clamped;regen:3"
+
+    def test_fully_populated_row_pinned(self):
+        # every column set; the cells are the ones the hand-written row gave
+        rec = ExperimentRecord(
+            mode="regular", trial=2, seed=123456789, n=2000, m=5000, p=0.00123456789,
+            omega=2.5, r=5, d=3, ell=4, epsilon=0.1, L=4.711711, k=2, gamma=5, q=321,
+            p0=1 / 3, theta_r=1.2618595071429148, sigma=9, Q=330, z1=0, diameter=7,
+            diameter_mode="double_sweep", rc=8, rc_lower_bound=7, pairs_tried=150,
+            pairs_connected=149, success_rate=149 / 150, mean_witness_len=9.87654,
+            fresh_colors=6, cycle_classes=3, flags=["clamped:k", "tree_witness:92"],
+            elapsed_s=1.23456)
+        want = [
+            "rainbowconn-exp-1", "regular", "2", "123456789", "2000", "5000",
+            "0.00123457", "2.5", "5", "3", "4", "0.1", "4.71171", "2", "5", "321",
+            "0.333333", "1.26186", "9", "330", "0", "7", "double_sweep", "8", "7",
+            "150", "149", "0.9933", "9.877", "6", "3", "clamped:k;tree_witness:92",
+        ]
+        assert rec.row(False) == want + ["NA"]
+        assert rec.row(True) == want + ["1.235"]
 
 
 # ----------------------------------------------------------------------------
@@ -444,13 +465,25 @@ class TestCliColorVerify:
         assert "vertices 0>1>2>3" in out
 
     @pytest.mark.parametrize("mode, flag", [("exact", "--max-len"), ("search", "--max-len"),
-                                            ("search", "--budget")])
+                                            ("search", "--budget"), ("exact", "--budget")])
     def test_single_pair_negative_bound_rejected(self, tmp_path, capsys, mode, flag):
         p4 = write_p4(tmp_path)
         good = tmp_path / "good.col"
         write_coloring(distinct_coloring(3), good)
         rc = main(["verify", mode, "--in", str(p4), "--coloring", str(good),
                    "--x", "0", "--y", "3", flag, "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "-1 is negative" in captured.err
+
+    def test_all_pairs_exact_negative_budget_rejected(self, tmp_path, capsys):
+        # the exact verifier takes no budget, so only the CLI can refuse it
+        p4 = write_p4(tmp_path)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        rc = main(["verify", "exact", "--in", str(p4), "--coloring", str(good),
+                   "--budget", "-1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
@@ -698,6 +731,30 @@ class TestCliExperiment:
             blobs.append(out.read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
+
+    def test_flags_are_the_config_fields(self):
+        # the argparse declarations are the one second list of the keys, kept
+        # for flag names, types and help; the CLI's override loop needs them equal
+        top = build_parser()
+        sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["experiment"]._actions} - {"help"}
+        assert dests == {f.name for f in fields(ExperimentConfig)} | {"config"}
+
+    @pytest.mark.parametrize("how", ["file", "flag"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, how):
+        if how == "file":
+            cfgfile = tmp_path / "exp.cfg"
+            cfgfile.write_text("mode=brute\nn_values=5\np=0.5\ntrials=abc\n")
+            argv = ["experiment", "--config", str(cfgfile)]
+            msg = "config key 'trials': expected int, got 'abc'"
+        else:
+            argv = ["experiment", "--mode", "brute", "--n-values", "5,x", "--p", "0.5",
+                    "--out", str(tmp_path / "e.csv")]
+            msg = "config key 'n_values': expected int, got '5,x'"
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {msg}\n"
 
     def test_bad_config_key_is_domain_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

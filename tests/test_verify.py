@@ -20,8 +20,6 @@ from rainbowconn.verify import (
     brute_force_rc,
     rainbow_path_exact,
     rainbow_path_search,
-    report_csv_header,
-    report_csv_row,
     report_text,
     verify_all_pairs,
     verify_sampled,
@@ -319,15 +317,6 @@ class TestReports:
                      for line in report_text(rep, include_timing=True).strip().splitlines())
         assert lines["elapsed"] != "NA"
         float(lines["elapsed"])
-
-    def test_csv_row_matches_header(self):
-        rep = self.make_report()
-        header = report_csv_header()
-        assert header == ("mode,pairs_checked,pairs_connected,"
-                          "success_rate,max_witness_length,elapsed")
-        row = report_csv_row(rep)
-        assert len(row.split(",")) == len(header.split(","))
-        assert row.endswith(",NA")
 
     def test_witness_lines_format(self):
         g = path_graph(3)
