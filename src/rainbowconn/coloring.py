@@ -27,7 +27,7 @@ The passes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -132,15 +132,14 @@ class CycleClass:
     """All recolored roots sharing one cycle length.
 
     ``fresh_palette`` is the contiguous color block appended for this
-    length, disjoint from the base palette and from other lengths'.
-    ``positional_coloring`` maps canonical edge position (shape offset plus
-    traversal position) to its color inside the block.
+    length, disjoint from the base palette and from other lengths'.  The
+    edge at canonical position j (shape offset plus traversal position) of
+    a class gets color ``fresh_palette[0] + j``.
     """
 
     cycle_length: int
     member_roots: frozenset[int]
     fresh_palette: tuple[int, int]  # [start, stop)
-    positional_coloring: dict[int, int] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------------
@@ -287,26 +286,36 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
 # greedy power coloring for regular graphs
 # ----------------------------------------------------------------------------
 
-def line_distance_neighbors(g: Graph, edge_id: int, radius: int) -> set[int]:
-    """Edge ids within line-graph distance <= radius of ``edge_id`` (itself excluded)."""
-    if not 0 <= edge_id < g.m:
-        raise ValueError(f"edge id {edge_id} out of range")
+def _line_ball(g: Graph, e: int, radius: int, visited: list[int], stamp: int) -> list[int]:
+    """Edge ids within line-graph distance 1..radius of edge ``e``.
+
+    ``visited`` (one slot per edge) is marked with ``stamp``, which must
+    differ from every value already in it, so one array serves many calls.
+    """
     adj, edges = g.adj, g.edges
-    seen = {edge_id}
-    frontier = [edge_id]
+    visited[e] = stamp
+    ball: list[int] = []
+    frontier = [e]
     for _ in range(radius):
         nxt = []
         for f in frontier:
             for endpoint in edges[f]:
                 for _, fid in adj[endpoint]:
-                    if fid not in seen:
-                        seen.add(fid)
+                    if visited[fid] != stamp:
+                        visited[fid] = stamp
                         nxt.append(fid)
         if not nxt:
             break
+        ball.extend(nxt)
         frontier = nxt
-    seen.discard(edge_id)
-    return seen
+    return ball
+
+
+def line_distance_neighbors(g: Graph, edge_id: int, radius: int) -> set[int]:
+    """Edge ids within line-graph distance <= radius of ``edge_id`` (itself excluded)."""
+    if not 0 <= edge_id < g.m:
+        raise ValueError(f"edge id {edge_id} out of range")
+    return set(_line_ball(g, edge_id, radius, [0] * g.m, 1))
 
 
 def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColoring:
@@ -323,29 +332,12 @@ def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColo
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = stream(seed, "greedy")
-    adj, edges = g.adj, g.edges
     m = g.m
     colors = [-1] * m
     visited = [0] * m
-    stamp = 0
     for e in range(m):
-        stamp += 1
-        visited[e] = stamp
-        blocked: set[int] = set()
-        frontier = [e]
-        for _ in range(radius):
-            nxt = []
-            for f in frontier:
-                for endpoint in edges[f]:
-                    for _, fid in adj[endpoint]:
-                        if visited[fid] != stamp:
-                            visited[fid] = stamp
-                            nxt.append(fid)
-                            if colors[fid] >= 0:
-                                blocked.add(colors[fid])
-            if not nxt:
-                break
-            frontier = nxt
+        # edges below e are the colored ones
+        blocked = {colors[f] for f in _line_ball(g, e, radius, visited, e + 1) if f < e}
         free = q - len(blocked)
         if free <= 0:
             raise PaletteExhausted(e, len(blocked), q)
@@ -475,7 +467,6 @@ def recolor_cycle_classes(g: Graph, base: EdgeColoring, k: int
         if len(offsets) > 1:
             flags.append(f"shape_mismatch:len{ln}:{len(offsets)}")
         start = next_color
-        positional: dict[int, int] = {}
         roots: set[int] = set()
         for cycle, shape, edge_order in entries:
             roots.update(by_cycle[cycle])
@@ -483,11 +474,9 @@ def recolor_cycle_classes(g: Graph, base: EdgeColoring, k: int
             for pos, eid in enumerate(edge_order):
                 colors[eid] = start + off + pos
                 provenance[eid] = "cycle_class"
-                positional[off + pos] = start + off + pos
         next_color = start + block_size
         classes.append(CycleClass(cycle_length=ln, member_roots=frozenset(roots),
-                                  fresh_palette=(start, next_color),
-                                  positional_coloring=positional))
+                                  fresh_palette=(start, next_color)))
     recolored = EdgeColoring(tuple(colors), next_color, tuple(provenance), tuple(flags))
     return recolored, classes
 

@@ -85,6 +85,10 @@ class ExperimentConfig:
         if self.budget < 0:
             raise ValueError(f"budget {self.budget} is negative")
         if self.mode == "lemcol_stress":
+            # the tree pairs are synthetic: a graph key here would be ignored
+            for key, unset in (("n_values", ()), ("p", None), ("omega", None), ("r", None)):
+                if getattr(self, key) != unset:
+                    raise ValueError(f"lemcol_stress does not use {key}; drop it")
             if self.d is None or self.ell is None:
                 raise ValueError("lemcol_stress needs d and ell")
             if self.d < 2 or self.ell < 1:
@@ -182,10 +186,16 @@ def load_config(path: Union[str, Path]) -> dict[str, str]:
     return out
 
 
+# an empty value (``timing=``) leaves the flag off
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False, "": False}
+
+
 def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
     """Config from a mapping keyed by ``ExperimentConfig`` field names.  Each
     value converts by its field's declared type, or raises ValueError naming
-    the key, the type and the raw value; None leaves the default."""
+    the key, the type and the raw value; None leaves the default.  A bool
+    takes 1/true/yes/on or 0/false/no/off in any case."""
     hints = get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, raw in mapping.items():
@@ -193,17 +203,16 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
             raise ValueError(f"unknown config key {key!r}")
         if raw is None:
             continue
-        if key == "timing":
-            kwargs[key] = str(raw).lower() in ("1", "true", "yes", "on")
-            continue
         # Optional[X] converts as X, and tuple[int, ...] token by token as int
         want = next((t for t in get_args(hints[key]) if t is not type(None)), hints[key])
         try:
             if key == "n_values":
                 kwargs[key] = tuple(want(tok) for tok in str(raw).replace(",", " ").split())
+            elif want is bool:
+                kwargs[key] = _BOOL_WORDS[str(raw).lower()]
             else:
                 kwargs[key] = want(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ValueError(f"config key {key!r}: expected {want.__name__}, "
                              f"got {raw!r}") from None
     if "mode" not in kwargs:

@@ -14,12 +14,16 @@ between a vertex pair (x, y) in three stages:
    rainbow trees) selects the branch pairs to recurse into, multiplying the
    path count by at least d-1 per level.  Binary trees use the same
    recursion two levels at a time on the four grandchild branches, where a
-   matching of size >= 2 is expected (see ``pair_tree_paths``).
+   matching of size >= 2 is expected (see ``pair_tree_paths``).  The
+   recursion yields (x leaf, y leaf) pairs; a root-to-leaf path is fixed by
+   its leaf, so ``RootedTree.path_from_root`` builds each paired path.
 3. Join each paired leaf to its partner through the hanging trees and a
    connecting edge found between their leaf sets.  Every x..y path is the
    same join (root path, middle, reversed root path), and every returned
    witness runs from x to y and goes through ``verify.make_witness``, the
-   one checked constructor, which re-checks the path and its colors.
+   one checked constructor, which re-checks the path and its colors.  The
+   bundle holding the hanging trees and paths is built once; its report
+   (``bundle_text``) is derived from them.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
 its floor (non-rainbow input or a bug), NoStructure when the graph cannot
@@ -29,6 +33,7 @@ host the disjoint trees or no full path can be assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
@@ -60,25 +65,41 @@ __all__ = [
 class RootedTree:
     """BFS tree of fixed target depth.
 
-    ``parent`` maps each non-root vertex to (parent, edge id); ``children``
-    lists children in ascending vertex id; ``order`` is the BFS discovery
-    order; ``leaves`` are the vertices at exactly ``target_depth`` in BFS
-    order; ``bad_edges`` counts, per expanded vertex, adjacent edges that
-    were skipped because they led into forbidden vertices or back into the
-    tree; ``shortfall`` names the first interior vertex that produced fewer
-    than the requested minimum of children, or None.
+    ``parent`` maps each non-root vertex to (parent, edge id); ``order`` is
+    the BFS discovery order, children in ascending vertex id; ``bad_edges``
+    counts, per expanded vertex, adjacent edges that were skipped because
+    they led into forbidden vertices or back into the tree; ``shortfall``
+    names the first interior vertex that produced fewer than the requested
+    minimum of children, or None.  Derived on construction: ``leaves`` (the
+    vertices at exactly ``target_depth``, in BFS order) and ``level_sizes``
+    (vertices per depth); on first use: ``children``.
     """
 
     root: int
     target_depth: int
     parent: dict[int, tuple[int, int]]
-    children: dict[int, list[int]]
     depth: dict[int, int]
     order: tuple[int, ...]
-    leaves: tuple[int, ...]
-    level_sizes: tuple[int, ...]
     bad_edges: dict[int, int]
     shortfall: Optional[int] = None
+    leaves: tuple[int, ...] = field(init=False)
+    level_sizes: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        depth, target = self.depth, self.target_depth
+        self.leaves = tuple(v for v in self.order if depth[v] == target)
+        sizes = [0] * (target + 1)
+        for v in self.order:
+            sizes[depth[v]] += 1
+        self.level_sizes = tuple(sizes)
+
+    @cached_property
+    def children(self) -> dict[int, list[int]]:
+        """Children per vertex, in ascending id (the order ``order`` lists them)."""
+        children: dict[int, list[int]] = {v: [] for v in self.order}
+        for v in self.order[1:]:
+            children[self.parent[v][0]].append(v)
+        return children
 
     def vertices(self) -> set[int]:
         return set(self.depth)
@@ -139,7 +160,6 @@ def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
     if root in forbidden:
         raise ValueError(f"root {root} is forbidden")
     parent: dict[int, tuple[int, int]] = {}
-    children: dict[int, list[int]] = {root: []}
     depth_of = {root: 0}
     order = [root]
     bad: dict[int, int] = {}
@@ -149,7 +169,7 @@ def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
     for d in range(depth):
         nxt: list[int] = []
         for v in level:
-            kids = []
+            kids = 0
             skipped = 0
             for w, eid in adj[v]:
                 if v != root and w == parent[v][0]:
@@ -159,22 +179,15 @@ def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
                     continue
                 depth_of[w] = d + 1
                 parent[w] = (v, eid)
-                children[w] = []
-                kids.append(w)
+                kids += 1
                 nxt.append(w)
                 order.append(w)
-            children[v] = kids
             bad[v] = skipped
-            if len(kids) < min_branching and shortfall is None:
+            if kids < min_branching and shortfall is None:
                 shortfall = v
         level = nxt
-    leaves = tuple(v for v in order if depth_of[v] == depth)
-    sizes = [0] * (depth + 1)
-    for v in depth_of:
-        sizes[depth_of[v]] += 1
-    return RootedTree(root=root, target_depth=depth, parent=parent, children=children,
-                      depth=depth_of, order=tuple(order), leaves=leaves,
-                      level_sizes=tuple(sizes), bad_edges=bad, shortfall=shortfall)
+    return RootedTree(root=root, target_depth=depth, parent=parent, depth=depth_of,
+                      order=tuple(order), bad_edges=bad, shortfall=shortfall)
 
 
 def prune_to_arity(t: RootedTree, d: int) -> RootedTree:
@@ -187,36 +200,21 @@ def prune_to_arity(t: RootedTree, d: int) -> RootedTree:
     """
     if d < 1:
         raise ValueError("arity must be >= 1")
-    parent: dict[int, tuple[int, int]] = {}
-    children: dict[int, list[int]] = {}
-    depth_of = {t.root: 0}
-    order = [t.root]
-    level = [t.root]
-    for dep in range(t.target_depth):
-        nxt = []
-        for v in level:
-            kids = t.children.get(v, [])
+    kept = {t.root}
+    order = []
+    for v in t.order:
+        if v not in kept:
+            continue
+        order.append(v)
+        if t.depth[v] < t.target_depth:
+            kids = t.children[v]
             if len(kids) < d:
                 raise InsufficientArity(v, len(kids), d)
-            keep = sorted(kids)[:d]
-            children[v] = keep
-            for w in keep:
-                parent[w] = t.parent[w]
-                depth_of[w] = dep + 1
-                order.append(w)
-                nxt.append(w)
-        level = nxt
-    for v in level:
-        children[v] = []
-    leaves = tuple(v for v in order if depth_of[v] == t.target_depth)
-    sizes = [0] * (t.target_depth + 1)
-    for v in depth_of:
-        sizes[depth_of[v]] += 1
-    bad = {v: t.bad_edges[v] for v in depth_of if v in t.bad_edges}
-    return RootedTree(root=t.root, target_depth=t.target_depth, parent=parent,
-                      children=children, depth=depth_of, order=tuple(order),
-                      leaves=leaves, level_sizes=tuple(sizes), bad_edges=bad,
-                      shortfall=None)
+            kept.update(sorted(kids)[:d])
+    return RootedTree(root=t.root, target_depth=t.target_depth,
+                      parent={v: t.parent[v] for v in order[1:]},
+                      depth={v: t.depth[v] for v in order}, order=tuple(order),
+                      bad_edges={v: t.bad_edges[v] for v in order if v in t.bad_edges})
 
 
 def bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> set[tuple[int, int]]:
@@ -252,7 +250,7 @@ def _subtree_colors(t: RootedTree, c: EdgeColoring) -> dict[int, frozenset[int]]
     out: dict[int, frozenset[int]] = {}
     for v in reversed(t.order):
         acc: set[int] = set()
-        for w in t.children.get(v, []):
+        for w in t.children[v]:
             acc |= out[w]
             acc.add(c.colors[t.parent[w][1]])
         out[v] = frozenset(acc)
@@ -287,13 +285,12 @@ def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring
                           _subtree_colors(t1, c), _subtree_colors(t2, c))
 
 
-def _branches(t: RootedTree, node: int, step: int) -> list[tuple[list[int], list[int]]]:
-    """(vertices, edge ids) of the paths from ``node`` down ``step`` levels,
+def _branches(t: RootedTree, node: int, step: int) -> list[tuple[int, list[int]]]:
+    """(end vertex, edge ids) of the paths from ``node`` down ``step`` levels,
     in child order and then grandchild order."""
-    out = [([node], [])]
+    out = [(node, [])]
     for _ in range(step):
-        out = [(verts + [w], eids + [t.parent[w][1]])
-               for verts, eids in out for w in t.children[verts[-1]]]
+        out = [(w, eids + [t.parent[w][1]]) for v, eids in out for w in t.children[v]]
     return out
 
 
@@ -303,10 +300,10 @@ def _branch_matrix(bx, by, c: EdgeColoring, sub1, sub2) -> list[list[bool]]:
     end."""
     cx = [{c.colors[e] for e in eids} for _, eids in bx]
     cy = [{c.colors[e] for e in eids} for _, eids in by]
-    below_y = [cy[j] | sub2[verts[-1]] for j, (verts, _) in enumerate(by)]
-    return [[cx[i].isdisjoint(below_y[j]) and cy[j].isdisjoint(sub1[verts[-1]])
+    below_y = [cy[j] | sub2[end] for j, (end, _) in enumerate(by)]
+    return [[cx[i].isdisjoint(below_y[j]) and cy[j].isdisjoint(sub1[end])
              for j in range(len(by))]
-            for i, (verts, _) in enumerate(bx)]
+            for i, (end, _) in enumerate(bx)]
 
 
 def _step(d: int, remaining: int) -> tuple[int, int]:
@@ -361,10 +358,10 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
     sub1 = _subtree_colors(t1, c)
     sub2 = _subtree_colors(t2, c)
 
-    def recurse(xn: int, yn: int, remaining: int) -> list[tuple[list[int], list[int], list[int], list[int]]]:
-        # returns (verts1, eids1, verts2, eids2) suffixes from xn/yn down
+    def recurse(xn: int, yn: int, remaining: int) -> list[tuple[int, int]]:
+        """(x leaf, y leaf) pairs matched below the node pair (xn, yn)."""
         if remaining == 0:
-            return [([xn], [], [yn], [])]
+            return [(xn, yn)]
         step, floor = _step(d, remaining)
         bx = _branches(t1, xn, step)
         by = _branches(t2, yn, step)
@@ -373,34 +370,26 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
             raise GuaranteeViolation(
                 f"matching of size {len(matched)} < {floor} at nodes ({xn}, {yn})"
             )
-        out = []
-        for i, j in sorted(matched):
-            vx, ex = bx[i]
-            vy, ey = by[j]
-            for v1, p1, v2, p2 in recurse(vx[-1], vy[-1], remaining - step):
-                out.append((vx[:-1] + v1, ex + p1, vy[:-1] + v2, ey + p2))
-        return out
+        return [pair for i, j in sorted(matched)
+                for pair in recurse(bx[i][0], by[j][0], remaining - step)]
 
     floor = pairing_floor(d, t1.target_depth)
-    raw = recurse(t1.root, t2.root, t1.target_depth)
-    return PairingResult(_finalize_pairs(raw, c, floor), floor)
-
-
-def _finalize_pairs(raw, c: EdgeColoring, floor: int) -> tuple:
-    if len(raw) < floor:
-        raise GuaranteeViolation(f"{len(raw)} pairs produced, floor is {floor}")
+    leaf_pairs = recurse(t1.root, t2.root, t1.target_depth)
+    if len(leaf_pairs) < floor:
+        raise GuaranteeViolation(f"{len(leaf_pairs)} pairs produced, floor is {floor}")
     pairs = []
-    leaves1: set[int] = set()
-    leaves2: set[int] = set()
-    for v1, p1, v2, p2 in raw:
-        if not _rainbow(c, p1 + p2):
+    seen1: set[int] = set()
+    seen2: set[int] = set()
+    for leaf1, leaf2 in leaf_pairs:
+        p1, p2 = t1.path_from_root(leaf1), t2.path_from_root(leaf2)
+        if not _rainbow(c, p1.edge_ids + p2.edge_ids):
             raise GuaranteeViolation("paired paths share a color; pairing is broken")
-        if v1[-1] in leaves1 or v2[-1] in leaves2:
+        if leaf1 in seen1 or leaf2 in seen2:
             raise GuaranteeViolation("leaf reused within one side")
-        leaves1.add(v1[-1])
-        leaves2.add(v2[-1])
-        pairs.append((TreePath(tuple(v1), tuple(p1)), TreePath(tuple(v2), tuple(p2))))
-    return tuple(pairs)
+        seen1.add(leaf1)
+        seen2.add(leaf2)
+        pairs.append((p1, p2))
+    return PairingResult(tuple(pairs), floor)
 
 
 # ----------------------------------------------------------------------------
@@ -411,11 +400,11 @@ def _finalize_pairs(raw, c: EdgeColoring, floor: int) -> tuple:
 class WitnessBundle:
     """Everything needed to assemble x..y paths through the tree scaffold.
 
-    ``connectors`` hold the positional (i-th leaf to i-th leaf) middle
-    segments as vertex paths; ``full_paths`` the corresponding complete x..y
-    candidates as (vertices, edge_ids), colors unchecked.  ``excluded_leaves``
-    counts leaves dropped for bad hanging trees on both sides; per-side
-    detail sits in ``diagnostics``.
+    ``hats_x[i]``/``hats_y[i]`` hang off the i-th leaf of ``tree_x``/``tree_y``,
+    None where that leaf was excluded.  ``full_paths`` holds the positional
+    (i-th leaf to i-th leaf) x..y candidates as (vertices, edge ids), colors
+    unchecked, for each position with both hanging trees and a connector.
+    ``bundle_text`` derives its counts and connector lengths from these.
     """
 
     x: int
@@ -427,10 +416,7 @@ class WitnessBundle:
     tree_y: RootedTree
     hats_x: tuple[Optional[RootedTree], ...]
     hats_y: tuple[Optional[RootedTree], ...]
-    connectors: tuple[tuple[int, ...], ...]
     full_paths: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    excluded_leaves: int
-    diagnostics: dict
     _graph: Graph = field(repr=False, default=None)
     _conn_cache: dict = field(repr=False, default_factory=dict)
 
@@ -442,14 +428,10 @@ class WitnessBundle:
         scanning the smaller side in canonical order; cached per (i, j).
         """
         key = (i, j)
-        if key in self._conn_cache:
-            return self._conn_cache[key]
-        result = None
-        hx, hy = self.hats_x[i], self.hats_y[j]
-        if hx is not None and hy is not None:
-            result = _find_connector(self._graph, hx, hy)
-        self._conn_cache[key] = result
-        return result
+        if key not in self._conn_cache:
+            self._conn_cache[key] = _find_connector(self._graph, self.hats_x[i],
+                                                    self.hats_y[j])
+        return self._conn_cache[key]
 
 
 def _hat_is_bad(hat: RootedTree, cutoff: int) -> bool:
@@ -477,8 +459,12 @@ def _join(up: TreePath, middle, down: TreePath):
             up.edge_ids + eids + tuple(reversed(down.edge_ids)))
 
 
-def _find_connector(g: Graph, hx: RootedTree, hy: RootedTree):
-    """(vertices, edge_ids) of the path hx.root ->..-> u - v ->..-> hy.root."""
+def _find_connector(g: Graph, hx: Optional[RootedTree], hy: Optional[RootedTree]):
+    """(vertices, edge_ids) of the path hx.root ->..-> u - v ->..-> hy.root,
+    or None: no edge joins the leaf sets, or a hanging tree is None (its
+    leaf was excluded)."""
+    if hx is None or hy is None:
+        return None
     lx, ly = hx.leaves, hy.leaves
     if len(ly) < len(lx):
         swapped = _find_connector(g, hy, hx)
@@ -495,6 +481,14 @@ def _find_connector(g: Graph, hx: RootedTree, hy: RootedTree):
     return None
 
 
+def _check_scaffold(k: int, d: int) -> None:
+    """Reject scaffold shapes the pairing cannot use (k < 1 or d < 2)."""
+    if k < 1:
+        raise ValueError(f"scaffold depth k={k} is zero or negative; need k >= 1")
+    if d < 2:
+        raise ValueError(f"scaffold arity d={d} is below 2; pairing needs d >= 2")
+
+
 def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
                         ) -> WitnessBundle:
     """Grow the disjoint tree scaffold between x and y and pre-assemble paths.
@@ -504,95 +498,84 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     levels are vulnerable (a single lost branch low down costs a constant
     fraction of the leaf set, while losses higher up are negligible).
 
-    Raises NoStructure when either pruned depth-k d-ary tree cannot be grown
+    Raises ValueError when k < 1 or d < 2, before anything is grown.  Raises
+    NoStructure when either pruned depth-k d-ary tree cannot be grown
     (including y falling inside x's tree) or when not a single full x..y
-    path can be assembled.  Otherwise returns the bundle with positional
-    connectors, full-path candidates, and exclusion diagnostics; desk-scale
-    shortfalls surface there instead of failing the build.
+    path can be assembled.  Otherwise returns the bundle with its hanging
+    trees and positional full-path candidates; desk-scale shortfalls
+    surface in its report instead of failing the build.
     """
     if x == y:
         raise ValueError("x and y must differ")
+    _check_scaffold(k, d)
     cutoff = max(1, -(-gamma // 10))
-    try:
-        raw_x = grow_bfs_tree(g, x, k, min_branching=d)
-        if raw_x.shortfall is not None:
-            raise NoStructure(f"tree at {x}: branching shortfall at {raw_x.shortfall}")
-        tree_x = prune_to_arity(raw_x, d)
-        if y in tree_x.vertices():
-            raise NoStructure(f"{y} lies inside the depth-{k} tree of {x}")
-        raw_y = grow_bfs_tree(g, y, k, min_branching=d, forbidden=frozenset(tree_x.vertices()))
-        if raw_y.shortfall is not None:
-            raise NoStructure(f"tree at {y}: branching shortfall at {raw_y.shortfall}")
-        tree_y = prune_to_arity(raw_y, d)
-    except InsufficientArity as exc:
-        raise NoStructure(f"cannot prune to arity {d}: {exc}") from exc
+    # no shortfall means >= d children at every interior vertex: pruning cannot fail
+    raw_x = grow_bfs_tree(g, x, k, min_branching=d)
+    if raw_x.shortfall is not None:
+        raise NoStructure(f"tree at {x}: branching shortfall at {raw_x.shortfall}")
+    tree_x = prune_to_arity(raw_x, d)
+    if y in tree_x.vertices():
+        raise NoStructure(f"{y} lies inside the depth-{k} tree of {x}")
+    raw_y = grow_bfs_tree(g, y, k, min_branching=d, forbidden=frozenset(tree_x.vertices()))
+    if raw_y.shortfall is not None:
+        raise NoStructure(f"tree at {y}: branching shortfall at {raw_y.shortfall}")
+    tree_y = prune_to_arity(raw_y, d)
 
     used = tree_x.vertices() | tree_y.vertices()
     hats_x: list[Optional[RootedTree]] = []
     hats_y: list[Optional[RootedTree]] = []
-    excluded = {"x": [], "y": []}
-    for side, tree, hats in (("x", tree_x, hats_x), ("y", tree_y, hats_y)):
-        for idx, leaf in enumerate(tree.leaves):
+    for tree, hats in ((tree_x, hats_x), (tree_y, hats_y)):
+        for leaf in tree.leaves:
             hat = grow_bfs_tree(g, leaf, gamma, forbidden=frozenset(used - {leaf}))
             if _hat_is_bad(hat, cutoff):
                 hats.append(None)
-                excluded[side].append(idx)
             else:
                 hats.append(hat)
                 used |= hat.vertices()
 
+    cache = {}
+    full_paths = []
+    for i, (leaf_x, leaf_y) in enumerate(zip(tree_x.leaves, tree_y.leaves)):
+        conn = cache[(i, i)] = _find_connector(g, hats_x[i], hats_y[i])
+        if conn is not None:
+            full_paths.append(_join(tree_x.path_from_root(leaf_x), conn,
+                                    tree_y.path_from_root(leaf_y)))
     bundle = WitnessBundle(
         x=x, y=y, d=d, k=k, gamma=gamma, tree_x=tree_x, tree_y=tree_y,
-        hats_x=tuple(hats_x), hats_y=tuple(hats_y), connectors=(), full_paths=(),
-        excluded_leaves=len(excluded["x"]) + len(excluded["y"]),
-        diagnostics={"excluded_x": excluded["x"], "excluded_y": excluded["y"],
-                     "missing_connectors": 0},
-        _graph=g,
+        hats_x=tuple(hats_x), hats_y=tuple(hats_y), full_paths=tuple(full_paths),
+        _graph=g, _conn_cache=cache,
     )
-    connectors = []
-    full_paths = []
-    missing = 0
-    for i in range(len(tree_x.leaves)):
-        if hats_x[i] is None or hats_y[i] is None:
-            continue
-        conn = bundle.connector(i, i)
-        if conn is None:
-            missing += 1
-            continue
-        connectors.append(conn[0])
-        full_paths.append(_join(tree_x.path_from_root(tree_x.leaves[i]), conn,
-                                tree_y.path_from_root(tree_y.leaves[i])))
-    bundle.connectors = tuple(connectors)
-    bundle.full_paths = tuple(full_paths)
-    bundle.diagnostics["missing_connectors"] = missing
     if not full_paths:
+        report = _report(bundle)
         raise NoStructure(
             f"no full path between {x} and {y}: "
-            f"{bundle.excluded_leaves} leaves excluded, {missing} connectors missing"
+            f"{report['excluded_x'] + report['excluded_y']} leaves excluded, "
+            f"{report['missing_connectors']} connectors missing"
         )
     return bundle
+
+
+def _report(bundle: WitnessBundle) -> dict[str, object]:
+    """The bundle's diagnostics, derived from its trees, hats and paths."""
+    both = sum(hx is not None and hy is not None for hx, hy in zip(bundle.hats_x, bundle.hats_y))
+    return {
+        "x": bundle.x, "y": bundle.y, "d": bundle.d, "k": bundle.k, "gamma": bundle.gamma,
+        "levels_x": ",".join(map(str, bundle.tree_x.level_sizes)),
+        "levels_y": ",".join(map(str, bundle.tree_y.level_sizes)),
+        "excluded_x": bundle.hats_x.count(None),
+        "excluded_y": bundle.hats_y.count(None),
+        "missing_connectors": both - len(bundle.full_paths),
+        # a full path is k tree edges, the connector, then k tree edges
+        "connector_lengths": ",".join(str(len(eids) - 2 * bundle.k)
+                                      for _, eids in bundle.full_paths),
+        "sigma": len(bundle.full_paths),
+    }
 
 
 def bundle_text(bundle: WitnessBundle) -> str:
     """Bundle diagnostics as key=value lines: tree shapes, exclusions,
     connector lengths, and the achieved path count sigma."""
-    lv_x = ",".join(str(s) for s in bundle.tree_x.level_sizes)
-    lv_y = ",".join(str(s) for s in bundle.tree_y.level_sizes)
-    conn = ",".join(str(len(v) - 1) for v in bundle.connectors)
-    return (
-        f"x={bundle.x}\n"
-        f"y={bundle.y}\n"
-        f"d={bundle.d}\n"
-        f"k={bundle.k}\n"
-        f"gamma={bundle.gamma}\n"
-        f"levels_x={lv_x}\n"
-        f"levels_y={lv_y}\n"
-        f"excluded_x={len(bundle.diagnostics['excluded_x'])}\n"
-        f"excluded_y={len(bundle.diagnostics['excluded_y'])}\n"
-        f"missing_connectors={bundle.diagnostics['missing_connectors']}\n"
-        f"connector_lengths={conn}\n"
-        f"sigma={len(bundle.full_paths)}\n"
-    )
+    return "".join(f"{key}={value}\n" for key, value in _report(bundle).items())
 
 
 def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
@@ -629,7 +612,9 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     """End-to-end driver: direct short path when the trees would overlap,
     otherwise bundle assembly plus matched pairing (``rainbow_witness``).
     Every witness it returns runs x..y and was re-checked by ``make_witness``;
-    None when y is unreachable, the scaffold cannot be grown, or no path is rainbow."""
+    None when y is unreachable, the scaffold cannot be grown, or no path is rainbow.
+    Raises ValueError when k < 1 or d < 2, for close and far pairs alike."""
+    _check_scaffold(k, d)
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None
@@ -676,18 +661,8 @@ def build_tree_pair_graph(d: int, depth: int) -> tuple[Graph, RootedTree, Rooted
     if d < 1 or depth < 0:
         raise ValueError("need d >= 1 and depth >= 0")
     size = sum(d ** i for i in range(depth + 1))
-    edges = []
-    for base in (0, size):
-        nxt = base + 1
-        frontier = [base]
-        for _ in range(depth):
-            new_frontier = []
-            for v in frontier:
-                for _ in range(d):
-                    edges.append((v, nxt))
-                    new_frontier.append(nxt)
-                    nxt += 1
-            frontier = new_frontier
+    # in BFS numbering the parent of vertex w of a complete d-ary tree is (w-1)//d
+    edges = [(base + (w - 1) // d, base + w) for base in (0, size) for w in range(1, size)]
     g = Graph(2 * size, sorted(edges))
     t1 = grow_bfs_tree(g, 0, depth)
     t2 = grow_bfs_tree(g, size, depth)

@@ -129,6 +129,13 @@ class TestConfigValidate:
     def test_lemcol_ignores_missing_n_values(self):
         ExperimentConfig(mode="lemcol_stress", d=3, ell=2).validate()
 
+    @pytest.mark.parametrize("key, value", [("n_values", (5, 6)), ("p", 0.5),
+                                            ("omega", 1.0), ("r", 4)])
+    def test_lemcol_rejects_graph_keys(self, key, value):
+        cfg = ExperimentConfig(mode="lemcol_stress", d=3, ell=2, **{key: value})
+        with pytest.raises(ValueError, match=f"does not use {key}"):
+            cfg.validate()
+
     def test_graph_modes_need_n_values(self):
         with pytest.raises(ValueError, match="needs n values"):
             ExperimentConfig(mode="thm1", omega=2.0).validate()
@@ -687,6 +694,16 @@ class TestCliWitness:
         assert rc == 1
         assert captured.err.startswith("error:") and "negative" in captured.err
 
+    def test_witness_unusable_scaffold_prints_no_bundle(self, witness_files, capsys):
+        # k = 0 grows trees the pairing cannot use: refuse before printing
+        gpath, cpath, _ = witness_files
+        rc = main(["witness", "--in", str(gpath), "--coloring", str(cpath),
+                   "--x", "3", "--y", "100", "--k", "0", "--gamma", "3", "--d", "3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and "scaffold depth" in captured.err
+        assert captured.out == ""
+
     def test_witness_mono_coloring_fails_honestly(self, witness_files, capsys):
         gpath, _, mpath = witness_files
         assert main(["witness", "--in", str(gpath), "--coloring", str(mpath),
@@ -755,6 +772,15 @@ class TestCliExperiment:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {msg}\n"
+
+    def test_misspelled_timing_is_an_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("mode=brute\nn_values=5\np=0.5\ntiming=ture\n")
+        rc = main(["experiment", "--config", str(cfgfile), "--out", str(tmp_path / "e.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: config key 'timing': expected bool, got 'ture'\n"
+        assert not (tmp_path / "e.csv").exists()
 
     def test_bad_config_key_is_domain_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"

@@ -404,14 +404,20 @@ class TestBuildWitnessPaths:
         g, p = regular_instance()
         _, _, bundle = find_structured_pair(
             g, p, 3, [(10, 900), (10, 1100), (20, 1500), (3, 777)])
-        diag = bundle.diagnostics
-        assert bundle.excluded_leaves == len(diag["excluded_x"]) + len(diag["excluded_y"])
-        assert len(bundle.full_paths) == len(bundle.connectors)
         text = bundle_text(bundle)
         fields = dict(line.split("=", 1) for line in text.strip().splitlines())
         assert fields["sigma"] == str(len(bundle.full_paths))
         assert fields["levels_x"] == "1,3,9"
-        assert int(fields["excluded_x"]) == len(diag["excluded_x"])
+        assert int(fields["excluded_x"]) == sum(h is None for h in bundle.hats_x)
+        both = sum(hx is not None and hy is not None
+                   for hx, hy in zip(bundle.hats_x, bundle.hats_y))
+        assert int(fields["missing_connectors"]) == both - len(bundle.full_paths)
+        lengths = fields["connector_lengths"].split(",")
+        assert len(lengths) == len(bundle.full_paths)
+        for (verts, _), length in zip(bundle.full_paths, lengths):
+            # each connector runs from the x leaf at index k to a y leaf
+            assert verts[bundle.k] in bundle.tree_x.leaves
+            assert verts[bundle.k + int(length)] in bundle.tree_y.leaves
 
     def test_determinism(self):
         g, p = regular_instance()
@@ -419,7 +425,7 @@ class TestBuildWitnessPaths:
             g, p, 3, [(10, 900), (10, 1100), (20, 1500), (3, 777)])
         again = build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
         assert again.full_paths == bundle.full_paths
-        assert again.excluded_leaves == bundle.excluded_leaves
+        assert bundle_text(again) == bundle_text(bundle)
 
     def test_tree_input_has_no_structure(self):
         g = path_graph(30)
@@ -524,6 +530,18 @@ class TestWitnessViaTrees:
         g = path_graph(30)
         c = EdgeColoring(tuple(range(29)), 29, ("random",) * 29)
         assert witness_via_trees(g, c, 0, 29, k=2, gamma=2, d=2) is None
+
+    @pytest.mark.parametrize("x, y", [(3, 900), (3, 777)], ids=["far", "close"])
+    @pytest.mark.parametrize("k, d", [(2, 1), (0, 3)], ids=["d1", "k0"])
+    def test_unusable_scaffold_rejected(self, x, y, k, d):
+        # the pairing needs k >= 1 and d >= 2: the close-pair shortcut must
+        # not answer for a shape the far-pair route would reject
+        g, p = regular_instance()
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        with pytest.raises(ValueError, match="scaffold"):
+            witness_via_trees(g, c, x, y, k=k, gamma=3, d=d)
+        with pytest.raises(ValueError, match="scaffold"):
+            build_witness_paths(g, x, y, k=k, gamma=3, d=d)
 
     def test_every_witness_is_rechecked(self, monkeypatch):
         # close pairs (the shortest-path shortcut) and bundle pairs alike
