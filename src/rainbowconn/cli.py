@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from typing import Optional
 
 from .coloring import (color_greedy_power, color_threshold, read_coloring,
                        recolor_cycle_classes, threshold_params, write_coloring)
 from .errors import RainbowError
-from .experiment import ExperimentConfig, config_from_mapping, load_config, run_experiment
+from .experiment import config_field_types, config_from_mapping, load_config, run_experiment
 from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp,
                      gen_regular_config, read_edge_list, write_edge_list)
 from .pairing import (build_tree_pair_graph, build_witness_paths, bundle_text,
@@ -140,21 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="seeded sweep writing CSV")
     exp.add_argument("--config", default=None, help="key=value file; flags override")
-    exp.add_argument("--mode", default=None)
-    exp.add_argument("--n-values", default=None, help="comma-separated")
-    exp.add_argument("--p", type=float, default=None)
-    exp.add_argument("--omega", type=float, default=None)
-    exp.add_argument("--r", type=int, default=None)
-    exp.add_argument("--d", type=int, default=None)
-    exp.add_argument("--ell", type=int, default=None)
-    exp.add_argument("--epsilon", type=float, default=None)
-    exp.add_argument("--trials", type=int, default=None)
-    exp.add_argument("--sampled-pairs", type=int, default=None)
-    exp.add_argument("--budget", type=int, default=None)
-    exp.add_argument("--q-max", type=int, default=None)
-    exp.add_argument("--seed", type=int, default=None)
-    exp.add_argument("--out", default=None)
-    exp.add_argument("--timing", action="store_true", default=None)
+    # one flag per config key, the key as its dest: a bool is a bare switch,
+    # and the n values stay text for the config parser to split
+    for key, want in config_field_types().items():
+        flag = "--" + key.replace("_", "-")
+        if want is bool:
+            exp.add_argument(flag, action="store_true", default=None)
+        elif key == "n_values":
+            exp.add_argument(flag, default=None, help="comma-separated")
+        else:
+            exp.add_argument(flag, type=want, default=None)
 
     return top
 
@@ -274,9 +268,8 @@ def _cmd_verify(args) -> int:
                                budget=args.budget, seed=_seed(args),
                                keep_witnesses=args.witnesses)
     print(report_text(rep, include_timing=args.timing))
-    if args.witnesses and rep.witnesses:
-        for line in witness_lines(rep):
-            print(line)
+    for line in witness_lines(rep):
+        print(line)
     return 0 if rep.pairs_connected == rep.pairs_checked else 1
 
 
@@ -327,10 +320,10 @@ def _cmd_experiment(args) -> int:
     if args.config:
         mapping.update(load_config(args.config))
     # each flag's dest is its config key, so a given flag overrides the file
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name)
+    for key in config_field_types():
+        val = getattr(args, key)
         if val is not None:
-            mapping[f.name] = val
+            mapping[key] = val
     if "seed" not in mapping:
         mapping["seed"] = _env_seed()
     records, summary = run_experiment(config_from_mapping(mapping))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NotConnected, PaletteExhausted
 from .graphs import (AMBIGUOUS, Graph, connected, default_small_threshold,
-                     neighborhood_cycle, parse_fields, read_text_lines)
+                     neighborhood_cycle, parse_fields, pendant_edges, read_text_lines)
 from .rng import np_stream, stream
 
 __all__ = [
@@ -237,12 +237,8 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     """
     if not connected(g):
         raise NotConnected("color_threshold needs a connected graph")
-    indptr, _, eids = g.csr()
-    degs = np.diff(indptr)
-    # the one edge at each degree-1 vertex, in vertex order
-    pendant_edges = eids[indptr[:-1][degs == 1]].tolist()
-    z1 = len(pendant_edges)
-    base = max(z1, params.q)
+    pendant = pendant_edges(g)
+    base = max(len(pendant), params.q)
     palette = base + 2
     red, blue = palette - 2, palette - 1
 
@@ -251,7 +247,7 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     flags: list[str] = []
 
     next_pendant = 0
-    for eid in pendant_edges:
+    for eid in pendant:
         if provenance[eid] != "pendant":
             colors[eid] = next_pendant
             provenance[eid] = "pendant"
@@ -259,6 +255,8 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
 
     if small_threshold is None:
         small_threshold = default_small_threshold(g.n)
+    indptr, _, eids = g.csr()
+    degs = np.diff(indptr)
     for v in np.flatnonzero((degs >= 2) & (degs < small_threshold)).tolist():
         usable = sorted(e for e in eids[indptr[v]:indptr[v + 1]].tolist()
                         if provenance[e] != "pendant")

@@ -19,8 +19,8 @@ Modes
                  power coloring; r = 3 additionally rewrites cycle classes;
                  pairs try the tree-witness construction first (r >= 4) and
                  fall back to search.
-  brute          exact rc on small instances against the max(Z1, diameter)
-                 lower bound.
+  brute          exact rc on small instances against ``rc_lower_bound``,
+                 max(distinct pendant edges, diameter).
   lemcol_stress  matched path pairing on synthetic rainbow tree pairs,
                  counting pairs and guarantee violations.
 """
@@ -37,13 +37,13 @@ from typing import Optional, Sequence, Union, get_args, get_type_hints
 from .coloring import (color_greedy_power, color_threshold, recolor_cycle_classes,
                        regular_params, threshold_params)
 from .errors import GenerationExhausted, GuaranteeViolation, PaletteExhausted
-from .graphs import (GenParams, Graph, connected, degree_stats, diameter, gen_gnp,
-                     gen_regular_config, read_text_lines)
+from .graphs import (GenParams, Graph, connected, diameter, gen_gnp, gen_regular_config,
+                     pendant_edges, read_text_lines)
 from .pairing import build_tree_pair_graph, pair_tree_paths, pairing_floor, \
     random_rainbow_tree_coloring, witness_via_trees
 from .rng import derive_seed
-from .verify import (VerifyReport, brute_force_rc, rainbow_path_search, sample_pairs,
-                     verify_pairs, verify_sampled)
+from .verify import (VerifyReport, brute_force_rc, rainbow_path_search, rc_lower_bound,
+                     sample_pairs, verify_pairs, verify_sampled)
 
 __all__ = [
     "SCHEMA",
@@ -52,6 +52,7 @@ __all__ = [
     "ExperimentRecord",
     "load_config",
     "config_from_mapping",
+    "config_field_types",
     "run_experiment",
     "summarize",
 ]
@@ -191,20 +192,26 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False, "": False}
 
 
+def config_field_types() -> dict[str, type]:
+    """Each config key, in field order, and the type its value converts by:
+    Optional[X] converts as X, and tuple[int, ...] token by token as int."""
+    return {key: next((t for t in get_args(hint) if t is not type(None)), hint)
+            for key, hint in get_type_hints(ExperimentConfig).items()}
+
+
 def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
     """Config from a mapping keyed by ``ExperimentConfig`` field names.  Each
     value converts by its field's declared type, or raises ValueError naming
     the key, the type and the raw value; None leaves the default.  A bool
     takes 1/true/yes/on or 0/false/no/off in any case."""
-    hints = get_type_hints(ExperimentConfig)
+    types = config_field_types()
     kwargs = {}
     for key, raw in mapping.items():
-        if key not in hints:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
         if raw is None:
             continue
-        # Optional[X] converts as X, and tuple[int, ...] token by token as int
-        want = next((t for t in get_args(hints[key]) if t is not type(None)), hints[key])
+        want = types[key]
         try:
             if key == "n_values":
                 kwargs[key] = tuple(want(tok) for tok in str(raw).replace(",", " ").split())
@@ -229,7 +236,7 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
 def _probe(rec: ExperimentRecord, g: Graph, diameter_mode: str) -> None:
     """Fill the graph columns: m, Z1 and the diameter by ``diameter_mode``."""
     rec.m = g.m
-    rec.z1 = degree_stats(g).z1
+    rec.z1 = len(pendant_edges(g))
     rec.diameter = diameter(g, mode=diameter_mode)
     rec.diameter_mode = diameter_mode
 
@@ -249,21 +256,18 @@ def _trial_thm1(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Experi
     if not connected(g):
         rec.flags.append("disconnected")
         return rec
-    rec.rc_lower_bound = max(rec.z1, rec.diameter) if rec.diameter else rec.z1
+    rec.rc_lower_bound = rc_lower_bound(g, rec.diameter)
     c = color_threshold(g, tp, seed=derive_seed(tseed, "color"))
     rec.Q = c.palette_size
     rec.flags.extend(c.flags)
-    _tally(rec, verify_sampled(g, c, cfg.sampled_pairs, seed=tseed, budget=cfg.budget,
-                               keep_witnesses=True))
+    _tally(rec, verify_sampled(g, c, cfg.sampled_pairs, seed=tseed, budget=cfg.budget))
     return rec
 
 
 def _tally(rec: ExperimentRecord, rep: VerifyReport) -> None:
-    """Copy a pair report (run with ``keep_witnesses``) into the row."""
+    """Copy a pair report into the row."""
     rec.pairs_tried, rec.pairs_connected = rep.pairs_checked, rep.pairs_connected
-    lens = [w.length for w in rep.witnesses.values()]
-    rec.mean_witness_len = statistics.fmean(lens) if lens else None
-    rec.success_rate = rec.pairs_connected / rec.pairs_tried if rec.pairs_tried else None
+    rec.success_rate, rec.mean_witness_len = rep.success_rate, rep.mean_witness_length
 
 
 def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> ExperimentRecord:
@@ -305,7 +309,7 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
         return w
 
     _tally(rec, verify_pairs(sample_pairs(g.n, cfg.sampled_pairs, tseed), find, "search",
-                             keep_witnesses=True))
+                             keep_witnesses=False))
     rec.flags.append(f"tree_witness:{via_tree}")
     return rec
 
@@ -327,7 +331,7 @@ def _trial_brute(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exper
         return rec
     rec.p = g.meta["p"]
     _probe(rec, g, "exact")
-    rec.rc_lower_bound = max(rec.z1, rec.diameter)
+    rec.rc_lower_bound = rc_lower_bound(g, rec.diameter)
     res = brute_force_rc(g, q_max=cfg.q_max)
     if res is None:
         rec.flags.append("unresolved")

@@ -51,6 +51,7 @@ __all__ = [
     "connected",
     "diameter",
     "degree_stats",
+    "pendant_edges",
     "default_small_threshold",
     "check_small_separation",
     "check_local_density",
@@ -450,15 +451,19 @@ def degree_stats(g: Graph, small_threshold: Optional[float] = None) -> DegreeSta
         small_threshold = default_small_threshold(g.n)
     hist: dict[int, int] = {}
     small = []
-    z1 = 0
     for v, d in enumerate(g.degrees()):
         hist[d] = hist.get(d, 0) + 1
-        if d == 1:
-            z1 += 1
         if d < small_threshold:
             small.append(v)
-    return DegreeStats(z1=z1, small_vertices=frozenset(small), histogram=hist,
+    return DegreeStats(z1=hist.get(1, 0), small_vertices=frozenset(small), histogram=hist,
                        small_threshold=float(small_threshold))
+
+
+def pendant_edges(g: Graph) -> list[int]:
+    """The edge at each degree-1 vertex, in vertex order, read off the CSR:
+    Z1 entries, where an edge pendant at both ends (a K2) appears twice."""
+    indptr, _, eids = g.csr()
+    return eids[indptr[:-1][np.diff(indptr) == 1]].tolist()
 
 
 def _ball(g: Graph, x: int, radius: int) -> dict[int, int]:

@@ -481,10 +481,12 @@ def _find_connector(g: Graph, hx: Optional[RootedTree], hy: Optional[RootedTree]
     return None
 
 
-def _check_scaffold(k: int, d: int) -> None:
-    """Reject scaffold shapes the pairing cannot use (k < 1 or d < 2)."""
+def _check_scaffold(k: int, gamma: int, d: int) -> None:
+    """Reject scaffold shapes the pairing cannot use (k < 1, gamma < 0 or d < 2)."""
     if k < 1:
         raise ValueError(f"scaffold depth k={k} is zero or negative; need k >= 1")
+    if gamma < 0:
+        raise ValueError(f"hanging depth gamma={gamma} is negative; need gamma >= 0")
     if d < 2:
         raise ValueError(f"scaffold arity d={d} is below 2; pairing needs d >= 2")
 
@@ -498,16 +500,16 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     levels are vulnerable (a single lost branch low down costs a constant
     fraction of the leaf set, while losses higher up are negligible).
 
-    Raises ValueError when k < 1 or d < 2, before anything is grown.  Raises
-    NoStructure when either pruned depth-k d-ary tree cannot be grown
-    (including y falling inside x's tree) or when not a single full x..y
-    path can be assembled.  Otherwise returns the bundle with its hanging
-    trees and positional full-path candidates; desk-scale shortfalls
-    surface in its report instead of failing the build.
+    Raises ValueError when k < 1, gamma < 0 or d < 2, before anything is
+    grown.  Raises NoStructure when either pruned depth-k d-ary tree cannot
+    be grown (including y falling inside x's tree) or when not a single
+    full x..y path can be assembled.  Otherwise returns the bundle with its
+    hanging trees and positional full-path candidates; desk-scale
+    shortfalls surface in its report instead of failing the build.
     """
     if x == y:
         raise ValueError("x and y must differ")
-    _check_scaffold(k, d)
+    _check_scaffold(k, gamma, d)
     cutoff = max(1, -(-gamma // 10))
     # no shortfall means >= d children at every interior vertex: pruning cannot fail
     raw_x = grow_bfs_tree(g, x, k, min_branching=d)
@@ -613,8 +615,9 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     otherwise bundle assembly plus matched pairing (``rainbow_witness``).
     Every witness it returns runs x..y and was re-checked by ``make_witness``;
     None when y is unreachable, the scaffold cannot be grown, or no path is rainbow.
-    Raises ValueError when k < 1 or d < 2, for close and far pairs alike."""
-    _check_scaffold(k, d)
+    Raises ValueError when k < 1, gamma < 0 or d < 2, for close and far
+    pairs alike."""
+    _check_scaffold(k, gamma, d)
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None

@@ -13,17 +13,19 @@ with different truth guarantees:
   node-expansion budget.  Sound (every witness it returns is valid) but
   incomplete: a None under budget pressure proves nothing.
 - ``brute_force_rc``: smallest palette size that admits a rainbow-connected
-  coloring, by scanning q upward from the max(Z1, diameter) lower bound and
-  enumerating colorings in canonical color-introduction order.
+  coloring, by scanning q upward from ``rc_lower_bound`` and enumerating
+  colorings in canonical color-introduction order.
 
-``VerifyReport`` aggregates per-pair outcomes and serializes as key=value
-text.  Timing is reported as NA unless requested, keeping rerun outputs
+``VerifyReport`` aggregates per-pair outcomes, its statistics derived from
+the lengths of the witnesses found, and serializes as key=value text.
+Timing is reported as NA unless requested, keeping rerun outputs
 byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, GuardError, NotConnected
-from .graphs import Graph, bfs_distances, diameter
+from .graphs import Graph, bfs_distances, diameter, pendant_edges
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "verify_sampled",
     "sample_pairs",
     "brute_force_rc",
+    "rc_lower_bound",
     "witness_ok",
     "make_witness",
     "verify_pairs",
@@ -125,34 +128,27 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
         return PathWitness((x,), (), frozenset())
     colors = c.colors
     adj = g.adj
-    parent: dict[tuple[int, int], tuple[int, int, int]] = {}
+    # state -> (previous vertex, previous mask, edge id), None at the start;
+    # its keys are the visited states
+    parent: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {(x, 0): None}
     queue: deque[tuple[int, int, int]] = deque([(x, 0, 0)])  # vertex, mask, depth
-    seen = {(x, 0)}
     while queue:
         u, mask, depth = queue.popleft()
         if depth == max_len:
             continue
         for v, eid in adj[u]:
             bit = 1 << colors[eid]
-            if mask & bit:
-                continue
             state = (v, mask | bit)
-            if state in seen:
+            if mask & bit or state in parent:
                 continue
-            seen.add(state)
             parent[state] = (u, mask, eid)
             if v == y:
-                verts = [v]
-                eids = []
-                cur = state
-                while cur != (x, 0):
-                    pu, pmask, peid = parent[cur]
-                    eids.append(peid)
-                    verts.append(pu)
-                    cur = (pu, pmask)
-                verts.reverse()
-                eids.reverse()
-                return make_witness(g, c, verts, eids)
+                verts, eids, step = [y], [], parent[state]
+                while step is not None:  # the start state's None ends the walk
+                    verts.append(step[0])
+                    eids.append(step[2])
+                    step = parent[step[:2]]
+                return make_witness(g, c, verts[::-1], eids[::-1])
             queue.append((v, state[1], depth + 1))
     return None
 
@@ -201,52 +197,43 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     colors = c.colors
     indptr, nbr, eids = g.csr()
 
-    def incident(v: int) -> list[tuple[int, int]]:
-        # adj[v] as a fresh list, read off the CSR so that adj is never built
+    def shuffled(v: int):
+        # adj[v] read off the CSR, so that adj is never built, in seeded order
         a, b = indptr[v], indptr[v + 1]
-        return list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
+        out = list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
+        rng.shuffle(out)
+        return iter(out)
 
     expansions = 0
 
     for limit in range(dist[x], limit_cap + 1):
-        # stack entries: (vertex, shuffled neighbor list, cursor)
+        # one shuffled neighbor iterator per vertex on the path
         path = [x]
-        on_path = {x}
         edge_path: list[int] = []
+        on_path = {x}
         used: set[int] = set()
-        first = incident(x)
-        rng.shuffle(first)
-        stack: list[tuple[int, list, int]] = [(x, first, 0)]
+        stack = [shuffled(x)]
         while stack:
-            u, nbrs, i = stack[-1]
-            if i >= len(nbrs):
+            depth = len(path)  # of the extension tried next
+            for v, eid in stack[-1]:
+                if v in on_path or colors[eid] in used or depth + dist[v] > limit:
+                    continue
+                expansions += 1
+                if expansions > budget:
+                    return None
+                if v == y:
+                    return make_witness(g, c, path + [v], edge_path + [eid])
+                path.append(v)
+                edge_path.append(eid)
+                on_path.add(v)
+                used.add(colors[eid])
+                stack.append(shuffled(v))
+                break
+            else:
                 stack.pop()
                 if edge_path:
                     used.discard(colors[edge_path.pop()])
                     on_path.discard(path.pop())
-                continue
-            stack[-1] = (u, nbrs, i + 1)
-            v, eid = nbrs[i]
-            if v in on_path:
-                continue
-            col = colors[eid]
-            if col in used:
-                continue
-            depth = len(edge_path) + 1
-            if depth + dist[v] > limit:
-                continue
-            expansions += 1
-            if expansions > budget:
-                return None
-            if v == y:
-                return make_witness(g, c, path + [v], edge_path + [eid])
-            path.append(v)
-            on_path.add(v)
-            edge_path.append(eid)
-            used.add(col)
-            nxt = incident(v)
-            rng.shuffle(nxt)
-            stack.append((v, nxt, 0))
     return None
 
 
@@ -256,16 +243,31 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
 
 @dataclass
 class VerifyReport:
+    """A pair sweep: the pairs checked, each found witness's length in pair
+    order (the connected count, success rate and longest and mean lengths
+    derive from these), the witnesses only if kept, mode and elapsed time."""
+
     pairs_checked: int
-    pairs_connected: int
+    lengths: tuple[int, ...]
     witnesses: Optional[dict[tuple[int, int], PathWitness]]
-    max_witness_length: int
     mode: str
     elapsed: float
 
     @property
+    def pairs_connected(self) -> int:
+        return len(self.lengths)
+
+    @property
     def success_rate(self) -> float:
         return self.pairs_connected / self.pairs_checked if self.pairs_checked else 1.0
+
+    @property
+    def max_witness_length(self) -> int:
+        return max(self.lengths, default=0)
+
+    @property
+    def mean_witness_length(self) -> Optional[float]:
+        return statistics.fmean(self.lengths) if self.lengths else None
 
 
 def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
@@ -287,20 +289,16 @@ def sample_pairs(n: int, count: int, seed: int) -> list[tuple[int, int]]:
 def verify_pairs(pairs, find, mode: str, keep_witnesses: bool) -> VerifyReport:
     """Run ``find(u, v)`` over ``pairs`` and tally the witnesses it returns."""
     t0 = time.perf_counter()
-    witnesses: dict[tuple[int, int], PathWitness] = {}
-    connected_pairs = 0
+    witnesses: Optional[dict[tuple[int, int], PathWitness]] = {} if keep_witnesses else None
+    lengths = []
     checked = 0
-    max_len_seen = 0
-    for u, v in pairs:
-        checked += 1
+    for checked, (u, v) in enumerate(pairs, 1):
         w = find(u, v)
         if w is not None:
-            connected_pairs += 1
-            max_len_seen = max(max_len_seen, w.length)
-            if keep_witnesses:
+            lengths.append(w.length)
+            if witnesses is not None:
                 witnesses[(u, v)] = w
-    return VerifyReport(checked, connected_pairs, witnesses if keep_witnesses else None,
-                        max_len_seen, mode, time.perf_counter() - t0)
+    return VerifyReport(checked, tuple(lengths), witnesses, mode, time.perf_counter() - t0)
 
 
 def verify_all_pairs(g: Graph, c: EdgeColoring, mode: str = "exact",
@@ -351,24 +349,32 @@ def report_text(rep: VerifyReport, include_timing: bool = False) -> str:
 
 
 def witness_lines(rep: VerifyReport) -> list[str]:
-    """One line per found witness: "u v: v0 v1 ... vk"."""
-    if not rep.witnesses:
-        return []
-    out = []
-    for (u, v), w in sorted(rep.witnesses.items()):
-        out.append(f"{u} {v}: " + " ".join(str(x) for x in w.vertices))
-    return out
+    """One line per kept witness: "u v: v0 v1 ... vk"."""
+    return [f"{u} {v}: " + " ".join(map(str, w.vertices))
+            for (u, v), w in sorted((rep.witnesses or {}).items())]
 
 
 # ----------------------------------------------------------------------------
 # brute-force rc
 # ----------------------------------------------------------------------------
 
+def rc_lower_bound(g: Graph, diam: int) -> int:
+    """max(number of distinct pendant edges, ``diam``), a lower bound on rc(g).
+
+    Two pendant edges lie on every path between their degree-1 ends, so
+    they need distinct colors, and a pair at distance ``diam`` needs that
+    many.  The count is Z1 except on K2, whose one edge is pendant at both
+    ends.  The double-sweep value is valid here too: it is itself a lower
+    bound on the diameter.
+    """
+    return max(len(set(pendant_edges(g))), diam)
+
+
 def brute_force_rc(g: Graph, q_max: Optional[int] = None
                    ) -> Optional[tuple[int, EdgeColoring]]:
     """Exact rainbow connection number with a witnessing coloring.
 
-    Scans q from the max(Z1, diameter) lower bound upward.  Colorings are
+    Scans q from ``rc_lower_bound`` upward.  Colorings are
     enumerated with colors introduced in first-use order (edge 0 is always
     color 0), which quotients out palette permutations.  Returns None when
     q_max is exhausted without an answer (unresolved), which cannot happen
@@ -390,50 +396,39 @@ def brute_force_rc(g: Graph, q_max: Optional[int] = None
     pair_order = [(u, v) for _, u, v in pair_dist]
     if q_max is None:
         q_max = max(1, g.n - 1)
-    # pendant-edge count: equals z1 except on a single edge, where the two
-    # degree-1 endpoints share one pendant edge
-    pendant_ids = {g.adj[v][0][1] for v in range(g.n) if g.degree(v) == 1}
-    lower = max(1, len(pendant_ids), -pair_dist[0][0])
-    pendant = [eid in pendant_ids for eid in range(g.m)]
-
-    for q in range(lower, q_max + 1):
+    pendant = set(pendant_edges(g))
+    for q in range(rc_lower_bound(g, -pair_dist[0][0]), q_max + 1):
         found = _first_rainbow_coloring(g, q, pair_order, pendant)
         if found is not None:
-            coloring = EdgeColoring(tuple(found), q, ("random",) * g.m)
-            return q, coloring
+            return q, EdgeColoring(tuple(found), q, ("random",) * g.m)
     return None
 
 
-def _first_rainbow_coloring(g: Graph, q: int, pair_order, pendant) -> Optional[list[int]]:
-    """First canonical q-coloring (DFS order) that rainbow-connects g."""
+def _first_rainbow_coloring(g: Graph, q: int, pair_order, pendant: set[int]
+                            ) -> Optional[list[int]]:
+    """First canonical q-coloring (DFS order) that rainbow-connects g;
+    ``pendant`` holds the pendant edge ids."""
     m = g.m
     colors = [0] * m
     pendant_used: set[int] = set()
 
     def ok_complete() -> bool:
         c = EdgeColoring(tuple(colors), q, ("random",) * m)
-        for u, v in pair_order:
-            if rainbow_path_exact(g, c, u, v) is None:
-                return False
-        return True
+        return all(rainbow_path_exact(g, c, u, v) is not None for u, v in pair_order)
 
     def assign(i: int, introduced: int) -> bool:
         if i == m:
             return ok_complete()
-        top = min(introduced + 1, q)
-        for col in range(top):
-            if pendant[i] and col in pendant_used:
+        for col in range(min(introduced + 1, q)):
+            if i in pendant and col in pendant_used:
                 continue  # two same-colored pendant edges can never both work
             colors[i] = col
-            if pendant[i]:
+            if i in pendant:
                 pendant_used.add(col)
             if assign(i + 1, max(introduced, col + 1)):
                 return True
-            if pendant[i]:
+            if i in pendant:
                 pendant_used.discard(col)
         return False
 
-    colors[0] = 0
-    if pendant[0]:
-        pendant_used.add(0)
-    return colors if assign(1, 1) else None
+    return colors if assign(0, 0) else None

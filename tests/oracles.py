@@ -3,10 +3,20 @@
 Everything here trades speed for obviousness: plain dict adjacency, full
 enumeration, no pruning beyond what correctness requires.  Library results
 are compared against these on instances small enough for the naive cost.
+
+The ``*_before`` functions are different: they are the implementations a
+hot-path rewrite replaced, kept verbatim (less the argument checks) so a
+differential test can demand identical results from the rewrite.
 """
 
+import math
 from collections import deque
 from itertools import product
+
+from rainbowconn.graphs import bfs_distances as graph_bfs_distances
+from rainbowconn.graphs import diameter
+from rainbowconn.rng import stream
+from rainbowconn.verify import PathWitness, make_witness
 
 
 def adjacency(n, edges):
@@ -178,3 +188,112 @@ def canonical_adjacency(n, edges):
     for lst in adj:
         lst.sort()
     return tuple(tuple(lst) for lst in adj)
+
+
+def rainbow_path_exact_before(g, c, x, y, max_len=None):
+    """``verify.rainbow_path_exact`` with a visited set kept beside ``parent``."""
+    if max_len is None:
+        max_len = g.n - 1
+    if x == y:
+        return PathWitness((x,), (), frozenset())
+    colors = c.colors
+    adj = g.adj
+    parent = {}
+    queue = deque([(x, 0, 0)])  # vertex, mask, depth
+    seen = {(x, 0)}
+    while queue:
+        u, mask, depth = queue.popleft()
+        if depth == max_len:
+            continue
+        for v, eid in adj[u]:
+            bit = 1 << colors[eid]
+            if mask & bit:
+                continue
+            state = (v, mask | bit)
+            if state in seen:
+                continue
+            seen.add(state)
+            parent[state] = (u, mask, eid)
+            if v == y:
+                verts = [v]
+                eids = []
+                cur = state
+                while cur != (x, 0):
+                    pu, pmask, peid = parent[cur]
+                    eids.append(peid)
+                    verts.append(pu)
+                    cur = (pu, pmask)
+                verts.reverse()
+                eids.reverse()
+                return make_witness(g, c, verts, eids)
+            queue.append((v, state[1], depth + 1))
+    return None
+
+
+def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0):
+    """``verify.rainbow_path_search`` with (vertex, neighbor list, cursor)
+    stack entries, one rebuilt per step."""
+    if x == y:
+        return PathWitness((x,), (), frozenset())
+    dist_arr = graph_bfs_distances(g, y)
+    if dist_arr[x] < 0:
+        return None
+    dist = dist_arr.tolist()
+    if max_len is None:
+        d = diameter(g, "double_sweep")
+        if d is None:
+            finite = dist_arr[dist_arr >= 0]
+            d = int(finite.max()) if finite.size else 0
+        max_len = math.ceil(4 * d)
+    limit_cap = min(max_len, c.palette_size, g.n - 1)
+    if dist[x] > limit_cap:
+        return None
+    rng = stream(seed, f"search:{x}:{y}")
+    colors = c.colors
+    indptr, nbr, eids = g.csr()
+
+    def incident(v):
+        a, b = indptr[v], indptr[v + 1]
+        return list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
+
+    expansions = 0
+
+    for limit in range(dist[x], limit_cap + 1):
+        path = [x]
+        on_path = {x}
+        edge_path = []
+        used = set()
+        first = incident(x)
+        rng.shuffle(first)
+        stack = [(x, first, 0)]
+        while stack:
+            u, nbrs, i = stack[-1]
+            if i >= len(nbrs):
+                stack.pop()
+                if edge_path:
+                    used.discard(colors[edge_path.pop()])
+                    on_path.discard(path.pop())
+                continue
+            stack[-1] = (u, nbrs, i + 1)
+            v, eid = nbrs[i]
+            if v in on_path:
+                continue
+            col = colors[eid]
+            if col in used:
+                continue
+            depth = len(edge_path) + 1
+            if depth + dist[v] > limit:
+                continue
+            expansions += 1
+            if expansions > budget:
+                return None
+            if v == y:
+                return make_witness(g, c, path + [v], edge_path + [eid])
+            path.append(v)
+            on_path.add(v)
+            edge_path.append(eid)
+            used.add(col)
+            nxt = incident(v)
+            rng.shuffle(nxt)
+            stack.append((v, nxt, 0))
+    return None

@@ -684,15 +684,21 @@ class TestCliWitness:
             assert captured.err.startswith("error:")
             assert msg in captured.err
 
-    @pytest.mark.parametrize("k, gamma", [(2, -1), (-1, 2)], ids=["gamma", "k"])
-    def test_witness_negative_depth_rejected(self, witness_files, capsys, k, gamma):
+    @pytest.mark.parametrize("x, y, k, gamma, d",
+                             [(3, 777, 2, -1, 2), (3, 777, -1, 2, 2), (10, 278, 2, -1, 3)],
+                             ids=["gamma", "k", "gamma_inside_tree"])
+    def test_witness_negative_depth_rejected(self, witness_files, capsys, x, y, k, gamma, d):
+        # the depths are checked before any tree grows, so a y inside x's
+        # scaffold tree (278 in the depth-2 tree of 10) gets the same error
         gpath, cpath, _ = witness_files
         rc = main(["witness", "--in", str(gpath), "--coloring", str(cpath),
-                   "--x", "3", "--y", "777", "--k", str(k), "--gamma", str(gamma),
-                   "--d", "2"])
+                   "--x", str(x), "--y", str(y), "--k", str(k), "--gamma", str(gamma),
+                   "--d", str(d)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error:") and "negative" in captured.err
+        assert ("gamma=-1" if gamma < 0 else "k=-1") in captured.err
+        assert captured.out == ""
 
     def test_witness_unusable_scaffold_prints_no_bundle(self, witness_files, capsys):
         # k = 0 grows trees the pairing cannot use: refuse before printing
@@ -750,12 +756,35 @@ class TestCliExperiment:
         assert blobs[0] == blobs[1]
 
     def test_flags_are_the_config_fields(self):
-        # the argparse declarations are the one second list of the keys, kept
-        # for flag names, types and help; the CLI's override loop needs them equal
+        # every config key is one flag, its name with dashes, the key as its
+        # dest: the CLI's override loop reads each key off the parsed args
         top = build_parser()
         sub = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in sub.choices["experiment"]._actions} - {"help"}
-        assert dests == {f.name for f in fields(ExperimentConfig)} | {"config"}
+        flags = {a.dest: a.option_strings for a in sub.choices["experiment"]._actions}
+        del flags["help"]
+        want = {f.name: ["--" + f.name.replace("_", "-")] for f in fields(ExperimentConfig)}
+        assert flags == {**want, "config": ["--config"]}
+
+    def test_flag_types(self, capsys):
+        parse = build_parser().parse_args
+        args = parse(["experiment", "--n-values", "5,6", "--p", "0.5", "--trials", "3",
+                      "--mode", "brute", "--timing"])
+        assert (args.n_values, args.p, args.trials, args.mode) == ("5,6", 0.5, 3, "brute")
+        assert args.timing is True
+        assert parse(["experiment"]).timing is None  # unset: a file's timing stands
+        assert main(["experiment", "--p", "x"]) == 2
+        assert main(["experiment", "--trials", "1.5"]) == 2
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+
+    def test_k2_lower_bound_is_one(self, tmp_path, capsys):
+        # the one edge of K2 is pendant at both ends: one color suffices
+        out = tmp_path / "k2.csv"
+        assert main(["experiment", "--mode", "brute", "--n-values", "2", "--p", "1",
+                     "--trials", "1", "--out", str(out)]) == 0
+        assert "rc equals lower bound on 1/1 solved instances" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["z1"], row["rc"], row["rc_lower_bound"]) == ("2", "1", "1")
 
     @pytest.mark.parametrize("how", ["file", "flag"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, how):

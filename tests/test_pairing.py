@@ -531,17 +531,22 @@ class TestWitnessViaTrees:
         c = EdgeColoring(tuple(range(29)), 29, ("random",) * 29)
         assert witness_via_trees(g, c, 0, 29, k=2, gamma=2, d=2) is None
 
-    @pytest.mark.parametrize("x, y", [(3, 900), (3, 777)], ids=["far", "close"])
-    @pytest.mark.parametrize("k, d", [(2, 1), (0, 3)], ids=["d1", "k0"])
-    def test_unusable_scaffold_rejected(self, x, y, k, d):
-        # the pairing needs k >= 1 and d >= 2: the close-pair shortcut must
-        # not answer for a shape the far-pair route would reject
+    @pytest.mark.parametrize("x, y", [(3, 900), (3, 777), (10, 5), (10, 278)],
+                             ids=["far", "close", "close_10_5", "inside_tree"])
+    @pytest.mark.parametrize("k, gamma, d, msg", [(2, 3, 1, "arity d=1"),
+                                                  (0, 3, 3, "depth k=0"),
+                                                  (2, -1, 3, "gamma=-1")],
+                             ids=["d1", "k0", "gamma"])
+    def test_unusable_scaffold_rejected(self, x, y, k, gamma, d, msg):
+        # the pairing needs k >= 1, gamma >= 0 and d >= 2: neither the
+        # close-pair shortcut nor a y inside x's depth-k tree (278 in the
+        # tree of 10) may answer for a shape the far-pair route rejects
         g, p = regular_instance()
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        with pytest.raises(ValueError, match="scaffold"):
-            witness_via_trees(g, c, x, y, k=k, gamma=3, d=d)
-        with pytest.raises(ValueError, match="scaffold"):
-            build_witness_paths(g, x, y, k=k, gamma=3, d=d)
+        with pytest.raises(ValueError, match=msg):
+            witness_via_trees(g, c, x, y, k=k, gamma=gamma, d=d)
+        with pytest.raises(ValueError, match=msg):
+            build_witness_paths(g, x, y, k=k, gamma=gamma, d=d)
 
     def test_every_witness_is_rechecked(self, monkeypatch):
         # close pairs (the shortest-path shortcut) and bundle pairs alike

@@ -17,9 +17,11 @@ from rainbowconn.errors import GuardError, NotConnected
 from rainbowconn.graphs import GenParams, Graph, diameter, gen_gnp, graph_from_edges
 from rainbowconn.verify import (
     PathWitness,
+    VerifyReport,
     brute_force_rc,
     rainbow_path_exact,
     rainbow_path_search,
+    rc_lower_bound,
     report_text,
     verify_all_pairs,
     verify_sampled,
@@ -229,6 +231,47 @@ class TestRainbowPathSearch:
                 assert rainbow_path_search(g, c, 0, y, seed=seed) is not None
 
 
+class TestRewrittenSearches:
+    """The searches against the versions they replaced: same witness or both None."""
+
+    @given(graphs(min_n=2, max_n=8), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=10**6),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+           st.one_of(st.just(0), st.integers(min_value=1, max_value=40), st.just(10**6)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_witness_as_before(self, g, q, seed, max_len, budget, data):
+        c = random_coloring(g, q, seed=seed) if g.m else EdgeColoring((), q, ())
+        x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        y = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        assert (rainbow_path_search(g, c, x, y, max_len, budget, seed)
+                == oracles.rainbow_path_search_before(g, c, x, y, max_len, budget, seed))
+        assert (rainbow_path_exact(g, c, x, y, max_len)
+                == oracles.rainbow_path_exact_before(g, c, x, y, max_len))
+
+    def test_budget_exhaustion_matches(self):
+        # the x..y path of 5 edges takes exactly 5 expansions: one fewer runs out
+        g = path_graph(6)
+        c = distinct(g)
+        for budget, found in ((4, False), (5, True)):
+            new = rainbow_path_search(g, c, 0, 5, budget=budget)
+            assert new == oracles.rainbow_path_search_before(g, c, 0, 5, budget=budget)
+            assert (new is not None) == found
+
+    def test_exhaustion_across_deepening_rounds(self):
+        # C8 with one color repeated on the short side: the first round's
+        # expansions count against the budget of the longer rounds
+        g = cycle_graph(8)
+        c = EdgeColoring((0, 1, 0, 2, 3, 4, 5, 6), 7, ("random",) * 8)
+        outcomes = set()
+        for budget in range(0, 30):
+            new = rainbow_path_search(g, c, 0, 3, budget=budget, seed=budget)
+            assert new == oracles.rainbow_path_search_before(g, c, 0, 3, budget=budget,
+                                                             seed=budget)
+            outcomes.add(None if new is None else new.length)
+        assert outcomes == {None, 5}
+
+
 class TestVerifyDrivers:
     def test_k4_one_color(self):
         g = complete_graph(4)
@@ -297,6 +340,23 @@ class TestVerifyDrivers:
 
 
 class TestReports:
+    def test_statistics_derive_from_lengths(self):
+        rep = VerifyReport(pairs_checked=4, lengths=(2, 5, 3), witnesses=None,
+                           mode="search", elapsed=0.0)
+        assert rep.pairs_connected == 3
+        assert rep.success_rate == 0.75
+        assert rep.max_witness_length == 5
+        assert rep.mean_witness_length == pytest.approx(10 / 3)
+        empty = VerifyReport(0, (), None, "search", 0.0)
+        assert (empty.pairs_connected, empty.max_witness_length) == (0, 0)
+        assert empty.mean_witness_length is None and empty.success_rate == 1.0
+
+    def test_lengths_kept_without_witnesses(self):
+        g = path_graph(4)
+        rep = verify_all_pairs(g, distinct(g), keep_witnesses=False)
+        assert rep.witnesses is None
+        assert sorted(rep.lengths) == [1, 1, 1, 2, 2, 3]
+
     def make_report(self):
         g = path_graph(4)
         return verify_all_pairs(g, distinct(g))
@@ -368,6 +428,17 @@ class TestBruteForceRc:
     def test_single_vertex(self):
         rc, coloring = brute_force_rc(Graph(1, []))
         assert rc == 0 and coloring.m == 0
+
+    @pytest.mark.parametrize("g, want, rc", [
+        (path_graph(2), 1, 1),    # K2: its one edge is pendant at both ends
+        (path_graph(3), 2, 2),
+        (star_graph(4), 4, 4),
+        (cycle_graph(5), 2, 3),   # no pendant edges; the diameter is 2
+    ], ids=["K2", "P3", "star4", "C5"])
+    def test_lower_bound(self, g, want, rc):
+        for mode in ("exact", "double_sweep"):
+            assert rc_lower_bound(g, diameter(g, mode)) == want
+        assert brute_force_rc(g)[0] == rc
 
     @given(graphs(min_n=3, max_n=6, force_connected=True),
            st.integers(min_value=0, max_value=10**6))
