@@ -6,7 +6,8 @@ connection number rc(G) is the fewest colors making that possible.  This
 package bundles the pieces needed to study rc on random graphs at desk scale:
 
 - :mod:`rainbowconn.graphs`: canonical graph container, binomial and random
-  regular generators, diameter/degree/density probes;
+  regular generators, BFS, diameter, degree stats and the unique cycle
+  near a vertex;
 - :mod:`rainbowconn.coloring`: the near-optimal randomized coloring for
   binomial graphs near the connectivity threshold, the distance-bounded
   greedy coloring for regular graphs, and the cycle-class recoloring pass;

@@ -161,7 +161,7 @@ def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams
     q = ceil((1+5 epsilon) L) within (1+o(1)) L of the optimum.
     """
     if n < 16:
-        raise ValueError("threshold_params needs n >= 16 (log log n must exceed 1)")
+        raise ValueError(f"threshold_params needs n >= 16 (log log n must exceed 1), got n={n}")
     loglog = math.log(math.log(n))
     if epsilon is None:
         epsilon = 1.0 / math.sqrt(loglog)
@@ -178,19 +178,21 @@ def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams
                            branching=branching, clamped=tuple(clamped))
 
 
-def regular_params(n: int, r: int, epsilon: float = 0.1) -> RegularParams:
+def regular_params(n: int, r: int, epsilon: Optional[float] = None) -> RegularParams:
     """Palette and tree parameters for the regular-graph greedy coloring.
 
     The depth k switches form at r = 4: for r >= 4 it is log_{r-2} log n
     rounded up; the r = 3 expression compensates for binary branching with
     an extra doubly-log correction.  sigma, the guaranteed number of rainbow
     path pairs, is (r-2)^{k-1} - 6 for r >= 4 (clamped to 1) and 2^{floor(k/2)}
-    for r = 3.
+    for r = 3.  epsilon, the slack in the hanging depth gamma, defaults to 0.1.
     """
     if n < 16:
-        raise ValueError("regular_params needs n >= 16")
+        raise ValueError(f"regular_params needs n >= 16, got n={n}")
     if r < 3:
-        raise ValueError("regular_params needs r >= 3")
+        raise ValueError(f"regular_params needs r >= 3, got r={r}")
+    if epsilon is None:
+        epsilon = 0.1
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     logn = math.log(n)

@@ -103,8 +103,15 @@ class ExperimentConfig:
         else:
             if (self.p is None) == (self.omega is None):
                 raise ValueError(f"mode {self.mode} needs exactly one of p, omega")
-        if self.sampled_pairs < 1 and self.mode in ("thm1", "regular"):
-            raise ValueError("sampled_pairs must be >= 1")
+        if self.mode in ("thm1", "regular"):
+            if self.sampled_pairs < 1:
+                raise ValueError("sampled_pairs must be >= 1")
+            # each cell's parameters, so a bad n fails before any row is written
+            for n in self.n_values:
+                if self.mode == "thm1":
+                    threshold_params(n, self.epsilon)
+                else:
+                    regular_params(n, self.r, self.epsilon)
 
 
 # fixed float formats keep reruns byte-identical; other columns print as str()
@@ -278,7 +285,7 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
     except GenerationExhausted:
         rec.flags.append("generation_exhausted")
         return rec
-    rp = regular_params(n, r, cfg.epsilon if cfg.epsilon is not None else 0.1)
+    rp = regular_params(n, r, cfg.epsilon)
     rec.epsilon, rec.k, rec.gamma = rp.epsilon, rp.k, rp.gamma
     rec.q, rec.theta_r, rec.sigma = rp.q, rp.theta_r, rp.sigma
     rec.flags.extend(f"clamped:{name}" for name in rp.clamped)

@@ -1,4 +1,4 @@
-"""Graph container, random generators, and structural probes.
+"""Graph container, random generators, BFS, and the neighborhood-cycle probe.
 
 Graphs are undirected, simple, on vertices ``0..n-1``, held in canonical form:
 the edge list stores each edge as ``(u, v)`` with ``u < v``, sorted
@@ -29,7 +29,6 @@ files, so a malformed line is reported as ``path:line`` in every format.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -53,8 +52,6 @@ __all__ = [
     "degree_stats",
     "pendant_edges",
     "default_small_threshold",
-    "check_small_separation",
-    "check_local_density",
     "neighborhood_cycle",
     "write_edge_list",
     "read_edge_list",
@@ -273,6 +270,8 @@ def gen_gnp(params: GenParams) -> Graph:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p={p} outside [0, 1]")
     else:
+        if math.isnan(params.omega):
+            raise ValueError(f"omega={params.omega} is not a number")
         raw = (math.log(n) + params.omega) / n
         p = min(1.0, max(0.0, raw))
         clamped = raw != p
@@ -342,7 +341,7 @@ def gen_regular_config(params: GenParams) -> Graph:
 
 
 # ----------------------------------------------------------------------------
-# traversal and structure probes
+# traversal and structure
 # ----------------------------------------------------------------------------
 
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
@@ -466,70 +465,6 @@ def pendant_edges(g: Graph) -> list[int]:
     return eids[indptr[:-1][np.diff(indptr) == 1]].tolist()
 
 
-def _ball(g: Graph, x: int, radius: int) -> dict[int, int]:
-    """Vertices within ``radius`` hops of x, mapped to their distance."""
-    adj = g.adj
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for v, _ in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def check_small_separation(
-    g: Graph, dist_bound: int, small_threshold: Optional[float] = None
-) -> list[tuple[int, int, int]]:
-    """Pairs of small vertices within ``dist_bound`` hops of each other.
-
-    Returns (u, v, dist) triples with u < v, sorted.  Empty means the
-    low-degree vertices are pairwise well separated, the regime the random
-    colorings rely on; callers report violations rather than assert.
-    """
-    stats = degree_stats(g, small_threshold)
-    small = sorted(stats.small_vertices)
-    small_set = stats.small_vertices
-    out = []
-    for u in small:
-        ball = _ball(g, u, dist_bound)
-        for v, d in ball.items():
-            if v > u and v in small_set:
-                out.append((u, v, d))
-    out.sort()
-    return out
-
-
-def check_local_density(g: Graph, radius: int, t: int) -> list[tuple[int, int, int]]:
-    """Vertices whose radius-ball induces at least |S| + t edges.
-
-    Returns (vertex, ball_size, edge_count) for each violation.  Sparse
-    random graphs should report nothing for t >= 1: every local neighborhood
-    stays within one edge of a tree.
-    """
-    out = []
-    for x in range(g.n):
-        ball = _ball(g, x, radius)
-        e_count = _induced_edge_count(g, ball)
-        if e_count >= len(ball) + t:
-            out.append((x, len(ball), e_count))
-    return out
-
-
-def _induced_edge_count(g: Graph, vertices: dict[int, int]) -> int:
-    adj = g.adj
-    total = 0
-    for u in vertices:
-        for v, _ in adj[u]:
-            if v in vertices:
-                total += 1
-    return total // 2
-
-
 def neighborhood_cycle(g: Graph, x: int, depth: int):
     """The unique cycle spanned by the depth-ball around x, if there is one.
 
@@ -537,42 +472,44 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     tuple when it spans exactly one cycle (started at its least vertex,
     walking toward that vertex's smaller cycle neighbor), and the AMBIGUOUS
     sentinel when two or more independent cycles appear.
+
+    One BFS grows the ball and its tree; the tree has |ball| - 1 edges, so
+    the ball spans one independent cycle per induced edge off the tree.  With
+    exactly one, (u, v), the cycle is u's and v's tree paths up to where they
+    meet, closed by that edge.
     """
     if depth < 0:
         raise ValueError(f"neighborhood depth {depth} is negative")
-    ball = _ball(g, x, depth)
-    e_count = _induced_edge_count(g, ball)
-    if e_count <= len(ball) - 1:
-        return None
-    if e_count >= len(ball) + 1:
-        return AMBIGUOUS
-    # Exactly one cycle: peel degree-1 vertices until only the cycle remains.
     adj = g.adj
-    deg = {}
-    for u in ball:
-        deg[u] = sum(1 for v, _ in adj[u] if v in ball)
-    queue = deque(u for u, d in deg.items() if d <= 1)
-    alive = set(ball)
-    while queue:
-        u = queue.popleft()
-        if u not in alive:
-            continue
-        alive.discard(u)
-        for v, _ in adj[u]:
-            if v in alive and v in deg:
-                deg[v] -= 1
-                if deg[v] == 1:
-                    queue.append(v)
-    start = min(alive)
-    cycle_nbrs = sorted(v for v, _ in adj[start] if v in alive)
-    order = [start, cycle_nbrs[0]]
-    while True:
-        here, prev = order[-1], order[-2]
-        nxt = [v for v, _ in adj[here] if v in alive and v != prev]
-        if nxt[0] == start:
-            break
-        order.append(nxt[0])
-    return tuple(order)
+    parent = {x: None}
+    level = [x]
+    for _ in range(depth):
+        grown = []
+        for u in level:
+            for v, _ in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    grown.append(v)
+        level = grown
+    off_tree = [(u, v) for u in parent for v, _ in adj[u]
+                if u < v and v in parent and parent[u] != v and parent[v] != u]
+    if not off_tree:
+        return None
+    if len(off_tree) > 1:
+        return AMBIGUOUS
+    (u, v), = off_tree
+    up_u = [u]
+    while up_u[-1] != x:
+        up_u.append(parent[up_u[-1]])
+    up_v = [v]
+    while up_v[-1] not in up_u:
+        up_v.append(parent[up_v[-1]])
+    ring = up_u[:up_u.index(up_v[-1])] + up_v[::-1]
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    if ring[-1] < ring[1]:
+        ring[1:] = ring[:0:-1]
+    return tuple(ring)
 
 
 # ----------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from collections import deque
 from itertools import product
 
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
-from rainbowconn.graphs import diameter
+from rainbowconn.graphs import AMBIGUOUS, diameter
 from rainbowconn.rng import stream
 from rainbowconn.verify import PathWitness, make_witness
 
@@ -297,3 +297,67 @@ def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0)
             rng.shuffle(nxt)
             stack.append((v, nxt, 0))
     return None
+
+
+def _ball_before(g, x, radius):
+    """Vertices within ``radius`` hops of x, mapped to their distance."""
+    adj = g.adj
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == radius:
+            continue
+        for v, _ in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def _induced_edge_count_before(g, vertices):
+    adj = g.adj
+    total = 0
+    for u in vertices:
+        for v, _ in adj[u]:
+            if v in vertices:
+                total += 1
+    return total // 2
+
+
+def neighborhood_cycle_before(g, x, depth):
+    """``graphs.neighborhood_cycle`` counting the ball's induced edges, then
+    peeling leaves until only the cycle is left and walking around it."""
+    ball = _ball_before(g, x, depth)
+    e_count = _induced_edge_count_before(g, ball)
+    if e_count <= len(ball) - 1:
+        return None
+    if e_count >= len(ball) + 1:
+        return AMBIGUOUS
+    # Exactly one cycle: peel degree-1 vertices until only the cycle remains.
+    adj = g.adj
+    deg = {}
+    for u in ball:
+        deg[u] = sum(1 for v, _ in adj[u] if v in ball)
+    queue = deque(u for u, d in deg.items() if d <= 1)
+    alive = set(ball)
+    while queue:
+        u = queue.popleft()
+        if u not in alive:
+            continue
+        alive.discard(u)
+        for v, _ in adj[u]:
+            if v in alive and v in deg:
+                deg[v] -= 1
+                if deg[v] == 1:
+                    queue.append(v)
+    start = min(alive)
+    cycle_nbrs = sorted(v for v, _ in adj[start] if v in alive)
+    order = [start, cycle_nbrs[0]]
+    while True:
+        here, prev = order[-1], order[-2]
+        nxt = [v for v, _ in adj[here] if v in alive and v != prev]
+        if nxt[0] == start:
+            break
+        order.append(nxt[0])
+    return tuple(order)

@@ -127,6 +127,7 @@ class TestRegularParams:
         wide = regular_params(2000, 3, epsilon=0.5)
         assert wide.gamma == math.ceil(1.0 * math.log(2000) / math.log(2))
         assert wide.gamma > regular_params(2000, 3).gamma
+        assert regular_params(2000, 3, epsilon=None) == regular_params(2000, 3, epsilon=0.1)
 
 
 # a fixed params bundle for small-graph coloring tests; only q matters below

@@ -10,7 +10,6 @@ from rainbowconn import graphs as graphs_mod
 from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
-                                check_local_density, check_small_separation,
                                 complete_graph, connected, cycle_graph,
                                 degree_stats, diameter, gen_gnp,
                                 gen_regular_config, graph_from_edges,
@@ -176,6 +175,11 @@ class TestGenGnp:
     def test_rejects_both_p_and_omega(self):
         with pytest.raises(ValueError):
             gen_gnp(GenParams(n=10, p=0.5, omega=1.0, r=None, seed=0))
+
+    def test_rejects_nan_omega(self):
+        # unchecked, a NaN omega clamps p to 0 and gives an empty graph
+        with pytest.raises(ValueError, match="omega=nan"):
+            gen_gnp(GenParams(n=5, omega=float("nan"), seed=0))
 
 
 class TestGenRegular:
@@ -411,27 +415,6 @@ class TestDegreeStats:
 
 
 class TestLocalStructure:
-    def test_small_separation_p3(self):
-        hits = check_small_separation(path_graph(3), small_threshold=1.5, dist_bound=2)
-        assert hits == [(0, 2, 2)]
-
-    def test_small_separation_k4_empty(self):
-        assert check_small_separation(complete_graph(4), small_threshold=2.9,
-                                      dist_bound=3) == []
-
-    def test_density_tree_empty(self):
-        assert check_local_density(path_graph(6), radius=3, t=1) == []
-
-    def test_density_k4_all_violate(self):
-        hits = check_local_density(complete_graph(4), radius=1, t=1)
-        assert [h[0] for h in hits] == [0, 1, 2, 3]
-        assert all(h[2] == 6 for h in hits)
-
-    @given(forests())
-    @settings(max_examples=50)
-    def test_density_empty_on_forests(self, g):
-        assert check_local_density(g, radius=2, t=0) == []
-
     def test_neighborhood_cycle_tree(self):
         assert neighborhood_cycle(path_graph(5), 2, 3) is None
 
@@ -444,6 +427,33 @@ class TestLocalStructure:
     def test_neighborhood_cycle_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="negative"):
             neighborhood_cycle(cycle_graph(5), 0, -1)
+
+    @staticmethod
+    def same_as_before(g, x, depth):
+        new = neighborhood_cycle(g, x, depth)
+        old = oracles.neighborhood_cycle_before(g, x, depth)
+        assert (new is AMBIGUOUS) == (old is AMBIGUOUS)
+        assert new == old
+
+    @given(graphs(max_n=10))
+    @settings(max_examples=200)
+    def test_neighborhood_cycle_matches_before(self, g):
+        for x in range(g.n):
+            for depth in range(5):
+                self.same_as_before(g, x, depth)
+
+    def test_neighborhood_cycle_matches_before_regular_2000(self):
+        # gate 4's r = 3 graph, at depths around its recoloring depth k = 3
+        g = gen_regular_config(GenParams(n=2000, r=3, seed=0))
+        for depth in (2, 3, 4):
+            for x in range(g.n):
+                self.same_as_before(g, x, depth)
+
+    @given(forests())
+    @settings(max_examples=50)
+    def test_neighborhood_cycle_none_on_forests(self, g):
+        assert all(neighborhood_cycle(g, x, depth) is None
+                   for x in range(g.n) for depth in range(5))
 
 
 class TestFileFormat:

@@ -386,6 +386,14 @@ class TestCliGenStats:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gen_nan_omega_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "g.el"
+        rc = main(["gen", "gnp", "--n", "5", "--omega", "nan", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: omega=nan is not a number\n"
+        assert not out.exists()
+
     def test_bad_env_seed_is_domain_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RAINBOW_SEED", "lots")
         rc = main(["gen", "gnp", "--n", "10", "--p", "0.5",
@@ -810,6 +818,22 @@ class TestCliExperiment:
         assert rc == 1
         assert captured.err == "error: config key 'timing': expected bool, got 'ture'\n"
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "thm1", "--n-values", "2000,5", "--omega", "2", "--trials", "1",
+         "--sampled-pairs", "5"],
+        ["--mode", "regular", "--n-values", "10", "--r", "3"],
+        ["--mode", "regular", "--n-values", "20", "--r", "2"],
+        ["--mode", "thm1", "--n-values", "50", "--omega", "2", "--epsilon", "0"],
+    ])
+    def test_bad_cell_fails_before_the_csv(self, tmp_path, capsys, flags):
+        # a bad cell must not leave a header-only CSV or the rows of earlier cells
+        out = tmp_path / "e.csv"
+        rc = main(["experiment", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
 
     def test_bad_config_key_is_domain_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
