@@ -37,8 +37,8 @@ from typing import Optional, Sequence, Union, get_args, get_type_hints
 from .coloring import (color_greedy_power, color_threshold, recolor_cycle_classes,
                        regular_params, threshold_params)
 from .errors import GenerationExhausted, GuaranteeViolation, PaletteExhausted
-from .graphs import (GenParams, Graph, connected, diameter, gen_gnp, gen_regular_config,
-                     pendant_edges, read_text_lines)
+from .graphs import (GenParams, Graph, check_gnp_params, check_regular_params, connected,
+                     diameter, gen_gnp, gen_regular_config, pendant_edges, read_text_lines)
 from .pairing import build_tree_pair_graph, pair_tree_paths, pairing_floor, \
     random_rainbow_tree_coloring, witness_via_trees
 from .rng import derive_seed
@@ -97,21 +97,17 @@ class ExperimentConfig:
             return
         if not self.n_values:
             raise ValueError(f"mode {self.mode} needs n values")
-        if self.mode == "regular":
-            if self.r is None:
-                raise ValueError("regular mode needs r")
-        else:
-            if (self.p is None) == (self.omega is None):
-                raise ValueError(f"mode {self.mode} needs exactly one of p, omega")
-        if self.mode in ("thm1", "regular"):
-            if self.sampled_pairs < 1:
-                raise ValueError("sampled_pairs must be >= 1")
-            # each cell's parameters, so a bad n fails before any row is written
-            for n in self.n_values:
+        if self.mode in ("thm1", "regular") and self.sampled_pairs < 1:
+            raise ValueError("sampled_pairs must be >= 1")
+        # each cell's generator and parameter checks, so a bad n fails before any row
+        for n in self.n_values:
+            if self.mode == "regular":
+                check_regular_params(GenParams(n=n, r=self.r))
+                regular_params(n, self.r, self.epsilon)
+            else:
+                check_gnp_params(GenParams(n=n, p=self.p, omega=self.omega))
                 if self.mode == "thm1":
                     threshold_params(n, self.epsilon)
-                else:
-                    regular_params(n, self.r, self.epsilon)
 
 
 # fixed float formats keep reruns byte-identical; other columns print as str()

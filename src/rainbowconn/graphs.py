@@ -1,4 +1,4 @@
-"""Graph container, random generators, BFS, and the neighborhood-cycle probe.
+"""Graph container, random generators, BFS, BFS trees, and the neighborhood-cycle probe.
 
 Graphs are undirected, simple, on vertices ``0..n-1``, held in canonical form:
 the edge list stores each edge as ``(u, v)`` with ``u < v``, sorted
@@ -16,7 +16,10 @@ range or out of order) are found by vectorized checks, and
 The generators cover the two random families studied here: binomial graphs at
 the connectivity threshold ``p = (log n + omega)/n`` via skip sampling, and
 random r-regular graphs via the pairing (configuration) model with rejection
-of loops and repeated edges.
+of loops and repeated edges; ``check_gnp_params`` and
+``check_regular_params`` hold what each refuses.  ``grow_bfs_tree`` is the
+one depth-capped BFS tree, behind the pairing scaffold and
+``neighborhood_cycle``; it records the tree alone.
 
 File format (``write_edge_list``/``read_edge_list``): line 1 is ``n m``,
 followed by ``m`` lines ``u v`` in canonical order, so line ``i+1`` defines
@@ -29,7 +32,8 @@ files, so a malformed line is reported as ``path:line`` in every format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -44,6 +48,8 @@ __all__ = [
     "DegreeStats",
     "AMBIGUOUS",
     "graph_from_edges",
+    "check_gnp_params",
+    "check_regular_params",
     "gen_gnp",
     "gen_regular_config",
     "bfs_distances",
@@ -52,6 +58,9 @@ __all__ = [
     "degree_stats",
     "pendant_edges",
     "default_small_threshold",
+    "RootedTree",
+    "TreePath",
+    "grow_bfs_tree",
     "neighborhood_cycle",
     "write_edge_list",
     "read_edge_list",
@@ -250,6 +259,31 @@ AMBIGUOUS = _Ambiguous()
 # generators
 # ----------------------------------------------------------------------------
 
+def check_gnp_params(params: GenParams) -> None:
+    """Refuse what ``gen_gnp`` cannot generate: n < 1, not exactly one of p
+    and omega, p outside [0, 1], or a NaN omega."""
+    if params.n < 1:
+        raise ValueError("gen_gnp needs n >= 1")
+    if (params.p is None) == (params.omega is None):
+        raise ValueError("give exactly one of p or omega")
+    if params.p is not None and not 0.0 <= float(params.p) <= 1.0:
+        raise ValueError(f"p={float(params.p)} outside [0, 1]")
+    if params.omega is not None and math.isnan(params.omega):
+        raise ValueError(f"omega={params.omega} is not a number")
+
+
+def check_regular_params(params: GenParams) -> None:
+    """Refuse what ``gen_regular_config`` cannot generate: r missing or below
+    3, r >= n, or an odd n*r (ParityError)."""
+    n, r = params.n, params.r
+    if r is None or r < 3:
+        raise ValueError("gen_regular_config needs r >= 3")
+    if r >= n:
+        raise ValueError(f"no simple {r}-regular graph on {n} vertices")
+    if (n * r) % 2 != 0:
+        raise ParityError(f"n*r = {n * r} is odd")
+
+
 def gen_gnp(params: GenParams) -> Graph:
     """Binomial random graph G(n, p) by geometric skip sampling.
 
@@ -259,19 +293,12 @@ def gen_gnp(params: GenParams) -> Graph:
     The drawn pairs are sorted as arrays and handed to ``Graph`` as one
     ``(m, 2)`` array.
     """
+    check_gnp_params(params)
     n = params.n
-    if n < 1:
-        raise ValueError("gen_gnp needs n >= 1")
-    if (params.p is None) == (params.omega is None):
-        raise ValueError("give exactly one of p or omega")
     clamped = False
     if params.p is not None:
         p = float(params.p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p={p} outside [0, 1]")
     else:
-        if math.isnan(params.omega):
-            raise ValueError(f"omega={params.omega} is not a number")
         raw = (math.log(n) + params.omega) / n
         p = min(1.0, max(0.0, raw))
         clamped = raw != p
@@ -312,13 +339,8 @@ def gen_regular_config(params: GenParams) -> Graph:
     exp((1 - r^2)/4), so retries stay modest for small r.  The accepted
     attempt index is reported in ``meta["attempts"]``.
     """
+    check_regular_params(params)
     n, r = params.n, params.r
-    if r is None or r < 3:
-        raise ValueError("gen_regular_config needs r >= 3")
-    if r >= n:
-        raise ValueError(f"no simple {r}-regular graph on {n} vertices")
-    if (n * r) % 2 != 0:
-        raise ParityError(f"n*r = {n * r} is odd")
     rng = stream(params.seed, "regular")
     points = list(range(n * r))
     for attempt in range(1, params.max_attempts + 1):
@@ -465,6 +487,105 @@ def pendant_edges(g: Graph) -> list[int]:
     return eids[indptr[:-1][np.diff(indptr) == 1]].tolist()
 
 
+@dataclass
+class RootedTree:
+    """BFS tree of fixed target depth.
+
+    ``parent`` maps each non-root vertex to (parent, edge id); ``order`` is
+    the BFS discovery order, children in ascending vertex id.  Derived on
+    construction: ``leaves`` (the vertices at exactly ``target_depth``, in
+    BFS order) and ``level_sizes`` (vertices per depth); on first use:
+    ``children``.  Grown by ``grow_bfs_tree``, an expanded vertex skipped
+    degree - children - 1 edges, the root degree - children.
+    """
+
+    root: int
+    target_depth: int
+    parent: dict[int, tuple[int, int]]
+    depth: dict[int, int]
+    order: tuple[int, ...]
+    leaves: tuple[int, ...] = field(init=False)
+    level_sizes: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        depth, target = self.depth, self.target_depth
+        self.leaves = tuple(v for v in self.order if depth[v] == target)
+        sizes = [0] * (target + 1)
+        for v in self.order:
+            sizes[depth[v]] += 1
+        self.level_sizes = tuple(sizes)
+
+    @cached_property
+    def children(self) -> dict[int, list[int]]:
+        """Children per vertex, in ascending id (the order ``order`` lists them)."""
+        children: dict[int, list[int]] = {v: [] for v in self.order}
+        for v in self.order[1:]:
+            children[self.parent[v][0]].append(v)
+        return children
+
+    def vertices(self) -> set[int]:
+        return set(self.depth)
+
+    def edge_ids(self) -> list[int]:
+        return [eid for (_, eid) in self.parent.values()]
+
+    def path_from_root(self, v: int) -> "TreePath":
+        verts = [v]
+        eids = []
+        while verts[-1] != self.root:
+            p, eid = self.parent[verts[-1]]
+            eids.append(eid)
+            verts.append(p)
+        return TreePath(tuple(reversed(verts)), tuple(reversed(eids)))
+
+    def arity(self) -> int:
+        return len(self.children[self.root])
+
+
+@dataclass(frozen=True)
+class TreePath:
+    """Root-to-leaf path inside one tree."""
+
+    vertices: tuple[int, ...]
+    edge_ids: tuple[int, ...]
+
+    @property
+    def leaf(self) -> int:
+        return self.vertices[-1]
+
+
+def grow_bfs_tree(g: Graph, root: int, depth: int,
+                  forbidden: frozenset[int] = frozenset()) -> RootedTree:
+    """Breadth-first tree of given depth avoiding ``forbidden`` vertices.
+
+    Expansion is in BFS order with neighbors in ascending id; an edge into a
+    forbidden vertex or back into the tree is skipped.  Only the tree is
+    recorded: the graph is simple, so an expanded vertex skipped exactly
+    degree - children - 1 edges (one is its parent's), the root degree - children.
+    """
+    if depth < 0:
+        raise ValueError(f"tree depth {depth} is negative")
+    if root in forbidden:
+        raise ValueError(f"root {root} is forbidden")
+    parent: dict[int, tuple[int, int]] = {}
+    depth_of = {root: 0}
+    order = [root]
+    level = [root]
+    adj = g.adj
+    for d in range(1, depth + 1):
+        grown: list[int] = []
+        for v in level:
+            for w, eid in adj[v]:
+                if w not in depth_of and w not in forbidden:
+                    depth_of[w] = d
+                    parent[w] = (v, eid)
+                    grown.append(w)
+        order += grown
+        level = grown
+    return RootedTree(root=root, target_depth=depth, parent=parent, depth=depth_of,
+                      order=tuple(order))
+
+
 def neighborhood_cycle(g: Graph, x: int, depth: int):
     """The unique cycle spanned by the depth-ball around x, if there is one.
 
@@ -473,38 +594,29 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     walking toward that vertex's smaller cycle neighbor), and the AMBIGUOUS
     sentinel when two or more independent cycles appear.
 
-    One BFS grows the ball and its tree; the tree has |ball| - 1 edges, so
-    the ball spans one independent cycle per induced edge off the tree.  With
-    exactly one, (u, v), the cycle is u's and v's tree paths up to where they
-    meet, closed by that edge.
+    ``grow_bfs_tree`` grows the ball and its tree; the tree has |ball| - 1
+    edges, so the ball spans one independent cycle per induced edge off the
+    tree: the edges a vertex above the full depth skipped (degree - children
+    - 1 of them, at x degree - children) and those joining two vertices at
+    the full depth.  With exactly one, (u, v), the cycle is u's and v's tree
+    paths below where they meet, closed by it.
     """
-    if depth < 0:
-        raise ValueError(f"neighborhood depth {depth} is negative")
+    tree = grow_bfs_tree(g, x, depth)
+    ball, tree_eids = tree.depth, set(tree.edge_ids())
     adj = g.adj
-    parent = {x: None}
-    level = [x]
-    for _ in range(depth):
-        grown = []
-        for u in level:
-            for v, _ in adj[u]:
-                if v not in parent:
-                    parent[v] = u
-                    grown.append(v)
-        level = grown
-    off_tree = [(u, v) for u in parent for v, _ in adj[u]
-                if u < v and v in parent and parent[u] != v and parent[v] != u]
+    off_tree = [(u, v) for u in tree.order for v, eid in adj[u]
+                if u < v and v in ball and eid not in tree_eids]
     if not off_tree:
         return None
     if len(off_tree) > 1:
         return AMBIGUOUS
     (u, v), = off_tree
-    up_u = [u]
-    while up_u[-1] != x:
-        up_u.append(parent[up_u[-1]])
-    up_v = [v]
-    while up_v[-1] not in up_u:
-        up_v.append(parent[up_v[-1]])
-    ring = up_u[:up_u.index(up_v[-1])] + up_v[::-1]
+    # neither end is the other's parent and adjacent depths differ by at most
+    # one, so neither root path contains the other: they part below x or lower
+    from_u = tree.path_from_root(u).vertices
+    from_v = tree.path_from_root(v).vertices
+    meet = next(i for i, (a, b) in enumerate(zip(from_u, from_v)) if a != b) - 1
+    ring = list(from_u[:meet:-1] + from_v[meet:])
     i = ring.index(min(ring))
     ring = ring[i:] + ring[:i]
     if ring[-1] < ring[1]:

@@ -3,9 +3,11 @@
 The witness machinery turns a colored graph into explicit rainbow paths
 between a vertex pair (x, y) in three stages:
 
-1. Grow breadth-first trees: a depth-k tree from x, another from y avoiding
-   the first, both pruned to exact arity d; then a depth-gamma tree hanging
-   off every pruned leaf, each avoiding everything grown before it.
+1. Grow breadth-first trees (``graphs.grow_bfs_tree``): a depth-k tree from
+   x, another from y avoiding the first, both pruned to exact arity d; then
+   a depth-gamma tree hanging off every pruned leaf, each avoiding
+   everything grown before it.  Skipped edges are read off the degrees and
+   the trees' children, never counted.
 2. Pair root-to-leaf paths of the two pruned trees so that each pair's color
    union stays rainbow.  At every interior level a d x d bipartite
    compatibility graph H is built: branch i on the x side is compatible with
@@ -33,20 +35,16 @@ host the disjoint trees or no full path can be assembled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, InsufficientArity, NoStructure
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, RootedTree, TreePath, bfs_distances, grow_bfs_tree
 from .verify import PathWitness, make_witness
 
 __all__ = [
-    "RootedTree",
-    "TreePath",
     "PairingResult",
     "WitnessBundle",
-    "grow_bfs_tree",
     "prune_to_arity",
     "bipartite_matching",
     "compatibility_matrix",
@@ -61,77 +59,6 @@ __all__ = [
 ]
 
 
-@dataclass
-class RootedTree:
-    """BFS tree of fixed target depth.
-
-    ``parent`` maps each non-root vertex to (parent, edge id); ``order`` is
-    the BFS discovery order, children in ascending vertex id; ``bad_edges``
-    counts, per expanded vertex, adjacent edges that were skipped because
-    they led into forbidden vertices or back into the tree; ``shortfall``
-    names the first interior vertex that produced fewer than the requested
-    minimum of children, or None.  Derived on construction: ``leaves`` (the
-    vertices at exactly ``target_depth``, in BFS order) and ``level_sizes``
-    (vertices per depth); on first use: ``children``.
-    """
-
-    root: int
-    target_depth: int
-    parent: dict[int, tuple[int, int]]
-    depth: dict[int, int]
-    order: tuple[int, ...]
-    bad_edges: dict[int, int]
-    shortfall: Optional[int] = None
-    leaves: tuple[int, ...] = field(init=False)
-    level_sizes: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        depth, target = self.depth, self.target_depth
-        self.leaves = tuple(v for v in self.order if depth[v] == target)
-        sizes = [0] * (target + 1)
-        for v in self.order:
-            sizes[depth[v]] += 1
-        self.level_sizes = tuple(sizes)
-
-    @cached_property
-    def children(self) -> dict[int, list[int]]:
-        """Children per vertex, in ascending id (the order ``order`` lists them)."""
-        children: dict[int, list[int]] = {v: [] for v in self.order}
-        for v in self.order[1:]:
-            children[self.parent[v][0]].append(v)
-        return children
-
-    def vertices(self) -> set[int]:
-        return set(self.depth)
-
-    def edge_ids(self) -> list[int]:
-        return [eid for (_, eid) in self.parent.values()]
-
-    def path_from_root(self, v: int) -> "TreePath":
-        verts = [v]
-        eids = []
-        while verts[-1] != self.root:
-            p, eid = self.parent[verts[-1]]
-            eids.append(eid)
-            verts.append(p)
-        return TreePath(tuple(reversed(verts)), tuple(reversed(eids)))
-
-    def arity(self) -> int:
-        return len(self.children[self.root])
-
-
-@dataclass(frozen=True)
-class TreePath:
-    """Root-to-leaf path inside one tree."""
-
-    vertices: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-
-    @property
-    def leaf(self) -> int:
-        return self.vertices[-1]
-
-
 @dataclass(frozen=True)
 class PairingResult:
     """Matched (x-side path, y-side path) pairs with rainbow unions.
@@ -142,52 +69,6 @@ class PairingResult:
 
     pairs: tuple[tuple[TreePath, TreePath], ...]
     floor: int
-
-
-def grow_bfs_tree(g: Graph, root: int, depth: int, min_branching: float = 0,
-                  forbidden: frozenset[int] = frozenset()) -> RootedTree:
-    """Breadth-first tree of given depth avoiding ``forbidden`` vertices.
-
-    Expansion is in BFS order with neighbors in ascending id; edges into
-    forbidden vertices or back into the tree are skipped and counted per
-    expanding vertex (the tree edge to the parent is not counted).  When an
-    interior vertex yields fewer than ``min_branching`` children the first
-    such vertex is recorded as ``shortfall``; growth continues regardless so
-    callers see the whole picture.
-    """
-    if depth < 0:
-        raise ValueError(f"tree depth {depth} is negative")
-    if root in forbidden:
-        raise ValueError(f"root {root} is forbidden")
-    parent: dict[int, tuple[int, int]] = {}
-    depth_of = {root: 0}
-    order = [root]
-    bad: dict[int, int] = {}
-    shortfall: Optional[int] = None
-    level = [root]
-    adj = g.adj
-    for d in range(depth):
-        nxt: list[int] = []
-        for v in level:
-            kids = 0
-            skipped = 0
-            for w, eid in adj[v]:
-                if v != root and w == parent[v][0]:
-                    continue
-                if w in forbidden or w in depth_of:
-                    skipped += 1
-                    continue
-                depth_of[w] = d + 1
-                parent[w] = (v, eid)
-                kids += 1
-                nxt.append(w)
-                order.append(w)
-            bad[v] = skipped
-            if kids < min_branching and shortfall is None:
-                shortfall = v
-        level = nxt
-    return RootedTree(root=root, target_depth=depth, parent=parent, depth=depth_of,
-                      order=tuple(order), bad_edges=bad, shortfall=shortfall)
 
 
 def prune_to_arity(t: RootedTree, d: int) -> RootedTree:
@@ -210,11 +91,10 @@ def prune_to_arity(t: RootedTree, d: int) -> RootedTree:
             kids = t.children[v]
             if len(kids) < d:
                 raise InsufficientArity(v, len(kids), d)
-            kept.update(sorted(kids)[:d])
+            kept.update(kids[:d])
     return RootedTree(root=t.root, target_depth=t.target_depth,
                       parent={v: t.parent[v] for v in order[1:]},
-                      depth={v: t.depth[v] for v in order}, order=tuple(order),
-                      bad_edges={v: t.bad_edges[v] for v in order if v in t.bad_edges})
+                      depth={v: t.depth[v] for v in order}, order=tuple(order))
 
 
 def bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> set[tuple[int, int]]:
@@ -404,13 +284,10 @@ class WitnessBundle:
     None where that leaf was excluded.  ``full_paths`` holds the positional
     (i-th leaf to i-th leaf) x..y candidates as (vertices, edge ids), colors
     unchecked, for each position with both hanging trees and a connector.
-    ``bundle_text`` derives its counts and connector lengths from these.
+    ``bundle_text`` derives x, y, d, k, its counts and connector lengths from
+    these and the two trees.
     """
 
-    x: int
-    y: int
-    d: int
-    k: int
     gamma: int
     tree_x: RootedTree
     tree_y: RootedTree
@@ -434,21 +311,25 @@ class WitnessBundle:
         return self._conn_cache[key]
 
 
-def _hat_is_bad(hat: RootedTree, cutoff: int) -> bool:
-    """Bad: any skipped edge while building the first ``cutoff`` levels,
-    or no leaves at all.
+def _hat_is_bad(g: Graph, hat: RootedTree, cutoff: int) -> bool:
+    """Bad: no leaves at all, or an edge skipped while building the first
+    ``cutoff`` levels, the root's always skipped edge back into the
+    scaffold tree it hangs from aside.
 
-    The root's edge back into the scaffold tree it hangs from is always
-    skipped and does not count.
+    That is a vertex above depth min(cutoff, gamma) with fewer than
+    degree - 1 children: the one edge left over is a non-root vertex's
+    parent edge, and the root's edge back into the scaffold.
     """
     if not hat.leaves:
         return True
-    for v, cnt in hat.bad_edges.items():
-        if v == hat.root:
-            cnt -= 1
-        if cnt > 0 and hat.depth[v] < cutoff:
-            return True
-    return False
+    top = min(cutoff, hat.target_depth)
+    # ``order`` lists the levels in turn, so these are the vertices above depth top
+    upper = sum(hat.level_sizes[:top])
+    kids = dict.fromkeys(hat.order[:upper], 0)
+    for w in hat.order[1:upper + hat.level_sizes[top]]:
+        kids[hat.parent[w][0]] += 1
+    adj = g.adj
+    return any(n_kids < len(adj[v]) - 1 for v, n_kids in kids.items())
 
 
 def _join(up: TreePath, middle, down: TreePath):
@@ -491,6 +372,18 @@ def _check_scaffold(k: int, gamma: int, d: int) -> None:
         raise ValueError(f"scaffold arity d={d} is below 2; pairing needs d >= 2")
 
 
+def _scaffold_tree(g: Graph, root: int, k: int, d: int, forbidden: frozenset[int]
+                   ) -> RootedTree:
+    """The depth-k BFS tree at root pruned to arity d; NoStructure naming the
+    first vertex above depth k with fewer than d children (so pruning never
+    fails)."""
+    raw = grow_bfs_tree(g, root, k, forbidden=forbidden)
+    for v in raw.order:
+        if raw.depth[v] < k and len(raw.children[v]) < d:
+            raise NoStructure(f"tree at {root}: branching shortfall at {v}")
+    return prune_to_arity(raw, d)
+
+
 def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
                         ) -> WitnessBundle:
     """Grow the disjoint tree scaffold between x and y and pre-assemble paths.
@@ -511,17 +404,10 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
         raise ValueError("x and y must differ")
     _check_scaffold(k, gamma, d)
     cutoff = max(1, -(-gamma // 10))
-    # no shortfall means >= d children at every interior vertex: pruning cannot fail
-    raw_x = grow_bfs_tree(g, x, k, min_branching=d)
-    if raw_x.shortfall is not None:
-        raise NoStructure(f"tree at {x}: branching shortfall at {raw_x.shortfall}")
-    tree_x = prune_to_arity(raw_x, d)
+    tree_x = _scaffold_tree(g, x, k, d, frozenset())
     if y in tree_x.vertices():
         raise NoStructure(f"{y} lies inside the depth-{k} tree of {x}")
-    raw_y = grow_bfs_tree(g, y, k, min_branching=d, forbidden=frozenset(tree_x.vertices()))
-    if raw_y.shortfall is not None:
-        raise NoStructure(f"tree at {y}: branching shortfall at {raw_y.shortfall}")
-    tree_y = prune_to_arity(raw_y, d)
+    tree_y = _scaffold_tree(g, y, k, d, frozenset(tree_x.vertices()))
 
     used = tree_x.vertices() | tree_y.vertices()
     hats_x: list[Optional[RootedTree]] = []
@@ -529,7 +415,7 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     for tree, hats in ((tree_x, hats_x), (tree_y, hats_y)):
         for leaf in tree.leaves:
             hat = grow_bfs_tree(g, leaf, gamma, forbidden=frozenset(used - {leaf}))
-            if _hat_is_bad(hat, cutoff):
+            if _hat_is_bad(g, hat, cutoff):
                 hats.append(None)
             else:
                 hats.append(hat)
@@ -543,7 +429,7 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
             full_paths.append(_join(tree_x.path_from_root(leaf_x), conn,
                                     tree_y.path_from_root(leaf_y)))
     bundle = WitnessBundle(
-        x=x, y=y, d=d, k=k, gamma=gamma, tree_x=tree_x, tree_y=tree_y,
+        gamma=gamma, tree_x=tree_x, tree_y=tree_y,
         hats_x=tuple(hats_x), hats_y=tuple(hats_y), full_paths=tuple(full_paths),
         _graph=g, _conn_cache=cache,
     )
@@ -560,15 +446,17 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
 def _report(bundle: WitnessBundle) -> dict[str, object]:
     """The bundle's diagnostics, derived from its trees, hats and paths."""
     both = sum(hx is not None and hy is not None for hx, hy in zip(bundle.hats_x, bundle.hats_y))
+    tree_x, k = bundle.tree_x, bundle.tree_x.target_depth
     return {
-        "x": bundle.x, "y": bundle.y, "d": bundle.d, "k": bundle.k, "gamma": bundle.gamma,
-        "levels_x": ",".join(map(str, bundle.tree_x.level_sizes)),
+        "x": tree_x.root, "y": bundle.tree_y.root, "d": tree_x.arity(), "k": k,
+        "gamma": bundle.gamma,
+        "levels_x": ",".join(map(str, tree_x.level_sizes)),
         "levels_y": ",".join(map(str, bundle.tree_y.level_sizes)),
         "excluded_x": bundle.hats_x.count(None),
         "excluded_y": bundle.hats_y.count(None),
         "missing_connectors": both - len(bundle.full_paths),
         # a full path is k tree edges, the connector, then k tree edges
-        "connector_lengths": ",".join(str(len(eids) - 2 * bundle.k)
+        "connector_lengths": ",".join(str(len(eids) - 2 * k)
                                       for _, eids in bundle.full_paths),
         "sigma": len(bundle.full_paths),
     }

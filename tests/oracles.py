@@ -12,6 +12,7 @@ differential test can demand identical results from the rewrite.
 import math
 from collections import deque
 from itertools import product
+from types import SimpleNamespace
 
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
 from rainbowconn.graphs import AMBIGUOUS, diameter
@@ -361,3 +362,54 @@ def neighborhood_cycle_before(g, x, depth):
             break
         order.append(nxt[0])
     return tuple(order)
+
+
+def grow_bfs_tree_before(g, root, depth, min_branching=0, forbidden=frozenset()):
+    """``graphs.grow_bfs_tree`` counting, per expanded vertex, the edges it
+    skipped (``bad_edges``) and naming the first vertex with fewer than
+    ``min_branching`` children (``shortfall``); returned as a namespace with
+    the tree's ``root``, ``parent``, ``depth``, ``order`` and ``leaves``."""
+    parent = {}
+    depth_of = {root: 0}
+    order = [root]
+    bad = {}
+    shortfall = None
+    level = [root]
+    adj = g.adj
+    for d in range(depth):
+        nxt = []
+        for v in level:
+            kids = 0
+            skipped = 0
+            for w, eid in adj[v]:
+                if v != root and w == parent[v][0]:
+                    continue
+                if w in forbidden or w in depth_of:
+                    skipped += 1
+                    continue
+                depth_of[w] = d + 1
+                parent[w] = (v, eid)
+                kids += 1
+                nxt.append(w)
+                order.append(w)
+            bad[v] = skipped
+            if kids < min_branching and shortfall is None:
+                shortfall = v
+        level = nxt
+    return SimpleNamespace(root=root, parent=parent, depth=depth_of, order=tuple(order),
+                           leaves=tuple(v for v in order if depth_of[v] == depth),
+                           bad_edges=bad, shortfall=shortfall)
+
+
+def hat_is_bad_before(hat, cutoff):
+    """``pairing._hat_is_bad`` reading the skip counts of
+    ``grow_bfs_tree_before``: any skipped edge above depth ``cutoff``, the
+    root's one edge back into the scaffold aside, or no leaves at all."""
+    if not hat.leaves:
+        return True
+    for v, cnt in hat.bad_edges.items():
+        if v == hat.root:
+            cnt -= 1
+        if cnt > 0 and hat.depth[v] < cutoff:
+            return True
+    return False

@@ -330,7 +330,7 @@ class TestColorGreedyPower:
     def test_depth_k_bfs_trees_rainbow(self):
         # properness at radius 2k makes every depth-k BFS tree rainbow:
         # two tree edges are joined through at most 2k - 1 other tree edges
-        from rainbowconn.pairing import grow_bfs_tree
+        from rainbowconn.graphs import grow_bfs_tree
         k = 2
         c = color_greedy_power(PETERSEN, radius=2 * k, q=60, seed=7)
         for root in range(PETERSEN.n):

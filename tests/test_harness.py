@@ -825,6 +825,12 @@ class TestCliExperiment:
         ["--mode", "regular", "--n-values", "10", "--r", "3"],
         ["--mode", "regular", "--n-values", "20", "--r", "2"],
         ["--mode", "thm1", "--n-values", "50", "--omega", "2", "--epsilon", "0"],
+        # values only the generators refused, once the cell ran
+        ["--mode", "regular", "--n-values", "200,17", "--r", "3", "--sampled-pairs", "5"],
+        ["--mode", "regular", "--n-values", "16", "--r", "17"],
+        ["--mode", "brute", "--n-values", "5", "--p", "1.5"],
+        ["--mode", "thm1", "--n-values", "2000", "--p", "-0.1"],
+        ["--mode", "brute", "--n-values", "5", "--omega", "nan"],
     ])
     def test_bad_cell_fails_before_the_csv(self, tmp_path, capsys, flags):
         # a bad cell must not leave a header-only CSV or the rows of earlier cells

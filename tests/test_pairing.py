@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from rainbowconn import pairing as pairing_mod
 from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, color_greedy_power, regular_params
 from rainbowconn.errors import GuaranteeViolation, InsufficientArity, NoStructure
-from rainbowconn.graphs import GenParams, Graph, bfs_distances, gen_regular_config, graph_from_edges
+from rainbowconn.graphs import (GenParams, Graph, bfs_distances, gen_regular_config,
+                                graph_from_edges, grow_bfs_tree)
 from rainbowconn.pairing import (
     WitnessBundle,
     bipartite_matching,
@@ -19,7 +21,6 @@ from rainbowconn.pairing import (
     build_witness_paths,
     bundle_text,
     compatibility_matrix,
-    grow_bfs_tree,
     pair_tree_paths,
     prune_to_arity,
     rainbow_witness,
@@ -67,21 +68,25 @@ class TestGrowBfsTree:
             assert sorted(t.leaves) == sorted(set(range(4)) - {root})
 
     def test_petersen_depth_two_no_bad_edges(self):
+        # girth 5: every expanded vertex keeps all its non-parent edges as children
         for root in range(10):
             t = grow_bfs_tree(PETERSEN, root, 2)
             assert t.level_sizes == (1, 3, 6)
-            assert all(cnt == 0 for cnt in t.bad_edges.values())
+            for v in t.order:
+                if t.depth[v] < 2:
+                    assert len(t.children[v]) == PETERSEN.degree(v) - (v != root)
 
     def test_c5_shortfall_at_level_one(self):
-        t = grow_bfs_tree(cycle_graph(5), 0, 2, min_branching=2)
-        assert t.shortfall is not None
-        assert t.depth[t.shortfall] == 1
+        with pytest.raises(NoStructure, match="branching shortfall at") as exc:
+            build_witness_paths(cycle_graph(5), 0, 2, k=2, gamma=0, d=2)
+        short = int(str(exc.value).rsplit(" ", 1)[1])
+        assert grow_bfs_tree(cycle_graph(5), 0, 2).depth[short] == 1
 
     def test_forbidden_vertices_skipped_and_counted(self):
         g = complete_graph(4)
         t = grow_bfs_tree(g, 0, 1, forbidden=frozenset({2}))
         assert 2 not in t.vertices()
-        assert t.bad_edges[0] == 1
+        assert len(t.children[0]) == 2 and g.degree(0) == 3  # one edge skipped
         assert t.level_sizes == (1, 2)
 
     def test_forbidden_root_rejected(self):
@@ -113,6 +118,51 @@ class TestGrowBfsTree:
         for v, (p, eid) in t.parent.items():
             assert {v, p} == set(g.edges[eid])
             assert t.depth[v] == t.depth[p] + 1
+
+    @staticmethod
+    def same_as_before(g, root, depth, forbidden, d, cutoff):
+        """The tree, the scaffold's shortfall verdict at arity d and the hat
+        verdict at ``cutoff`` agree with the skip-counting tree they replace."""
+        new = grow_bfs_tree(g, root, depth, forbidden=forbidden)
+        old = oracles.grow_bfs_tree_before(g, root, depth, min_branching=d, forbidden=forbidden)
+        assert (new.parent, new.depth, new.order) == (old.parent, old.depth, old.order)
+        if old.shortfall is None:
+            pairing_mod._scaffold_tree(g, root, depth, d, forbidden)
+        else:
+            with pytest.raises(NoStructure) as exc:
+                pairing_mod._scaffold_tree(g, root, depth, d, forbidden)
+            assert str(exc.value) == f"tree at {root}: branching shortfall at {old.shortfall}"
+        assert pairing_mod._hat_is_bad(g, new, cutoff) == oracles.hat_is_bad_before(old, cutoff)
+
+    @given(graphs(max_n=12), st.data(), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_before(self, g, data, depth, d, cutoff):
+        root = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        forbidden = data.draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1)))
+        self.same_as_before(g, root, depth, forbidden - {root}, d, cutoff)
+
+    def test_matches_before_on_witness_trees(self, monkeypatch):
+        # every tree build_witness_paths grows on gate 4's r = 5 graph
+        g, p = regular_instance()
+        grown = []
+
+        def recording(graph, root, depth, forbidden=frozenset()):
+            grown.append((root, depth, forbidden))
+            return grow_bfs_tree(graph, root, depth, forbidden=forbidden)
+
+        monkeypatch.setattr(pairing_mod, "grow_bfs_tree", recording)
+        for x, y in sample_pairs(g.n, 40, 12):
+            try:
+                build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
+            except NoStructure:
+                pass
+        monkeypatch.undo()
+        # each sampled pair grows both scaffold trees and its 2 * 3^k hats
+        assert sum(depth == p.gamma for _, depth, _ in grown) == 40 * 2 * 3 ** p.k
+        cutoff = max(1, -(-p.gamma // 10))
+        for root, depth, forbidden in grown:
+            self.same_as_before(g, root, depth, forbidden, 3, cutoff)
 
 
 class TestPruneToArity:
@@ -416,8 +466,8 @@ class TestBuildWitnessPaths:
         assert len(lengths) == len(bundle.full_paths)
         for (verts, _), length in zip(bundle.full_paths, lengths):
             # each connector runs from the x leaf at index k to a y leaf
-            assert verts[bundle.k] in bundle.tree_x.leaves
-            assert verts[bundle.k + int(length)] in bundle.tree_y.leaves
+            assert verts[p.k] in bundle.tree_x.leaves
+            assert verts[p.k + int(length)] in bundle.tree_y.leaves
 
     def test_determinism(self):
         g, p = regular_instance()
