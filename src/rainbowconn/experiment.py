@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.budget < 0:
             raise ValueError(f"budget {self.budget} is negative")
+        if self.q_max is not None and self.q_max < 0:
+            raise ValueError(f"q_max {self.q_max} is negative")
         if self.mode == "lemcol_stress":
             # the tree pairs are synthetic: a graph key here would be ignored
             for key, unset in (("n_values", ()), ("p", None), ("omega", None), ("r", None)):

@@ -19,7 +19,8 @@ random r-regular graphs via the pairing (configuration) model with rejection
 of loops and repeated edges; ``check_gnp_params`` and
 ``check_regular_params`` hold what each refuses.  ``grow_bfs_tree`` is the
 one depth-capped BFS tree, behind the pairing scaffold and
-``neighborhood_cycle``; it records the tree alone.
+``neighborhood_cycle``; it records the tree alone, and ``RootedTree``
+derives its leaves, level sizes and children only when they are read.
 
 File format (``write_edge_list``/``read_edge_list``): line 1 is ``n m``,
 followed by ``m`` lines ``u v`` in canonical order, so line ``i+1`` defines
@@ -32,7 +33,7 @@ files, so a malformed line is reported as ``path:line`` in every format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -211,15 +212,9 @@ def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def graph_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Canonicalize an arbitrary pair iterable (orientation, order) into a Graph."""
-    norm = sorted((u, v) if u < v else (v, u) for u, v in pairs)
-    for a, b in zip(norm, norm[1:]):
-        if a == b:
-            raise ValueError(f"duplicate edge {a}")
-    for u, v in norm:
-        if u == v:
-            raise ValueError(f"self-loop at {u}")
-    return Graph(n, norm)
+    """Canonicalize an arbitrary pair iterable (orientation, order) into a Graph;
+    the constructor refuses a repeated pair or a loop (ValueError)."""
+    return Graph(n, sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
 
 @dataclass
@@ -493,10 +488,11 @@ class RootedTree:
 
     ``parent`` maps each non-root vertex to (parent, edge id); ``order`` is
     the BFS discovery order, children in ascending vertex id.  Derived on
-    construction: ``leaves`` (the vertices at exactly ``target_depth``, in
-    BFS order) and ``level_sizes`` (vertices per depth); on first use:
-    ``children``.  Grown by ``grow_bfs_tree``, an expanded vertex skipped
-    degree - children - 1 edges, the root degree - children.
+    first use, so a tree that never reads them never builds them:
+    ``leaves`` (the vertices at exactly ``target_depth``, in BFS order),
+    ``level_sizes`` (vertices per depth) and ``children``.  Grown by
+    ``grow_bfs_tree``, an expanded vertex skipped degree - children - 1
+    edges, the root degree - children.
     """
 
     root: int
@@ -504,16 +500,18 @@ class RootedTree:
     parent: dict[int, tuple[int, int]]
     depth: dict[int, int]
     order: tuple[int, ...]
-    leaves: tuple[int, ...] = field(init=False)
-    level_sizes: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def leaves(self) -> tuple[int, ...]:
         depth, target = self.depth, self.target_depth
-        self.leaves = tuple(v for v in self.order if depth[v] == target)
-        sizes = [0] * (target + 1)
+        return tuple(v for v in self.order if depth[v] == target)
+
+    @cached_property
+    def level_sizes(self) -> tuple[int, ...]:
+        sizes = [0] * (self.target_depth + 1)
         for v in self.order:
-            sizes[depth[v]] += 1
-        self.level_sizes = tuple(sizes)
+            sizes[self.depth[v]] += 1
+        return tuple(sizes)
 
     @cached_property
     def children(self) -> dict[int, list[int]]:
@@ -598,14 +596,16 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     edges, so the ball spans one independent cycle per induced edge off the
     tree: the edges a vertex above the full depth skipped (degree - children
     - 1 of them, at x degree - children) and those joining two vertices at
-    the full depth.  With exactly one, (u, v), the cycle is u's and v's tree
-    paths below where they meet, closed by it.
+    the full depth.  An induced edge is on the tree when it is the parent
+    edge of one of its ends.  With exactly one off it, (u, v), the cycle is
+    u's and v's tree paths below where they meet, closed by it.
     """
     tree = grow_bfs_tree(g, x, depth)
-    ball, tree_eids = tree.depth, set(tree.edge_ids())
+    ball, parent = tree.depth, tree.parent
     adj = g.adj
     off_tree = [(u, v) for u in tree.order for v, eid in adj[u]
-                if u < v and v in ball and eid not in tree_eids]
+                if u < v and v in ball
+                and parent.get(u) != (v, eid) and parent.get(v) != (u, eid)]
     if not off_tree:
         return None
     if len(off_tree) > 1:

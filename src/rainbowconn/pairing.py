@@ -7,7 +7,9 @@ between a vertex pair (x, y) in three stages:
    x, another from y avoiding the first, both pruned to exact arity d; then
    a depth-gamma tree hanging off every pruned leaf, each avoiding
    everything grown before it.  Skipped edges are read off the degrees and
-   the trees' children, never counted.
+   the trees' children, never counted.  A hanging tree is judged on its
+   first levels before it grows further, so an excluded one is never grown
+   to gamma.
 2. Pair root-to-leaf paths of the two pruned trees so that each pair's color
    union stays rainbow.  At every interior level a d x d bipartite
    compatibility graph H is built: branch i on the x side is compatible with
@@ -25,7 +27,8 @@ between a vertex pair (x, y) in three stages:
    witness runs from x to y and goes through ``verify.make_witness``, the
    one checked constructor, which re-checks the path and its colors.  The
    bundle holding the hanging trees and paths is built once; its report
-   (``bundle_text``) is derived from them.
+   (``bundle_text``) is derived from them, and ``rainbow_witness`` finds
+   each matched pair's connector in the graph it is given.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
 its floor (non-rainbow input or a bug), NoStructure when the graph cannot
@@ -34,7 +37,7 @@ host the disjoint trees or no full path can be assembled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
@@ -285,7 +288,8 @@ class WitnessBundle:
     (i-th leaf to i-th leaf) x..y candidates as (vertices, edge ids), colors
     unchecked, for each position with both hanging trees and a connector.
     ``bundle_text`` derives x, y, d, k, its counts and connector lengths from
-    these and the two trees.
+    these and the two trees.  ``rainbow_witness`` finds the connector of
+    each matched leaf pair in the graph it is given.
     """
 
     gamma: int
@@ -294,42 +298,24 @@ class WitnessBundle:
     hats_x: tuple[Optional[RootedTree], ...]
     hats_y: tuple[Optional[RootedTree], ...]
     full_paths: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    _graph: Graph = field(repr=False, default=None)
-    _conn_cache: dict = field(repr=False, default_factory=dict)
-
-    def connector(self, i: int, j: int):
-        """Middle segment joining x-leaf i to y-leaf j, or None (also when
-        either leaf's hanging tree was excluded).
-
-        Looks for any graph edge between the two hanging-tree leaf sets,
-        scanning the smaller side in canonical order; cached per (i, j).
-        """
-        key = (i, j)
-        if key not in self._conn_cache:
-            self._conn_cache[key] = _find_connector(self._graph, self.hats_x[i],
-                                                    self.hats_y[j])
-        return self._conn_cache[key]
 
 
 def _hat_is_bad(g: Graph, hat: RootedTree, cutoff: int) -> bool:
-    """Bad: no leaves at all, or an edge skipped while building the first
-    ``cutoff`` levels, the root's always skipped edge back into the
+    """Bad: no leaves at its depth, or an edge skipped while building the
+    first ``cutoff`` levels, the root's always skipped edge back into the
     scaffold tree it hangs from aside.
 
-    That is a vertex above depth min(cutoff, gamma) with fewer than
+    That is a vertex above depth min(cutoff, depth) with fewer than
     degree - 1 children: the one edge left over is a non-root vertex's
-    parent edge, and the root's edge back into the scaffold.
+    parent edge, and the root's edge back into the scaffold.  Only those
+    levels are read, so a hat grown to that depth is judged as it would be
+    grown to gamma, leaves at gamma aside.
     """
     if not hat.leaves:
         return True
     top = min(cutoff, hat.target_depth)
-    # ``order`` lists the levels in turn, so these are the vertices above depth top
-    upper = sum(hat.level_sizes[:top])
-    kids = dict.fromkeys(hat.order[:upper], 0)
-    for w in hat.order[1:upper + hat.level_sizes[top]]:
-        kids[hat.parent[w][0]] += 1
-    adj = g.adj
-    return any(n_kids < len(adj[v]) - 1 for v, n_kids in kids.items())
+    depth, children = hat.depth, hat.children
+    return any(len(children[v]) < g.degree(v) - 1 for v in hat.order if depth[v] < top)
 
 
 def _join(up: TreePath, middle, down: TreePath):
@@ -343,22 +329,20 @@ def _join(up: TreePath, middle, down: TreePath):
 def _find_connector(g: Graph, hx: Optional[RootedTree], hy: Optional[RootedTree]):
     """(vertices, edge_ids) of the path hx.root ->..-> u - v ->..-> hy.root,
     or None: no edge joins the leaf sets, or a hanging tree is None (its
-    leaf was excluded)."""
+    leaf was excluded).  Scans the smaller leaf set in canonical order for
+    the first graph edge into the other."""
     if hx is None or hy is None:
         return None
-    lx, ly = hx.leaves, hy.leaves
-    if len(ly) < len(lx):
-        swapped = _find_connector(g, hy, hx)
-        if swapped is None:
-            return None
-        verts, eids = swapped
-        return tuple(reversed(verts)), tuple(reversed(eids))
-    members_y = {v: None for v in ly}
+    flip = len(hy.leaves) < len(hx.leaves)
+    if flip:
+        hx, hy = hy, hx
+    members_y = set(hy.leaves)
     adj = g.adj
-    for u in lx:
+    for u in hx.leaves:
         for v, eid in adj[u]:
             if v in members_y:
-                return _join(hx.path_from_root(u), ((u, v), (eid,)), hy.path_from_root(v))
+                verts, eids = _join(hx.path_from_root(u), ((u, v), (eid,)), hy.path_from_root(v))
+                return (verts[::-1], eids[::-1]) if flip else (verts, eids)
     return None
 
 
@@ -391,7 +375,10 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     A hanging tree disqualifies its leaf when it collides within its first
     tenth of the hanging depth (at least one level): only the thin early
     levels are vulnerable (a single lost branch low down costs a constant
-    fraction of the leaf set, while losses higher up are negligible).
+    fraction of the leaf set, while losses higher up are negligible).  So
+    each hat is grown to depth min(cutoff, gamma) and judged there
+    (``_hat_is_bad``); only a hat that passes is grown to gamma, and it is
+    still excluded when it has no leaves there.
 
     Raises ValueError when k < 1, gamma < 0 or d < 2, before anything is
     grown.  Raises NoStructure when either pruned depth-k d-ary tree cannot
@@ -404,6 +391,7 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
         raise ValueError("x and y must differ")
     _check_scaffold(k, gamma, d)
     cutoff = max(1, -(-gamma // 10))
+    top = min(cutoff, gamma)
     tree_x = _scaffold_tree(g, x, k, d, frozenset())
     if y in tree_x.vertices():
         raise NoStructure(f"{y} lies inside the depth-{k} tree of {x}")
@@ -414,24 +402,26 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     hats_y: list[Optional[RootedTree]] = []
     for tree, hats in ((tree_x, hats_x), (tree_y, hats_y)):
         for leaf in tree.leaves:
-            hat = grow_bfs_tree(g, leaf, gamma, forbidden=frozenset(used - {leaf}))
+            forbidden = frozenset(used - {leaf})
+            hat = grow_bfs_tree(g, leaf, top, forbidden=forbidden)
             if _hat_is_bad(g, hat, cutoff):
-                hats.append(None)
-            else:
-                hats.append(hat)
+                hat = None
+            elif top < gamma:
+                full = grow_bfs_tree(g, leaf, gamma, forbidden=forbidden)
+                hat = full if full.leaves else None
+            hats.append(hat)
+            if hat is not None:
                 used |= hat.vertices()
 
-    cache = {}
     full_paths = []
-    for i, (leaf_x, leaf_y) in enumerate(zip(tree_x.leaves, tree_y.leaves)):
-        conn = cache[(i, i)] = _find_connector(g, hats_x[i], hats_y[i])
+    for hx, hy, leaf_x, leaf_y in zip(hats_x, hats_y, tree_x.leaves, tree_y.leaves):
+        conn = _find_connector(g, hx, hy)
         if conn is not None:
             full_paths.append(_join(tree_x.path_from_root(leaf_x), conn,
                                     tree_y.path_from_root(leaf_y)))
     bundle = WitnessBundle(
         gamma=gamma, tree_x=tree_x, tree_y=tree_y,
         hats_x=tuple(hats_x), hats_y=tuple(hats_y), full_paths=tuple(full_paths),
-        _graph=g, _conn_cache=cache,
     )
     if not full_paths:
         report = _report(bundle)
@@ -483,10 +473,10 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
         pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
     except GuaranteeViolation:
         return None
-    leaf_index_x = {v: i for i, v in enumerate(bundle.tree_x.leaves)}
-    leaf_index_y = {v: i for i, v in enumerate(bundle.tree_y.leaves)}
+    hat_x = dict(zip(bundle.tree_x.leaves, bundle.hats_x))
+    hat_y = dict(zip(bundle.tree_y.leaves, bundle.hats_y))
     for px, py in pairing.pairs:
-        conn = bundle.connector(leaf_index_x[px.leaf], leaf_index_y[py.leaf])
+        conn = _find_connector(g, hat_x[px.leaf], hat_y[py.leaf])
         if conn is None:
             continue
         verts, eids = _join(px, conn, py)

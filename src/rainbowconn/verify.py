@@ -379,8 +379,11 @@ def brute_force_rc(g: Graph, q_max: Optional[int] = None
     color 0), which quotients out palette permutations.  Returns None when
     q_max is exhausted without an answer (unresolved), which cannot happen
     with the default q_max = n - 1: a spanning tree with distinct colors
-    rainbow-connects any connected graph.
+    rainbow-connects any connected graph.  A negative q_max is refused
+    (ValueError), so None always means a cap that was too small.
     """
+    if q_max is not None and q_max < 0:
+        raise ValueError(f"q_max {q_max} is negative")
     if g.n <= 1:
         return 0, EdgeColoring((), 0, ())
     # one BFS per source gives connectivity, the exact diameter and the pair

@@ -22,28 +22,13 @@ from rainbowconn.coloring import (
     write_coloring,
 )
 from rainbowconn.errors import NotConnected, PaletteExhausted
-from rainbowconn.graphs import GenParams, Graph, gen_regular_config, graph_from_edges
+from rainbowconn.graphs import (GenParams, Graph, cycle_graph, gen_regular_config, graph_from_edges,
+                                path_graph, petersen_graph, star_graph)
 from rainbowconn.verify import verify_all_pairs
 from strategies import graphs
 
 
-def path_graph(n):
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-PETERSEN = graph_from_edges(10, [
-    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-])
+PETERSEN = petersen_graph()
 
 
 class TestThresholdParams:

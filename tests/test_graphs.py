@@ -62,6 +62,16 @@ class TestGraphForm:
         g = graph_from_edges(4, [(3, 0), (2, 1)])
         assert g.edges == ((0, 3), (1, 2))
 
+    @pytest.mark.parametrize("pairs,msg", [
+        ([(1, 0), (0, 1)], "edge list not sorted/deduplicated at (0, 1)"),
+        ([(0, 1), (2, 2)], "edge (2, 2) violates 0 <= u < v < n=3"),
+    ])
+    def test_graph_from_edges_refuses_with_constructor_message(self, pairs, msg):
+        # after normalizing, a repeated pair or a loop is the constructor's to refuse
+        with pytest.raises(ValueError) as exc:
+            graph_from_edges(3, pairs)
+        assert str(exc.value) == msg
+
     def test_adjacency_sorted_with_ids(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 3)])
         assert g.adj[0] == ((1, 0), (2, 1), (3, 2))

@@ -18,19 +18,8 @@ from rainbowconn.experiment import (
     run_experiment,
     summarize,
 )
-from rainbowconn.graphs import GenParams, gen_regular_config, graph_from_edges, read_edge_list, write_edge_list
-
-
-def path_graph(n):
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+from rainbowconn.graphs import (GenParams, cycle_graph, gen_regular_config, path_graph,
+                                read_edge_list, star_graph, write_edge_list)
 
 
 def write_p4(tmp_path):
@@ -428,6 +417,16 @@ class TestCliRc:
         write_edge_list(cycle_graph(5), c5)
         assert main(["rc", "brute", "--in", str(c5), "--q-max", "2"]) == 1
         assert "unresolved" in capsys.readouterr().err
+
+    def test_negative_cap_is_an_error(self, tmp_path, capsys):
+        # refused up front, not reported as a solver result
+        k2 = tmp_path / "k2.el"
+        write_edge_list(path_graph(2), k2)
+        wout = tmp_path / "w.col"
+        assert main(["rc", "brute", "--in", str(k2), "--q-max", "-1",
+                     "--witness-out", str(wout)]) == 1
+        assert capsys.readouterr().err == "error: q_max -1 is negative\n"
+        assert not wout.exists()
 
 
 class TestCliColorVerify:
@@ -831,6 +830,7 @@ class TestCliExperiment:
         ["--mode", "brute", "--n-values", "5", "--p", "1.5"],
         ["--mode", "thm1", "--n-values", "2000", "--p", "-0.1"],
         ["--mode", "brute", "--n-values", "5", "--omega", "nan"],
+        ["--mode", "brute", "--n-values", "5", "--p", "0.5", "--q-max", "-1", "--trials", "1"],
     ])
     def test_bad_cell_fails_before_the_csv(self, tmp_path, capsys, flags):
         # a bad cell must not leave a header-only CSV or the rows of earlier cells

@@ -12,10 +12,10 @@ from rainbowconn import pairing as pairing_mod
 from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, color_greedy_power, regular_params
 from rainbowconn.errors import GuaranteeViolation, InsufficientArity, NoStructure
-from rainbowconn.graphs import (GenParams, Graph, bfs_distances, gen_regular_config,
-                                graph_from_edges, grow_bfs_tree)
+from rainbowconn.graphs import (GenParams, Graph, bfs_distances, complete_graph, cycle_graph,
+                                gen_regular_config, graph_from_edges, grow_bfs_tree, path_graph,
+                                petersen_graph)
 from rainbowconn.pairing import (
-    WitnessBundle,
     bipartite_matching,
     build_tree_pair_graph,
     build_witness_paths,
@@ -31,23 +31,7 @@ from rainbowconn.verify import sample_pairs, witness_ok
 from strategies import graphs
 
 
-def path_graph(n):
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n):
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-PETERSEN = graph_from_edges(10, [
-    (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
-    (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-])
+PETERSEN = petersen_graph()
 
 # the regular instance used for bundle tests; generated once, reused
 _REGULAR_CACHE = {}
@@ -158,11 +142,25 @@ class TestGrowBfsTree:
             except NoStructure:
                 pass
         monkeypatch.undo()
-        # each sampled pair grows both scaffold trees and its 2 * 3^k hats
-        assert sum(depth == p.gamma for _, depth, _ in grown) == 40 * 2 * 3 ** p.k
         cutoff = max(1, -(-p.gamma // 10))
+        top = min(cutoff, p.gamma)
+        assert top < p.k < p.gamma  # so a tree's depth tells what it is
+        # each sampled pair grows both scaffold trees and judges its 2 * 3^k
+        # hats at depth top
+        hats = [(root, forbidden) for root, depth, forbidden in grown if depth == top]
+        assert len(hats) == 40 * 2 * 3 ** p.k
+        accepted = [(root, forbidden) for root, forbidden in hats
+                    if not oracles.hat_is_bad_before(
+                        oracles.grow_bfs_tree_before(g, root, p.gamma, forbidden=forbidden),
+                        cutoff)]
+        # only the hats the full-depth verdict accepts were grown to gamma
+        assert [(root, forbidden) for root, depth, forbidden in grown
+                if depth == p.gamma] == accepted
         for root, depth, forbidden in grown:
-            self.same_as_before(g, root, depth, forbidden, 3, cutoff)
+            if depth == p.k:
+                self.same_as_before(g, root, depth, forbidden, 3, cutoff)
+        for root, forbidden in hats:
+            self.same_as_before(g, root, p.gamma, forbidden, 3, cutoff)
 
 
 class TestPruneToArity:
@@ -529,10 +527,10 @@ class TestRainbowWitness:
         bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         tree_edges = set(bundle.tree_x.edge_ids()) | set(bundle.tree_y.edge_ids())
-        real = WitnessBundle.connector
+        real = pairing_mod._find_connector
 
-        def corrupt(self, i, j):
-            conn = real(self, i, j)
+        def corrupt(graph, hx, hy):
+            conn = real(graph, hx, hy)
             if conn is None:
                 return None
             verts, eids = conn
@@ -540,7 +538,7 @@ class TestRainbowWitness:
                          if not set(g.edges[e]) & set(verts) and e not in tree_edges)
             return verts, eids[:-1] + (stray,)
 
-        monkeypatch.setattr(WitnessBundle, "connector", corrupt)
+        monkeypatch.setattr(pairing_mod, "_find_connector", corrupt)
         with pytest.raises(GuaranteeViolation, match="not a rainbow path"):
             rainbow_witness(g, c, 3, 777, bundle)
 

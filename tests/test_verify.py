@@ -14,7 +14,8 @@ from rainbowconn import graphs as graphs_mod
 from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, random_coloring
 from rainbowconn.errors import GuardError, NotConnected
-from rainbowconn.graphs import GenParams, Graph, diameter, gen_gnp, graph_from_edges
+from rainbowconn.graphs import (GenParams, Graph, complete_graph, cycle_graph, diameter, gen_gnp,
+                                graph_from_edges, path_graph, star_graph)
 from rainbowconn.verify import (
     PathWitness,
     VerifyReport,
@@ -29,22 +30,6 @@ from rainbowconn.verify import (
     witness_ok,
 )
 from strategies import graphs
-
-
-def path_graph(n):
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n):
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star_graph(leaves):
-    return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_graph(n):
-    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def mono(g, color=0, palette=1):
@@ -420,6 +405,11 @@ class TestBruteForceRc:
 
     def test_unresolved_when_cap_too_low(self):
         assert brute_force_rc(cycle_graph(5), q_max=2) is None
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), Graph(1, [])])
+    def test_negative_cap_rejected(self, g):
+        with pytest.raises(ValueError, match="q_max -1 is negative"):
+            brute_force_rc(g, q_max=-1)
 
     def test_not_connected(self):
         with pytest.raises(NotConnected):
