@@ -3,10 +3,11 @@ Tree-scaffold witnesses in a regular graph
 ==========================================
 
 To connect a far-apart pair (x, y), grow pruned d-ary trees from both
-endpoints, hang deeper trees off the surviving leaves, and join them
-with short connectors.  The bundle records everything: level sizes,
-leaves excluded by collisions, connector lengths, and the assembled
-candidate paths.
+endpoints and hang deeper trees off their leaves.  The bundle holds this
+scaffold, and its report gives the level sizes and the leaves excluded
+by collisions.  Under a coloring, the matched pairing picks leaf pairs
+whose root paths are jointly rainbow, and each matched pair is joined by
+a short connector between its two hanging trees.
 """
 
 from rainbowconn.coloring import color_greedy_power, regular_params

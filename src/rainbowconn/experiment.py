@@ -10,7 +10,8 @@ timing is requested, and all floats go through fixed formats.
 The two dataclasses are the schema.  The CSV columns are ``schema`` followed
 by the fields of ``ExperimentRecord``, in order; the config keys, in files
 and as ``experiment`` flags, are the fields of ``ExperimentConfig``.  Each
-mode is a key of ``_TRIALS``, which maps it to its per-cell trial function.
+mode is a key of ``_TRIALS``, which maps it to its per-cell trial function,
+and of ``_READS``, which names the keys it reads.
 
 Modes
   thm1           G(n, p) at the connectivity threshold, pendant-first
@@ -87,11 +88,11 @@ class ExperimentConfig:
             raise ValueError(f"budget {self.budget} is negative")
         if self.q_max is not None and self.q_max < 0:
             raise ValueError(f"q_max {self.q_max} is negative")
+        for f in fields(self):
+            if (f.default in (None, ()) and f.name not in _READS[self.mode]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.mode} does not use {f.name}; drop it")
         if self.mode == "lemcol_stress":
-            # the tree pairs are synthetic: a graph key here would be ignored
-            for key, unset in (("n_values", ()), ("p", None), ("omega", None), ("r", None)):
-                if getattr(self, key) != unset:
-                    raise ValueError(f"lemcol_stress does not use {key}; drop it")
             if self.d is None or self.ell is None:
                 raise ValueError("lemcol_stress needs d and ell")
             if self.d < 2 or self.ell < 1:
@@ -375,6 +376,15 @@ _TRIALS = {
     "regular": _trial_regular,
     "brute": _trial_brute,
     "lemcol_stress": _trial_lemcol,
+}
+
+# of the keys whose default (None, or no n values) marks them unset, the ones
+# each mode's trials read; ``validate`` refuses any other such key that is set
+_READS = {
+    "thm1": ("n_values", "p", "omega", "epsilon"),
+    "regular": ("n_values", "r", "epsilon"),
+    "brute": ("n_values", "p", "omega", "q_max"),
+    "lemcol_stress": ("d", "ell"),
 }
 
 

@@ -21,18 +21,19 @@ between a vertex pair (x, y) in three stages:
    matching of size >= 2 is expected (see ``pair_tree_paths``).  The
    recursion yields (x leaf, y leaf) pairs; a root-to-leaf path is fixed by
    its leaf, so ``RootedTree.path_from_root`` builds each paired path.
-3. Join each paired leaf to its partner through the hanging trees and a
-   connecting edge found between their leaf sets.  Every x..y path is the
-   same join (root path, middle, reversed root path), and every returned
-   witness runs from x to y and goes through ``verify.make_witness``, the
-   one checked constructor, which re-checks the path and its colors.  The
-   bundle holding the hanging trees and paths is built once; its report
-   (``bundle_text``) is derived from them, and ``rainbow_witness`` finds
-   each matched pair's connector in the graph it is given.
+3. Join each matched leaf pair, and only those, through their hanging
+   trees and a connecting edge found between the two leaf sets
+   (``rainbow_witness``).  Every x..y path is the same join (root path,
+   middle, reversed root path), and every returned witness runs from x to
+   y and goes through ``verify.make_witness``, the one checked constructor,
+   which re-checks the path and its colors.  The bundle holds the scaffold
+   trees and hanging trees, built once; its report (``bundle_text``) is
+   derived from them.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
 its floor (non-rainbow input or a bug), NoStructure when the graph cannot
-host the disjoint trees or no full path can be assembled.
+host the disjoint scaffold trees, None when no matched pair yields a
+rainbow path.
 """
 
 from __future__ import annotations
@@ -281,15 +282,13 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
 
 @dataclass
 class WitnessBundle:
-    """Everything needed to assemble x..y paths through the tree scaffold.
+    """The tree scaffold between x and y: two pruned trees and the hanging
+    trees ("hats") off their leaves.
 
     ``hats_x[i]``/``hats_y[i]`` hang off the i-th leaf of ``tree_x``/``tree_y``,
-    None where that leaf was excluded.  ``full_paths`` holds the positional
-    (i-th leaf to i-th leaf) x..y candidates as (vertices, edge ids), colors
-    unchecked, for each position with both hanging trees and a connector.
-    ``bundle_text`` derives x, y, d, k, its counts and connector lengths from
-    these and the two trees.  ``rainbow_witness`` finds the connector of
-    each matched leaf pair in the graph it is given.
+    None where that leaf was excluded.  ``bundle_text`` derives its report
+    from these; ``rainbow_witness`` pairs the leaves under a coloring and
+    finds the connector of each matched pair in the graph it is given.
     """
 
     gamma: int
@@ -297,7 +296,6 @@ class WitnessBundle:
     tree_y: RootedTree
     hats_x: tuple[Optional[RootedTree], ...]
     hats_y: tuple[Optional[RootedTree], ...]
-    full_paths: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _hat_is_bad(g: Graph, hat: RootedTree, cutoff: int) -> bool:
@@ -370,7 +368,7 @@ def _scaffold_tree(g: Graph, root: int, k: int, d: int, forbidden: frozenset[int
 
 def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
                         ) -> WitnessBundle:
-    """Grow the disjoint tree scaffold between x and y and pre-assemble paths.
+    """Grow the disjoint tree scaffold between x and y.
 
     A hanging tree disqualifies its leaf when it collides within its first
     tenth of the hanging depth (at least one level): only the thin early
@@ -382,10 +380,10 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
 
     Raises ValueError when k < 1, gamma < 0 or d < 2, before anything is
     grown.  Raises NoStructure when either pruned depth-k d-ary tree cannot
-    be grown (including y falling inside x's tree) or when not a single
-    full x..y path can be assembled.  Otherwise returns the bundle with its
-    hanging trees and positional full-path candidates; desk-scale
-    shortfalls surface in its report instead of failing the build.
+    be grown: a branching shortfall, or y falling inside x's tree.
+    Otherwise returns the bundle; excluded leaves surface in its report
+    instead of failing the build, and which leaves get joined is left to
+    the matched pairing (``rainbow_witness``).
     """
     if x == y:
         raise ValueError("x and y must differ")
@@ -413,49 +411,24 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
             if hat is not None:
                 used |= hat.vertices()
 
-    full_paths = []
-    for hx, hy, leaf_x, leaf_y in zip(hats_x, hats_y, tree_x.leaves, tree_y.leaves):
-        conn = _find_connector(g, hx, hy)
-        if conn is not None:
-            full_paths.append(_join(tree_x.path_from_root(leaf_x), conn,
-                                    tree_y.path_from_root(leaf_y)))
-    bundle = WitnessBundle(
-        gamma=gamma, tree_x=tree_x, tree_y=tree_y,
-        hats_x=tuple(hats_x), hats_y=tuple(hats_y), full_paths=tuple(full_paths),
-    )
-    if not full_paths:
-        report = _report(bundle)
-        raise NoStructure(
-            f"no full path between {x} and {y}: "
-            f"{report['excluded_x'] + report['excluded_y']} leaves excluded, "
-            f"{report['missing_connectors']} connectors missing"
-        )
-    return bundle
-
-
-def _report(bundle: WitnessBundle) -> dict[str, object]:
-    """The bundle's diagnostics, derived from its trees, hats and paths."""
-    both = sum(hx is not None and hy is not None for hx, hy in zip(bundle.hats_x, bundle.hats_y))
-    tree_x, k = bundle.tree_x, bundle.tree_x.target_depth
-    return {
-        "x": tree_x.root, "y": bundle.tree_y.root, "d": tree_x.arity(), "k": k,
-        "gamma": bundle.gamma,
-        "levels_x": ",".join(map(str, tree_x.level_sizes)),
-        "levels_y": ",".join(map(str, bundle.tree_y.level_sizes)),
-        "excluded_x": bundle.hats_x.count(None),
-        "excluded_y": bundle.hats_y.count(None),
-        "missing_connectors": both - len(bundle.full_paths),
-        # a full path is k tree edges, the connector, then k tree edges
-        "connector_lengths": ",".join(str(len(eids) - 2 * k)
-                                      for _, eids in bundle.full_paths),
-        "sigma": len(bundle.full_paths),
-    }
+    return WitnessBundle(gamma=gamma, tree_x=tree_x, tree_y=tree_y,
+                         hats_x=tuple(hats_x), hats_y=tuple(hats_y))
 
 
 def bundle_text(bundle: WitnessBundle) -> str:
-    """Bundle diagnostics as key=value lines: tree shapes, exclusions,
-    connector lengths, and the achieved path count sigma."""
-    return "".join(f"{key}={value}\n" for key, value in _report(bundle).items())
+    """Bundle diagnostics as key=value lines, derived from its trees and
+    hats: x, y, d, k, gamma, the two trees' level sizes and the leaves
+    each side excluded."""
+    tree_x, tree_y = bundle.tree_x, bundle.tree_y
+    report = {
+        "x": tree_x.root, "y": tree_y.root, "d": tree_x.arity(), "k": tree_x.target_depth,
+        "gamma": bundle.gamma,
+        "levels_x": ",".join(map(str, tree_x.level_sizes)),
+        "levels_y": ",".join(map(str, tree_y.level_sizes)),
+        "excluded_x": bundle.hats_x.count(None),
+        "excluded_y": bundle.hats_y.count(None),
+    }
+    return "".join(f"{key}={value}\n" for key, value in report.items())
 
 
 def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
@@ -490,9 +463,10 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
 def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
                       k: int, gamma: int, d: int) -> Optional[PathWitness]:
     """End-to-end driver: direct short path when the trees would overlap,
-    otherwise bundle assembly plus matched pairing (``rainbow_witness``).
-    Every witness it returns runs x..y and was re-checked by ``make_witness``;
-    None when y is unreachable, the scaffold cannot be grown, or no path is rainbow.
+    otherwise the scaffold (``build_witness_paths``) joined at its matched
+    leaf pairs (``rainbow_witness``).  Every witness it returns runs x..y and
+    was re-checked by ``make_witness``; None when y is unreachable, the
+    scaffold cannot be grown, or no matched pair yields a rainbow path.
     Raises ValueError when k < 1, gamma < 0 or d < 2, for close and far
     pairs alike."""
     _check_scaffold(k, gamma, d)

@@ -673,7 +673,18 @@ class TestCliWitness:
                      "--x", "3", "--y", "777", "--k", "2", "--gamma", "4",
                      "--d", "3"]) == 0
         out = capsys.readouterr().out
-        assert "sigma=" in out and "levels_x=" in out
+        assert "excluded_x=" in out and "levels_x=" in out
+        assert "witness length 13" in out
+
+    def test_witness_from_matched_pairs_alone(self, witness_files, capsys):
+        # the i-th leaves of the two trees never both keep a hat here; a
+        # matched leaf pair still gives the witness
+        gpath, cpath, _ = witness_files
+        assert main(["witness", "--in", str(gpath), "--coloring", str(cpath),
+                     "--x", "26", "--y", "384", "--k", "2", "--gamma", "4",
+                     "--d", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("x=26\ny=384\n")
         assert "witness length 13" in out
 
     def test_witness_rejects_mismatch_and_range(self, tmp_path, capsys):
@@ -724,7 +735,7 @@ class TestCliWitness:
                      "--d", "3"]) == 1
         out = capsys.readouterr().out
         assert "no rainbow witness" in out
-        assert "sigma=" in out  # diagnostics still printed
+        assert "excluded_x=" in out  # diagnostics still printed
 
 
 # ----------------------------------------------------------------------------
@@ -839,6 +850,24 @@ class TestCliExperiment:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--mode", "regular", "--n-values", "20", "--r", "3", "--p", "0.5", "--q-max", "3",
+          "--d", "4", "--trials", "1", "--sampled-pairs", "2"], "p"),
+        (["--mode", "thm1", "--n-values", "50", "--omega", "2", "--trials", "1",
+          "--r", "7", "--ell", "3"], "r"),
+        (["--mode", "brute", "--n-values", "5", "--p", "0.5", "--trials", "1",
+          "--r", "3", "--epsilon", "0.3"], "r"),
+        (["--mode", "lemcol_stress", "--d", "3", "--ell", "2", "--q-max", "3"], "q_max"),
+    ], ids=["regular_p", "thm1_r_ell", "brute_r_epsilon", "lemcol_q_max"])
+    def test_unread_key_refused(self, tmp_path, capsys, flags, key):
+        # a value the mode never reads would be lost from the CSV: refuse it
+        out = tmp_path / "e.csv"
+        rc = main(["experiment", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == f"error: {flags[1]} does not use {key}; drop it\n"
         assert not out.exists()
 
     def test_bad_config_key_is_domain_error(self, tmp_path, capsys):

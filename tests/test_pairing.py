@@ -413,23 +413,39 @@ def find_structured_pair(g, p, d, candidates):
     raise AssertionError("no candidate pair produced a bundle")
 
 
+def matched_joins(g, c, bundle):
+    """(vertices, edge ids) of each matched leaf pair's x..y join under c,
+    for the pairs with both hanging trees and a connector; colors unchecked."""
+    hat_x = dict(zip(bundle.tree_x.leaves, bundle.hats_x))
+    hat_y = dict(zip(bundle.tree_y.leaves, bundle.hats_y))
+    joins = []
+    for px, py in pair_tree_paths(bundle.tree_x, bundle.tree_y, c).pairs:
+        conn = pairing_mod._find_connector(g, hat_x[px.leaf], hat_y[py.leaf])
+        if conn is not None:
+            joins.append(pairing_mod._join(px, conn, py))
+    return joins
+
+
 class TestBuildWitnessPaths:
     def test_bundle_invariants_on_regular_graph(self):
         g, p = regular_instance()
-        x, y, bundle = find_structured_pair(
-            g, p, 3, [(10, 900), (10, 1100), (20, 1500), (3, 777)])
-        assert bundle.full_paths
-        tree_edges = set(bundle.tree_x.edge_ids()) | set(bundle.tree_y.edge_ids())
-        seen_outside: set[int] = set()
-        for verts, eids in bundle.full_paths:
-            assert verts[0] == x and verts[-1] == y
-            assert len(verts) == len(eids) + 1
-            assert len(eids) <= 2 * p.k + 2 * bundle.gamma + 1
-            for (a, b), eid in zip(zip(verts, verts[1:]), eids):
-                assert {a, b} == set(g.edges[eid])
-            outside = set(eids) - tree_edges
-            assert not outside & seen_outside  # edge-disjoint beyond the scaffold
-            seen_outside |= outside
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        n_joins = 0
+        for x, y in [(10, 900), (10, 1100), (20, 1500), (3, 777)]:
+            bundle = build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
+            tree_edges = set(bundle.tree_x.edge_ids()) | set(bundle.tree_y.edge_ids())
+            seen_outside: set[int] = set()
+            for verts, eids in matched_joins(g, c, bundle):
+                n_joins += 1
+                assert verts[0] == x and verts[-1] == y
+                assert len(verts) == len(eids) + 1
+                assert len(eids) <= 2 * p.k + 2 * bundle.gamma + 1
+                for (a, b), eid in zip(zip(verts, verts[1:]), eids):
+                    assert {a, b} == set(g.edges[eid])
+                outside = set(eids) - tree_edges
+                assert not outside & seen_outside  # edge-disjoint beyond the scaffold
+                seen_outside |= outside
+        assert n_joins
 
     def test_trees_and_hats_disjoint(self):
         g, p = regular_instance()
@@ -454,25 +470,20 @@ class TestBuildWitnessPaths:
             g, p, 3, [(10, 900), (10, 1100), (20, 1500), (3, 777)])
         text = bundle_text(bundle)
         fields = dict(line.split("=", 1) for line in text.strip().splitlines())
-        assert fields["sigma"] == str(len(bundle.full_paths))
-        assert fields["levels_x"] == "1,3,9"
+        assert list(fields) == ["x", "y", "d", "k", "gamma", "levels_x", "levels_y",
+                                "excluded_x", "excluded_y"]
+        assert (fields["x"], fields["y"]) == ("10", "900")
+        assert (fields["d"], fields["k"], fields["gamma"]) == ("3", str(p.k), str(p.gamma))
+        assert fields["levels_x"] == fields["levels_y"] == "1,3,9"
         assert int(fields["excluded_x"]) == sum(h is None for h in bundle.hats_x)
-        both = sum(hx is not None and hy is not None
-                   for hx, hy in zip(bundle.hats_x, bundle.hats_y))
-        assert int(fields["missing_connectors"]) == both - len(bundle.full_paths)
-        lengths = fields["connector_lengths"].split(",")
-        assert len(lengths) == len(bundle.full_paths)
-        for (verts, _), length in zip(bundle.full_paths, lengths):
-            # each connector runs from the x leaf at index k to a y leaf
-            assert verts[p.k] in bundle.tree_x.leaves
-            assert verts[p.k + int(length)] in bundle.tree_y.leaves
+        assert int(fields["excluded_y"]) == sum(h is None for h in bundle.hats_y)
 
     def test_determinism(self):
         g, p = regular_instance()
         x, y, bundle = find_structured_pair(
             g, p, 3, [(10, 900), (10, 1100), (20, 1500), (3, 777)])
         again = build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
-        assert again.full_paths == bundle.full_paths
+        assert (again.hats_x, again.hats_y) == (bundle.hats_x, bundle.hats_y)
         assert bundle_text(again) == bundle_text(bundle)
 
     def test_tree_input_has_no_structure(self):
@@ -509,9 +520,23 @@ class TestRainbowWitness:
         # even under distinct colors; None here is honest, not a failure
         g, p = regular_instance()
         bundle = build_witness_paths(g, 10, 900, k=p.k, gamma=p.gamma, d=3)
-        assert bundle.full_paths  # the positional route exists
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         assert rainbow_witness(g, c, 10, 900, bundle) is None
+
+    @pytest.mark.parametrize("coloring", ["distinct", "greedy"])
+    def test_matched_pairs_decide_alone(self, coloring):
+        # the i-th x leaf and the i-th y leaf never both keep a hat here,
+        # yet two matched leaf pairs have a connector and give a witness
+        g, p = regular_instance()
+        bundle = build_witness_paths(g, 26, 384, k=p.k, gamma=p.gamma, d=3)
+        if coloring == "distinct":
+            c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        else:
+            c = color_greedy_power(g, radius=2 * p.k, q=p.q, seed=1)
+        w = rainbow_witness(g, c, 26, 384, bundle)
+        assert w is not None and w.length == 13
+        assert witness_ok(g, c, w)
+        assert (w.vertices[0], w.vertices[-1]) == (26, 384)
 
     def test_single_color_yields_nothing(self):
         g, p = regular_instance()
