@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "check_regular_params",
     "gen_gnp",
     "gen_regular_config",
+    "bfs_levels",
     "bfs_distances",
     "connected",
     "diameter",
@@ -361,18 +362,20 @@ def gen_regular_config(params: GenParams) -> Graph:
 # traversal and structure
 # ----------------------------------------------------------------------------
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source``; -1 marks unreachable vertices.
+def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
+    """Hop distances from ``source``, labelled one BFS level per step.
 
-    One level sweep over the CSR arrays serves every graph: each level
-    gathers the frontier's neighbor slices at once, so ``adj`` is never
-    built.  It pays about 18 us of numpy overhead per level (2-vCPU VM,
-    Python 3.11, numpy 2.4), so it wins on graphs with few levels and loses
-    on long thin ones.  Per call, the random 3-, 4- and 5-regular graphs at
-    n = 2000 take 0.2-0.45 ms against 1.6-3.3 ms for the deque walk it
-    replaced, and the threshold G(10^5, p) 20-25 ms; but ``cycle_graph(2000)``
-    takes 19 ms against 1.2 ms and ``path_graph(4000)`` 72 ms against 3 ms.
-    No library caller runs BFS-heavy work on such graphs at scale.
+    Yields one array ``dist``, the same object every time: first with
+    ``source`` alone labelled 0, then once more after each further level is
+    labelled, so after the d-th yield (counting from 0) it holds levels
+    0..d and reads -1 everywhere else.  It stops after the last level of
+    the source's component.  A caller that needs only the near levels stops
+    drawing and never pays for the far ones, which on graphs with few, fast
+    growing levels hold most of the vertices.  Raises ValueError, on the
+    first step, for a source outside ``[0, n)``.
+
+    Each level gathers the frontier's CSR neighbor slices at once, so
+    ``adj`` is never built.
     """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} is not a vertex of a graph on {g.n} vertices")
@@ -383,22 +386,39 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     # a wide level is cheaper to dedup by scanning dist than by sorting it
     wide = g.n // 64
     d = 0
-    while frontier.size:
+    while True:
+        yield dist
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
         ends = np.cumsum(counts)
         total = int(ends[-1])
         if total == 0:
-            break
+            return
         # slot j, owned by frontier vertex i, reads nbr[starts[i] + j - (ends[i] - counts[i])]
         nbrs = nbr[np.arange(total) + np.repeat(starts - ends + counts, counts)]
         fresh = nbrs[dist[nbrs] < 0]
         if fresh.size == 0:
-            break
+            return
         d += 1
         dist[fresh] = d
         # both give the level's vertices in increasing order
         frontier = np.flatnonzero(dist == d) if fresh.size > wide else np.unique(fresh)
+
+
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source``; -1 marks unreachable vertices.
+
+    The whole of ``bfs_levels``'s sweep, drawn to its end.  It pays about
+    18 us of numpy overhead per level (2-vCPU VM, Python 3.11, numpy 2.4),
+    so it wins on graphs with few levels and loses on long thin ones.  Per
+    call, the random 3-, 4- and 5-regular graphs at n = 2000 take
+    0.2-0.45 ms against 1.6-3.3 ms for a deque walk, and the threshold
+    G(10^5, p) 20-25 ms; but ``cycle_graph(2000)`` takes 19 ms against
+    1.2 ms and ``path_graph(4000)`` 72 ms against 3 ms.  No library caller
+    runs BFS-heavy work on such graphs at scale.
+    """
+    for dist in bfs_levels(g, source):
+        pass
     return dist
 
 

@@ -439,9 +439,13 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     in order, joining each matched leaf pair through its connector.  A
     composition whose colors repeat is skipped; the first rainbow one is
     returned through ``make_witness``.  None when the trees are not rainbow
-    under c or no composition is rainbow; GuaranteeViolation (a broken
-    scaffold) when a rainbow one fails the re-check or does not run x..y.
+    under c or no composition is rainbow, and None before any pairing when
+    one side excluded every leaf, since then no pair has a connector;
+    GuaranteeViolation (a broken scaffold) when a rainbow one fails the
+    re-check or does not run x..y.
     """
+    if all(h is None for h in bundle.hats_x) or all(h is None for h in bundle.hats_y):
+        return None
     try:
         pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
     except GuaranteeViolation:

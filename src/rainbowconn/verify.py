@@ -24,7 +24,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 import statistics
 import time
 from collections import deque
@@ -33,7 +32,7 @@ from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, GuardError, NotConnected
-from .graphs import Graph, bfs_distances, diameter, pendant_edges
+from .graphs import Graph, bfs_distances, bfs_levels, diameter, pendant_edges
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -157,14 +156,6 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
 # budgeted search
 # ----------------------------------------------------------------------------
 
-def _search_max_len(g: Graph, dist_from_y) -> int:
-    d = diameter(g, "double_sweep")
-    if d is None:
-        finite = dist_from_y[dist_from_y >= 0]
-        d = int(finite.max()) if finite.size else 0
-    return math.ceil(4 * d)
-
-
 def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
                         max_len: Optional[int] = None, budget: int = 10 ** 6,
                         seed: int = 0) -> Optional[PathWitness]:
@@ -176,26 +167,44 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     cannot reach y within the current limit (hop distance lower bound) are
     cut.  The expansion budget is shared across all deepening rounds.
 
-    Each call runs one BFS, from y.  The default ``max_len`` derives from
-    the double-sweep diameter, which is computed once per graph and then
-    kept on ``g``, so only the first search on a graph pays for its sweep.
+    The hop distances come from one ``bfs_levels`` sweep from y, drawn only
+    as far as the deepening reads it.  The prune at limit L reads levels
+    up to L - 1 only: every vertex past them is cut anyway.  So the sweep
+    first stops at the level that holds x's nearest neighbor, which gives
+    the x-y distance without labelling x's own level, usually the widest,
+    and then labels one more level each time the limit rises.  The default
+    ``max_len`` derives from the double-sweep diameter, which is computed
+    once per graph and then kept on ``g``; only on a disconnected graph is
+    the sweep drawn to its end, for y's eccentricity.
     Raises ValueError for a negative ``max_len`` or ``budget``.
     """
     _check_bounds(max_len, budget)
     if x == y:
         return PathWitness((x,), (), frozenset())
-    dist_arr = bfs_distances(g, y)
-    if dist_arr[x] < 0:
-        return None
-    dist = dist_arr.tolist()
+    indptr, nbr, eids = g.csr()
+    sweep = bfs_levels(g, y)
+    dist_arr = next(sweep)
+    x_nbrs = nbr[indptr[x]:indptr[x + 1]]
+    dist_x = 1  # one past the deepest level labelled
+    while not (dist_arr[x_nbrs] >= 0).any():
+        if next(sweep, None) is None:
+            return None  # x lies outside y's component
+        dist_x += 1
     if max_len is None:
-        max_len = _search_max_len(g, dist_arr)
+        d = diameter(g, "double_sweep")
+        if d is None:
+            for _ in sweep:
+                pass
+            d = int(dist_arr.max())  # y's eccentricity
+        max_len = 4 * d
     limit_cap = min(max_len, c.palette_size, g.n - 1)
-    if dist[x] > limit_cap:
+    if dist_x > limit_cap:
         return None
+    # Read as unsigned, an unlabelled -1 is 2^64 - 1: farther than any
+    # limit, so the prune cuts it.  The view follows the sweep's labelling.
+    dist = memoryview(dist_arr.view("u8"))
     rng = stream(seed, f"search:{x}:{y}")
     colors = c.colors
-    indptr, nbr, eids = g.csr()
 
     def shuffled(v: int):
         # adj[v] read off the CSR, so that adj is never built, in seeded order
@@ -206,7 +215,9 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
 
     expansions = 0
 
-    for limit in range(dist[x], limit_cap + 1):
+    for limit in range(dist_x, limit_cap + 1):
+        if limit > dist_x:
+            next(sweep, None)  # the prune now reads level limit - 1
         # one shuffled neighbor iterator per vertex on the path
         path = [x]
         edge_path: list[int] = []

@@ -10,7 +10,7 @@ from rainbowconn import graphs as graphs_mod
 from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
-                                complete_graph, connected, cycle_graph,
+                                bfs_levels, complete_graph, connected, cycle_graph,
                                 degree_stats, diameter, gen_gnp,
                                 gen_regular_config, graph_from_edges,
                                 neighborhood_cycle, path_graph, petersen_graph,
@@ -304,6 +304,22 @@ class TestDistances:
     def test_bfs_matches_deque_oracle_from_every_source(self, g):
         for s in range(g.n):
             assert bfs_distances(g, s).tolist() == oracles.bfs_distances(g.n, g.edges, s)
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_gnp(GenParams(n=5000, omega=math.log(math.log(5000)), seed=0)),
+        lambda: gen_gnp(GenParams(n=5000, p=1.2 / 5000, seed=3)),
+        lambda: path_graph(40),
+    ], ids=["threshold_gnp", "disconnected", "path"])
+    def test_levels_labelled_one_per_step(self, make):
+        # the d-th step holds exactly levels 0..d of the full distances, in
+        # one shared array, and the sweep ends at the source's eccentricity
+        g = make()
+        full = bfs_distances(g, 7)
+        arrays = set()
+        for d, dist in enumerate(bfs_levels(g, 7)):
+            assert dist.tolist() == np.where(full <= d, full, -1).tolist()
+            arrays.add(id(dist))
+        assert d == full.max() and len(arrays) == 1
 
     def test_bfs_leaves_adj_unbuilt(self):
         # every graph takes the CSR sweep; none builds the tuple adjacency

@@ -538,6 +538,28 @@ class TestRainbowWitness:
         assert witness_ok(g, c, w)
         assert (w.vertices[0], w.vertices[-1]) == (26, 384)
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_side_without_hats_skips_the_pairing(self, side, monkeypatch):
+        # (1, 900) excludes every leaf of y's tree; (3, 777), whose x side
+        # is stripped of its hats here, keeps hats on y's side.  Either way
+        # no matched pair can get a connector, so no pairing is run.
+        g, p = regular_instance()
+        if side == "y":
+            bundle = build_witness_paths(g, 1, 900, k=p.k, gamma=p.gamma, d=3)
+            assert bundle.hats_y.count(None) == len(bundle.hats_y) > bundle.hats_x.count(None)
+        else:
+            bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
+            assert bundle.hats_y.count(None) < len(bundle.hats_y)
+            bundle.hats_x = (None,) * len(bundle.hats_x)
+        x, y = bundle.tree_x.root, bundle.tree_y.root
+
+        def no_pairing(*args):
+            pytest.fail("pair_tree_paths ran on a bundle with a side of excluded leaves")
+
+        monkeypatch.setattr(pairing_mod, "pair_tree_paths", no_pairing)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        assert rainbow_witness(g, c, x, y, bundle) is None
+
     def test_single_color_yields_nothing(self):
         g, p = regular_instance()
         x, y, bundle = find_structured_pair(

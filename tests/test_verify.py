@@ -1,5 +1,6 @@
 """Exact and budgeted rainbow path finding, report plumbing, brute-force rc."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,14 @@ from hypothesis import strategies as st
 import oracles
 from rainbowconn import graphs as graphs_mod
 from rainbowconn import verify as verify_mod
-from rainbowconn.coloring import EdgeColoring, random_coloring
+from rainbowconn.coloring import (EdgeColoring, color_greedy_power, color_threshold,
+                                  random_coloring, recolor_cycle_classes, regular_params,
+                                  threshold_params)
 from rainbowconn.errors import GuardError, NotConnected
-from rainbowconn.graphs import (GenParams, Graph, complete_graph, cycle_graph, diameter, gen_gnp,
-                                graph_from_edges, path_graph, star_graph)
+from rainbowconn.graphs import (GenParams, Graph, bfs_distances, complete_graph, cycle_graph,
+                                diameter, gen_gnp, gen_regular_config, graph_from_edges,
+                                path_graph, star_graph)
+from rainbowconn.rng import derive_seed
 from rainbowconn.verify import (
     PathWitness,
     VerifyReport,
@@ -24,6 +29,7 @@ from rainbowconn.verify import (
     rainbow_path_search,
     rc_lower_bound,
     report_text,
+    sample_pairs,
     verify_all_pairs,
     verify_sampled,
     witness_lines,
@@ -256,6 +262,40 @@ class TestRewrittenSearches:
             outcomes.add(None if new is None else new.length)
         assert outcomes == {None, 5}
 
+    @pytest.mark.parametrize("name", ["regular_r3", "threshold_gnp", "disconnected"])
+    def test_same_witness_as_before_at_scale(self, name):
+        # 300 seeded pairs per graph.  The graphs have the level growth the
+        # capped sweep is for; some witnesses are longer than dist(x), so
+        # the sweep is extended mid-search.  The disconnected graph takes
+        # max_len from y's eccentricity, and some pairs cross components.
+        n = 2000
+        if name == "regular_r3":
+            g = gen_regular_config(GenParams(n=n, r=3, seed=0))
+            rp = regular_params(n, 3)
+            c = recolor_cycle_classes(g, color_greedy_power(g, radius=2 * rp.k, q=rp.q, seed=1),
+                                      rp.k)[0]
+        elif name == "threshold_gnp":
+            g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+            c = color_threshold(g, threshold_params(n), seed=derive_seed(0, "color"))
+        else:
+            g = gen_gnp(GenParams(n=n, p=1.2 / n, seed=3))
+            c = random_coloring(g, 60, seed=2)
+            assert diameter(g, mode="double_sweep") is None
+        longer = apart = found = 0
+        for x, y in sample_pairs(n, 300, 7):
+            seed = derive_seed(3, f"{x}:{y}")
+            w = rainbow_path_search(g, c, x, y, budget=20000, seed=seed)
+            assert w == oracles.rainbow_path_search_before(g, c, x, y, budget=20000, seed=seed)
+            dist_x = int(bfs_distances(g, y)[x])
+            apart += dist_x < 0
+            if w is not None:
+                found += 1
+                longer += w.length > dist_x
+        if name == "disconnected":
+            assert apart > 0 and found > 0
+        else:
+            assert found == 300 and longer > 0
+
 
 class TestVerifyDrivers:
     def test_k4_one_color(self):
@@ -482,21 +522,40 @@ def test_make_witness_check_survives_optimize_flag():
     assert out.strip() == "rejected GuaranteeViolation"
 
 
-def test_search_runs_one_bfs_per_pair(monkeypatch):
+def test_search_labels_only_the_levels_it_reads(monkeypatch):
+    # a search found at limit = dist(x) labels levels 0..dist(x) - 1 from y,
+    # short of x's own level and of y's eccentricity, and runs no full BFS
     g = gen_gnp(GenParams(n=5000, omega=2.0, seed=0))
     c = random_coloring(g, 40, seed=1)
-    calls = []
-    inner = graphs_mod.bfs_distances
-
-    def counting(graph, source):
-        calls.append(source)
-        return inner(graph, source)
-
-    monkeypatch.setattr(graphs_mod, "bfs_distances", counting)
-    monkeypatch.setattr(verify_mod, "bfs_distances", counting)
     diameter(g, mode="double_sweep")
-    calls.clear()
     pairs = [(3, 4000), (17, 2500), (100, 4999), (0, 1), (1234, 321)]
+    dists = {y: bfs_distances(g, y) for _, y in pairs}
+    bfs_calls = []
+    deepest = []  # per search, the deepest level its sweep labelled
+    inner_bfs, inner_levels = graphs_mod.bfs_distances, graphs_mod.bfs_levels
+
+    def counting_bfs(graph, source):
+        bfs_calls.append(source)
+        return inner_bfs(graph, source)
+
+    def counting_levels(graph, source):
+        deepest.append(-1)
+        for dist in inner_levels(graph, source):
+            deepest[-1] += 1
+            yield dist
+
+    monkeypatch.setattr(graphs_mod, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(verify_mod, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(verify_mod, "bfs_levels", counting_levels)
+    at_distance = 0
     for x, y in pairs:
-        rainbow_path_search(g, c, x, y, budget=20000, seed=x)
-    assert calls == [y for _, y in pairs]
+        w = rainbow_path_search(g, c, x, y, budget=20000, seed=x)
+        dist_x, ecc = int(dists[y][x]), int(dists[y].max())
+        assert w is not None
+        assert deepest[-1] <= w.length - 1 < ecc
+        if w.length == dist_x:
+            at_distance += 1
+            assert deepest[-1] == dist_x - 1
+    assert at_distance >= 3
+    assert len(deepest) == len(pairs)
+    assert bfs_calls == []

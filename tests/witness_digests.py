@@ -1,0 +1,103 @@
+"""Digests of the witnesses two workloads return, for byte-identity checks.
+
+Usage, from anywhere, with no arguments:
+
+    python tests/witness_digests.py
+
+It imports ``rainbowconn`` from the ``src/`` of the checkout it sits in and
+prints one sha256 per workload, with counts:
+
+- ``gate5``: gate 5's protocol.  On G(10^5, p) at the threshold (seed 0),
+  colored by ``color_threshold``, its 200 sampled pairs are each answered
+  by ``rainbow_path_search``.
+- ``regular``: the query protocol of perfbench's regular_n2000 workload.
+  Gate 4's G(2000, r) are greedy-colored, r = 3 recolored by cycle classes.
+  For each run seed 1-10 and r = 3, 4, 5, round 0's 150 pairs are drawn.
+  Each pair tries ``witness_via_trees`` first (d = r - 2 >= 2), then the
+  search.
+
+A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
+witness came back), in query order.  Two checkouts that print the same
+digests return the same witnesses on these 4700 pairs.  The run takes
+about 20 s on 2 vCPUs.  Not a test: pytest does not collect this file.
+"""
+
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from rainbowconn.coloring import (color_greedy_power, color_threshold,  # noqa: E402
+                                  recolor_cycle_classes, regular_params, threshold_params)
+from rainbowconn.graphs import GenParams, gen_gnp, gen_regular_config  # noqa: E402
+from rainbowconn.pairing import witness_via_trees  # noqa: E402
+from rainbowconn.rng import derive_seed, stream  # noqa: E402
+from rainbowconn.verify import rainbow_path_search  # noqa: E402
+
+BUDGET = 10 ** 6
+
+
+def sample_pairs(n, count, rng):
+    """Distinct unordered pairs, drawn as gate 5 and perfbench draw them, sorted."""
+    chosen = set()
+    while len(chosen) < count:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            chosen.add((min(u, v), max(u, v)))
+    return sorted(chosen)
+
+
+def line(tag, u, v, w):
+    body = "None" if w is None else " ".join(map(str, w.vertices))
+    return f"{tag} {u} {v}: {body}\n"
+
+
+def gate5():
+    n = 100_000
+    g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+    c = color_threshold(g, threshold_params(n), seed=derive_seed(0, "color"))
+    lines = []
+    for u, v in sample_pairs(n, 200, stream(0, "pairs")):
+        w = rainbow_path_search(g, c, u, v, budget=BUDGET, seed=derive_seed(0, f"{u}:{v}"))
+        lines.append(line("gate5", u, v, w))
+    found = sum(not s.endswith("None\n") for s in lines)
+    return lines, f"pairs=200 found={found}"
+
+
+def regular():
+    n = 2000
+    instances = []
+    for r in (3, 4, 5):
+        g = gen_regular_config(GenParams(n=n, r=r, seed=0))
+        rp = regular_params(n, r)
+        base = color_greedy_power(g, radius=2 * rp.k, q=rp.q, seed=1)
+        c = recolor_cycle_classes(g, base, rp.k)[0] if r == 3 else base
+        instances.append((r, rp, g, c))
+    lines = []
+    tree_hits = found = 0
+    for seed in range(1, 11):
+        for r, rp, g, c in instances:
+            for u, v in sample_pairs(n, 150, stream(seed, f"regular:{r}:0")):
+                w = None
+                if r - 2 >= 2:
+                    w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=r - 2)
+                    tree_hits += w is not None
+                if w is None:
+                    w = rainbow_path_search(g, c, u, v, budget=BUDGET,
+                                            seed=derive_seed(seed, f"pair:{r}:{u}:{v}"))
+                found += w is not None
+                lines.append(line(f"{r} {seed}", u, v, w))
+    return lines, f"pairs={len(lines)} found={found} tree_hits={tree_hits}"
+
+
+def main():
+    for name, workload in (("gate5", gate5), ("regular", regular)):
+        lines, counts = workload()
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        print(f"{name} {digest} {counts}")
+
+
+if __name__ == "__main__":
+    main()
