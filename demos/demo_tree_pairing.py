@@ -17,7 +17,7 @@ g, t1, t2 = build_tree_pair_graph(d, ell)
 print(f"twin {d}-ary trees of depth {ell}: {g.n} vertices, {g.m} edges")
 
 c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * (g.m // 2), seed=9)
-res = pair_tree_paths(t1, t2, c, d)
+res = pair_tree_paths(t1, t2, c)
 print(f"pairs found: {len(res.pairs)} (guaranteed floor {res.floor})")
 
 for i, (p1, p2) in enumerate(res.pairs):

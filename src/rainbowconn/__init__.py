@@ -23,7 +23,6 @@ from .errors import (
     GenerationExhausted,
     GuardError,
     GuaranteeViolation,
-    InsufficientArity,
     NoStructure,
     NotConnected,
     PaletteExhausted,
@@ -40,7 +39,6 @@ __all__ = [
     "NotConnected",
     "PaletteExhausted",
     "GuardError",
-    "InsufficientArity",
     "NoStructure",
     "GuaranteeViolation",
     "__version__",

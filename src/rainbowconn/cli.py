@@ -21,8 +21,8 @@ from .coloring import (color_greedy_power, color_threshold, read_coloring,
                        recolor_cycle_classes, threshold_params, write_coloring)
 from .errors import RainbowError
 from .experiment import config_field_types, config_from_mapping, load_config, run_experiment
-from .graphs import (GenParams, connected, degree_stats, diameter, gen_gnp,
-                     gen_regular_config, read_edge_list, write_edge_list)
+from .graphs import (GenParams, check_vertices, connected, degree_stats, diameter,
+                     gen_gnp, gen_regular_config, read_edge_list, write_edge_list)
 from .pairing import (build_tree_pair_graph, build_witness_paths, bundle_text,
                       pair_tree_paths, random_rainbow_tree_coloring, rainbow_witness)
 from .verify import (brute_force_rc, rainbow_path_exact, rainbow_path_search,
@@ -227,12 +227,6 @@ def _load_colored(args):
     return g, c
 
 
-def _check_vertices(g, *named: tuple[str, int]) -> None:
-    for name, v in named:
-        if not 0 <= v < g.n:
-            raise ValueError(f"{name} {v} is not a vertex of a graph on {g.n} vertices")
-
-
 def _print_path(c, w) -> None:
     print("  vertices " + ">".join(map(str, w.vertices)))
     print("  colors   " + ",".join(str(c.colors[e]) for e in w.edge_ids))
@@ -246,7 +240,7 @@ def _cmd_verify(args) -> int:
     if (args.x is None) != (args.y is None):
         raise ValueError("give both --x and --y or neither")
     if args.x is not None:
-        _check_vertices(g, ("--x", args.x), ("--y", args.y))
+        check_vertices(g, ("--x", args.x), ("--y", args.y))
         if args.mode == "sample":
             raise ValueError("sample mode draws its own pairs; drop --x/--y")
         if args.mode == "exact":
@@ -287,11 +281,14 @@ def _cmd_rc(args) -> int:
 
 
 def _cmd_pair(args) -> int:
+    if args.d < 2 or args.ell < 1:
+        # pairing reads d off the trees, and a depth-0 tree has arity 0
+        raise ValueError("pair lemcol needs --d >= 2 and --ell >= 1")
     g, t1, t2 = build_tree_pair_graph(args.d, args.ell)
     per_tree = g.m // 2
     palette = args.palette if args.palette is not None else 2 * per_tree
     c = random_rainbow_tree_coloring(g, t1, t2, palette=palette, seed=_seed(args))
-    res = pair_tree_paths(t1, t2, c, args.d)
+    res = pair_tree_paths(t1, t2, c)
     print(f"d={args.d} ell={args.ell} palette={palette} pairs={len(res.pairs)} floor={res.floor}")
     for i, (p1, p2) in enumerate(res.pairs):
         cols = [c.colors[e] for e in p1.edge_ids] + [c.colors[e] for e in p2.edge_ids]
@@ -303,7 +300,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_witness(args) -> int:
     g, c = _load_colored(args)
-    _check_vertices(g, ("--x", args.x), ("--y", args.y))
+    check_vertices(g, ("--x", args.x), ("--y", args.y))
     bundle = build_witness_paths(g, args.x, args.y, k=args.k, gamma=args.gamma, d=args.d)
     print(bundle_text(bundle), end="")
     w = rainbow_witness(g, c, args.x, args.y, bundle)

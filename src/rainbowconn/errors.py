@@ -14,7 +14,6 @@ __all__ = [
     "NotConnected",
     "PaletteExhausted",
     "GuardError",
-    "InsufficientArity",
     "NoStructure",
     "GuaranteeViolation",
 ]
@@ -52,14 +51,6 @@ class PaletteExhausted(RainbowError):
 
 class GuardError(RainbowError):
     """Exact verification refused: state space too large for the bitset walk."""
-
-
-class InsufficientArity(RainbowError):
-    """Tree pruning found a surviving interior vertex with too few children."""
-
-    def __init__(self, vertex: int, have: int, want: int):
-        super().__init__(f"vertex {vertex} has {have} children, need {want}")
-        self.vertex = vertex
 
 
 class NoStructure(RainbowError):

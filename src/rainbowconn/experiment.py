@@ -89,7 +89,7 @@ class ExperimentConfig:
         if self.q_max is not None and self.q_max < 0:
             raise ValueError(f"q_max {self.q_max} is negative")
         for f in fields(self):
-            if (f.default in (None, ()) and f.name not in _READS[self.mode]
+            if (f.name in _MODE_KEYS and f.name not in _READS[self.mode]
                     and getattr(self, f.name) != f.default):
                 raise ValueError(f"{self.mode} does not use {f.name}; drop it")
         if self.mode == "lemcol_stress":
@@ -357,7 +357,7 @@ def _trial_lemcol(cfg: ExperimentConfig, n: None, trial: int, tseed: int) -> Exp
     rec.Q = palette
     rec.sigma = pairing_floor(d, ell)  # kept on a violation row: the floor it missed
     try:
-        res = pair_tree_paths(t1, t2, c, d)
+        res = pair_tree_paths(t1, t2, c)
     except GuaranteeViolation:
         rec.flags.append("guarantee_violation")
         rec.pairs_tried = 0
@@ -378,14 +378,15 @@ _TRIALS = {
     "lemcol_stress": _trial_lemcol,
 }
 
-# of the keys whose default (None, or no n values) marks them unset, the ones
-# each mode's trials read; ``validate`` refuses any other such key that is set
+# the keys some modes' trials read and others ignore, per mode the ones its
+# trials read; ``validate`` refuses any other such key set off its default
 _READS = {
-    "thm1": ("n_values", "p", "omega", "epsilon"),
-    "regular": ("n_values", "r", "epsilon"),
+    "thm1": ("n_values", "p", "omega", "epsilon", "sampled_pairs", "budget"),
+    "regular": ("n_values", "r", "epsilon", "sampled_pairs", "budget"),
     "brute": ("n_values", "p", "omega", "q_max"),
     "lemcol_stress": ("d", "ell"),
 }
+_MODE_KEYS = {key for keys in _READS.values() for key in keys}
 
 
 # ----------------------------------------------------------------------------

@@ -19,8 +19,9 @@ random r-regular graphs via the pairing (configuration) model with rejection
 of loops and repeated edges; ``check_gnp_params`` and
 ``check_regular_params`` hold what each refuses.  ``grow_bfs_tree`` is the
 one depth-capped BFS tree, behind the pairing scaffold and
-``neighborhood_cycle``; it records the tree alone, and ``RootedTree``
-derives its leaves, level sizes and children only when they are read.
+``neighborhood_cycle``; its ``RootedTree`` is the parent edges and the
+levels alone, the root, depth and leaves read off the levels and the
+children derived on first use.
 
 File format (``write_edge_list``/``read_edge_list``): line 1 is ``n m``,
 followed by ``m`` lines ``u v`` in canonical order, so line ``i+1`` defines
@@ -53,6 +54,7 @@ __all__ = [
     "check_regular_params",
     "gen_gnp",
     "gen_regular_config",
+    "check_vertices",
     "bfs_levels",
     "bfs_distances",
     "connected",
@@ -270,7 +272,7 @@ def check_gnp_params(params: GenParams) -> None:
 
 def check_regular_params(params: GenParams) -> None:
     """Refuse what ``gen_regular_config`` cannot generate: r missing or below
-    3, r >= n, or an odd n*r (ParityError)."""
+    3, r >= n, an odd n*r (ParityError), or max_attempts below 1."""
     n, r = params.n, params.r
     if r is None or r < 3:
         raise ValueError("gen_regular_config needs r >= 3")
@@ -278,6 +280,8 @@ def check_regular_params(params: GenParams) -> None:
         raise ValueError(f"no simple {r}-regular graph on {n} vertices")
     if (n * r) % 2 != 0:
         raise ParityError(f"n*r = {n * r} is odd")
+    if params.max_attempts < 1:
+        raise ValueError(f"max_attempts={params.max_attempts} allows no attempt; need >= 1")
 
 
 def gen_gnp(params: GenParams) -> Graph:
@@ -362,6 +366,13 @@ def gen_regular_config(params: GenParams) -> Graph:
 # traversal and structure
 # ----------------------------------------------------------------------------
 
+def check_vertices(g: Graph, *named: tuple[str, int]) -> None:
+    """ValueError for the first (name, v) whose v lies outside ``[0, n)``."""
+    for name, v in named:
+        if not 0 <= v < g.n:
+            raise ValueError(f"{name} {v} is not a vertex of a graph on {g.n} vertices")
+
+
 def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
     """Hop distances from ``source``, labelled one BFS level per step.
 
@@ -377,8 +388,7 @@ def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
     Each level gathers the frontier's CSR neighbor slices at once, so
     ``adj`` is never built.
     """
-    if not 0 <= source < g.n:
-        raise ValueError(f"source {source} is not a vertex of a graph on {g.n} vertices")
+    check_vertices(g, ("source", source))
     indptr, nbr = g.indptr, g.nbr
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
@@ -504,45 +514,44 @@ def pendant_edges(g: Graph) -> list[int]:
 
 @dataclass
 class RootedTree:
-    """BFS tree of fixed target depth.
+    """BFS tree of fixed target depth: its parent edges and its levels.
 
-    ``parent`` maps each non-root vertex to (parent, edge id); ``order`` is
-    the BFS discovery order, children in ascending vertex id.  Derived on
-    first use, so a tree that never reads them never builds them:
-    ``leaves`` (the vertices at exactly ``target_depth``, in BFS order),
-    ``level_sizes`` (vertices per depth) and ``children``.  Grown by
-    ``grow_bfs_tree``, an expanded vertex skipped degree - children - 1
-    edges, the root degree - children.
+    ``parent`` maps each non-root vertex to (parent, edge id).  ``levels[i]``
+    holds the vertices at depth i in BFS discovery order, children in
+    ascending vertex id; ``levels[0]`` is ``(root,)`` and there is one level
+    per depth up to the target depth, empty where growth stopped.  ``root``,
+    ``target_depth`` and ``leaves`` (the last level) read off ``levels``;
+    ``children`` is derived on first use.  Grown by ``grow_bfs_tree``, an
+    expanded vertex skipped degree - children - 1 edges, the root degree -
+    children.
     """
 
-    root: int
-    target_depth: int
     parent: dict[int, tuple[int, int]]
-    depth: dict[int, int]
-    order: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @property
+    def root(self) -> int:
+        return self.levels[0][0]
+
+    @property
+    def target_depth(self) -> int:
+        return len(self.levels) - 1
+
+    @property
     def leaves(self) -> tuple[int, ...]:
-        depth, target = self.depth, self.target_depth
-        return tuple(v for v in self.order if depth[v] == target)
-
-    @cached_property
-    def level_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * (self.target_depth + 1)
-        for v in self.order:
-            sizes[self.depth[v]] += 1
-        return tuple(sizes)
+        return self.levels[-1]
 
     @cached_property
     def children(self) -> dict[int, list[int]]:
-        """Children per vertex, in ascending id (the order ``order`` lists them)."""
-        children: dict[int, list[int]] = {v: [] for v in self.order}
-        for v in self.order[1:]:
-            children[self.parent[v][0]].append(v)
+        """Children per vertex, in ascending id (the order ``levels`` lists them)."""
+        children: dict[int, list[int]] = {v: [] for level in self.levels for v in level}
+        for level in self.levels[1:]:
+            for v in level:
+                children[self.parent[v][0]].append(v)
         return children
 
     def vertices(self) -> set[int]:
-        return set(self.depth)
+        return {self.root, *self.parent}
 
     def edge_ids(self) -> list[int]:
         return [eid for (_, eid) in self.parent.values()]
@@ -550,7 +559,8 @@ class RootedTree:
     def path_from_root(self, v: int) -> "TreePath":
         verts = [v]
         eids = []
-        while verts[-1] != self.root:
+        root = self.root
+        while verts[-1] != root:
             p, eid = self.parent[verts[-1]]
             eids.append(eid)
             verts.append(p)
@@ -576,32 +586,28 @@ def grow_bfs_tree(g: Graph, root: int, depth: int,
                   forbidden: frozenset[int] = frozenset()) -> RootedTree:
     """Breadth-first tree of given depth avoiding ``forbidden`` vertices.
 
-    Expansion is in BFS order with neighbors in ascending id; an edge into a
-    forbidden vertex or back into the tree is skipped.  Only the tree is
-    recorded: the graph is simple, so an expanded vertex skipped exactly
-    degree - children - 1 edges (one is its parent's), the root degree - children.
+    Expansion is in BFS order, one level per step, with neighbors in
+    ascending id; an edge into a forbidden vertex or back into the tree (the
+    root, or a vertex with a parent) is skipped.  Only the tree is recorded:
+    the graph is simple, so an expanded vertex skipped exactly degree -
+    children - 1 edges (one is its parent's), the root degree - children.
     """
     if depth < 0:
         raise ValueError(f"tree depth {depth} is negative")
     if root in forbidden:
         raise ValueError(f"root {root} is forbidden")
     parent: dict[int, tuple[int, int]] = {}
-    depth_of = {root: 0}
-    order = [root]
-    level = [root]
+    levels = [(root,)]
     adj = g.adj
-    for d in range(1, depth + 1):
+    for _ in range(depth):
         grown: list[int] = []
-        for v in level:
+        for v in levels[-1]:
             for w, eid in adj[v]:
-                if w not in depth_of and w not in forbidden:
-                    depth_of[w] = d
+                if w not in parent and w != root and w not in forbidden:
                     parent[w] = (v, eid)
                     grown.append(w)
-        order += grown
-        level = grown
-    return RootedTree(root=root, target_depth=depth, parent=parent, depth=depth_of,
-                      order=tuple(order))
+        levels.append(tuple(grown))
+    return RootedTree(parent=parent, levels=tuple(levels))
 
 
 def neighborhood_cycle(g: Graph, x: int, depth: int):
@@ -616,16 +622,17 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     edges, so the ball spans one independent cycle per induced edge off the
     tree: the edges a vertex above the full depth skipped (degree - children
     - 1 of them, at x degree - children) and those joining two vertices at
-    the full depth.  An induced edge is on the tree when it is the parent
-    edge of one of its ends.  With exactly one off it, (u, v), the cycle is
-    u's and v's tree paths below where they meet, closed by it.
+    the full depth.  A vertex is in the ball when it is x or has a parent,
+    and an edge is on the tree when it is some vertex's parent edge.  With
+    exactly one off it, (u, v), the cycle is u's and v's tree paths below
+    where they meet, closed by it.
     """
     tree = grow_bfs_tree(g, x, depth)
-    ball, parent = tree.depth, tree.parent
+    parent = tree.parent
+    tree_eids = set(tree.edge_ids())
     adj = g.adj
-    off_tree = [(u, v) for u in tree.order for v, eid in adj[u]
-                if u < v and v in ball
-                and parent.get(u) != (v, eid) and parent.get(v) != (u, eid)]
+    off_tree = [(u, v) for level in tree.levels for u in level for v, eid in adj[u]
+                if u < v and eid not in tree_eids and (v in parent or v == x)]
     if not off_tree:
         return None
     if len(off_tree) > 1:

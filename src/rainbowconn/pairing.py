@@ -3,24 +3,27 @@
 The witness machinery turns a colored graph into explicit rainbow paths
 between a vertex pair (x, y) in three stages:
 
-1. Grow breadth-first trees (``graphs.grow_bfs_tree``): a depth-k tree from
-   x, another from y avoiding the first, both pruned to exact arity d; then
-   a depth-gamma tree hanging off every pruned leaf, each avoiding
-   everything grown before it.  Skipped edges are read off the degrees and
-   the trees' children, never counted.  A hanging tree is judged on its
-   first levels before it grows further, so an excluded one is never grown
-   to gamma.
+1. Grow breadth-first trees (``graphs.grow_bfs_tree``, each one record of
+   parent edges and levels): a depth-k tree from x, another from y avoiding
+   the first, each checked once for a vertex above depth k with fewer than
+   d children and then pruned, level by level, to its d lowest-id children
+   per vertex; then a depth-gamma tree hanging off every pruned leaf, each
+   avoiding everything grown before it.  Skipped edges are read off the
+   degrees and the trees' children, never counted.  A hanging tree is
+   judged on its first levels before it grows further, so an excluded one
+   is never grown to gamma.
 2. Pair root-to-leaf paths of the two pruned trees so that each pair's color
-   union stays rainbow.  At every interior level a d x d bipartite
-   compatibility graph H is built: branch i on the x side is compatible with
-   branch j on the y side when i's entry color appears nowhere in j's branch
-   and vice versa.  A maximum matching of H (size >= d-1 is guaranteed for
-   rainbow trees) selects the branch pairs to recurse into, multiplying the
-   path count by at least d-1 per level.  Binary trees use the same
-   recursion two levels at a time on the four grandchild branches, where a
-   matching of size >= 2 is expected (see ``pair_tree_paths``).  The
-   recursion yields (x leaf, y leaf) pairs; a root-to-leaf path is fixed by
-   its leaf, so ``RootedTree.path_from_root`` builds each paired path.
+   union stays rainbow; the arity d is read off the trees.  At every
+   interior level a d x d bipartite compatibility graph H is built: branch
+   i on the x side is compatible with branch j on the y side when i's entry
+   color appears nowhere in j's branch and vice versa.  A maximum matching
+   of H (size >= d-1 is guaranteed for rainbow trees) selects the branch
+   pairs to recurse into, multiplying the path count by at least d-1 per
+   level.  Binary trees use the same recursion two levels at a time on the
+   four grandchild branches, where a matching of size >= 2 is expected (see
+   ``pair_tree_paths``).  The recursion yields (x leaf, y leaf) pairs; a
+   root-to-leaf path is fixed by its leaf, so ``RootedTree.path_from_root``
+   builds each paired path.
 3. Join each matched leaf pair, and only those, through their hanging
    trees and a connecting edge found between the two leaf sets
    (``rainbow_witness``).  Every x..y path is the same join (root path,
@@ -42,14 +45,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
-from .errors import GuaranteeViolation, InsufficientArity, NoStructure
-from .graphs import Graph, RootedTree, TreePath, bfs_distances, grow_bfs_tree
+from .errors import GuaranteeViolation, NoStructure
+from .graphs import Graph, RootedTree, TreePath, bfs_distances, check_vertices, grow_bfs_tree
 from .verify import PathWitness, make_witness
 
 __all__ = [
     "PairingResult",
     "WitnessBundle",
-    "prune_to_arity",
     "bipartite_matching",
     "compatibility_matrix",
     "pair_tree_paths",
@@ -73,32 +75,6 @@ class PairingResult:
 
     pairs: tuple[tuple[TreePath, TreePath], ...]
     floor: int
-
-
-def prune_to_arity(t: RootedTree, d: int) -> RootedTree:
-    """Keep the d lowest-id children at every surviving interior vertex.
-
-    The result is a complete d-ary tree of the same depth.  Raises
-    InsufficientArity at the first surviving vertex with fewer than d
-    children; no backtracking is attempted, matching the deterministic
-    contract.
-    """
-    if d < 1:
-        raise ValueError("arity must be >= 1")
-    kept = {t.root}
-    order = []
-    for v in t.order:
-        if v not in kept:
-            continue
-        order.append(v)
-        if t.depth[v] < t.target_depth:
-            kids = t.children[v]
-            if len(kids) < d:
-                raise InsufficientArity(v, len(kids), d)
-            kept.update(kids[:d])
-    return RootedTree(root=t.root, target_depth=t.target_depth,
-                      parent={v: t.parent[v] for v in order[1:]},
-                      depth={v: t.depth[v] for v in order}, order=tuple(order))
 
 
 def bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> set[tuple[int, int]]:
@@ -132,20 +108,22 @@ def bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> set[tuple[int, in
 def _subtree_colors(t: RootedTree, c: EdgeColoring) -> dict[int, frozenset[int]]:
     """Colors on the edges strictly below each vertex (excludes its own edge)."""
     out: dict[int, frozenset[int]] = {}
-    for v in reversed(t.order):
-        acc: set[int] = set()
-        for w in t.children[v]:
-            acc |= out[w]
-            acc.add(c.colors[t.parent[w][1]])
-        out[v] = frozenset(acc)
+    for level in reversed(t.levels):
+        for v in level:
+            acc: set[int] = set()
+            for w in t.children[v]:
+                acc |= out[w]
+                acc.add(c.colors[t.parent[w][1]])
+            out[v] = frozenset(acc)
     return out
 
 
 def _check_complete(t: RootedTree, d: int) -> None:
-    for v in t.order:
-        if t.depth[v] < t.target_depth and len(t.children[v]) != d:
-            raise ValueError(f"tree at {t.root}: vertex {v} has {len(t.children[v])} "
-                             f"children, expected exactly {d}")
+    for level in t.levels[:-1]:
+        for v in level:
+            if len(t.children[v]) != d:
+                raise ValueError(f"tree at {t.root}: vertex {v} has {len(t.children[v])} "
+                                 f"children, expected exactly {d}")
 
 
 def _rainbow(c: EdgeColoring, eids) -> bool:
@@ -207,9 +185,11 @@ def pairing_floor(d: int, depth: int) -> int:
     return floor
 
 
-def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
-                    d: Optional[int] = None) -> PairingResult:
+def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring) -> PairingResult:
     """Pair root-to-leaf paths across two rainbow d-ary trees, d >= 2.
+
+    The arity d is the trees' own, read off t1's root and required of every
+    interior vertex of both trees (ValueError otherwise).
 
     Each round matches the branches below the current node pair and recurses
     into the matched pairs.  For d >= 3 a branch is one child: the d x d
@@ -225,12 +205,11 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring,
     3-6 with palette = per-tree edge count, 1 of 1500 at depth 6 with twice
     that).
     """
-    if d is None:
-        d = t1.arity()
+    d = t1.arity()
     if d < 2:
         raise ValueError(f"pairing needs arity >= 2, got {d}")
-    if t1.arity() != d or t2.arity() != d:
-        raise ValueError(f"tree arities {t1.arity()} and {t2.arity()} do not match d={d}")
+    if t2.arity() != d:
+        raise ValueError(f"tree arities {d} and {t2.arity()} differ")
     if t1.target_depth != t2.target_depth:
         raise ValueError("trees must share depth")
     if t1.vertices() & t2.vertices():
@@ -311,9 +290,9 @@ def _hat_is_bad(g: Graph, hat: RootedTree, cutoff: int) -> bool:
     """
     if not hat.leaves:
         return True
-    top = min(cutoff, hat.target_depth)
-    depth, children = hat.depth, hat.children
-    return any(len(children[v]) < g.degree(v) - 1 for v in hat.order if depth[v] < top)
+    children = hat.children
+    return any(len(children[v]) < g.degree(v) - 1
+               for level in hat.levels[:-1][:cutoff] for v in level)
 
 
 def _join(up: TreePath, middle, down: TreePath):
@@ -344,8 +323,10 @@ def _find_connector(g: Graph, hx: Optional[RootedTree], hy: Optional[RootedTree]
     return None
 
 
-def _check_scaffold(k: int, gamma: int, d: int) -> None:
-    """Reject scaffold shapes the pairing cannot use (k < 1, gamma < 0 or d < 2)."""
+def _check_scaffold(g: Graph, x: int, y: int, k: int, gamma: int, d: int) -> None:
+    """Reject an x or y outside the graph and scaffold shapes the pairing
+    cannot use (k < 1, gamma < 0 or d < 2)."""
+    check_vertices(g, ("x", x), ("y", y))
     if k < 1:
         raise ValueError(f"scaffold depth k={k} is zero or negative; need k >= 1")
     if gamma < 0:
@@ -356,14 +337,22 @@ def _check_scaffold(k: int, gamma: int, d: int) -> None:
 
 def _scaffold_tree(g: Graph, root: int, k: int, d: int, forbidden: frozenset[int]
                    ) -> RootedTree:
-    """The depth-k BFS tree at root pruned to arity d; NoStructure naming the
-    first vertex above depth k with fewer than d children (so pruning never
-    fails)."""
+    """The depth-k BFS tree at root pruned to arity d: the complete d-ary
+    tree that keeps the d lowest-id children of every kept vertex above
+    depth k.  NoStructure naming the first vertex of the unpruned tree above
+    depth k with fewer than d children, so every kept vertex has d to keep.
+    No backtracking is attempted, matching the deterministic contract."""
     raw = grow_bfs_tree(g, root, k, forbidden=forbidden)
-    for v in raw.order:
-        if raw.depth[v] < k and len(raw.children[v]) < d:
-            raise NoStructure(f"tree at {root}: branching shortfall at {v}")
-    return prune_to_arity(raw, d)
+    children = raw.children
+    for level in raw.levels[:-1]:
+        for v in level:
+            if len(children[v]) < d:
+                raise NoStructure(f"tree at {root}: branching shortfall at {v}")
+    levels = [(root,)]
+    for _ in range(k):
+        levels.append(tuple(w for v in levels[-1] for w in children[v][:d]))
+    return RootedTree(parent={v: raw.parent[v] for level in levels[1:] for v in level},
+                      levels=tuple(levels))
 
 
 def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
@@ -378,16 +367,16 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     (``_hat_is_bad``); only a hat that passes is grown to gamma, and it is
     still excluded when it has no leaves there.
 
-    Raises ValueError when k < 1, gamma < 0 or d < 2, before anything is
-    grown.  Raises NoStructure when either pruned depth-k d-ary tree cannot
-    be grown: a branching shortfall, or y falling inside x's tree.
-    Otherwise returns the bundle; excluded leaves surface in its report
-    instead of failing the build, and which leaves get joined is left to
-    the matched pairing (``rainbow_witness``).
+    Raises ValueError when x or y is not a vertex of g, or k < 1, gamma < 0
+    or d < 2, before anything is grown.  Raises NoStructure when either
+    pruned depth-k d-ary tree cannot be grown: a branching shortfall, or y
+    falling inside x's tree.  Otherwise returns the bundle; excluded leaves
+    surface in its report instead of failing the build, and which leaves get
+    joined is left to the matched pairing (``rainbow_witness``).
     """
     if x == y:
         raise ValueError("x and y must differ")
-    _check_scaffold(k, gamma, d)
+    _check_scaffold(g, x, y, k, gamma, d)
     cutoff = max(1, -(-gamma // 10))
     top = min(cutoff, gamma)
     tree_x = _scaffold_tree(g, x, k, d, frozenset())
@@ -423,8 +412,8 @@ def bundle_text(bundle: WitnessBundle) -> str:
     report = {
         "x": tree_x.root, "y": tree_y.root, "d": tree_x.arity(), "k": tree_x.target_depth,
         "gamma": bundle.gamma,
-        "levels_x": ",".join(map(str, tree_x.level_sizes)),
-        "levels_y": ",".join(map(str, tree_y.level_sizes)),
+        "levels_x": ",".join(str(len(level)) for level in tree_x.levels),
+        "levels_y": ",".join(str(len(level)) for level in tree_y.levels),
         "excluded_x": bundle.hats_x.count(None),
         "excluded_y": bundle.hats_y.count(None),
     }
@@ -471,9 +460,9 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     leaf pairs (``rainbow_witness``).  Every witness it returns runs x..y and
     was re-checked by ``make_witness``; None when y is unreachable, the
     scaffold cannot be grown, or no matched pair yields a rainbow path.
-    Raises ValueError when k < 1, gamma < 0 or d < 2, for close and far
-    pairs alike."""
-    _check_scaffold(k, gamma, d)
+    Raises ValueError when x or y is not a vertex of g, or k < 1, gamma < 0
+    or d < 2, for close and far pairs alike."""
+    _check_scaffold(g, x, y, k, gamma, d)
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None

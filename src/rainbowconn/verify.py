@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, GuardError, NotConnected
-from .graphs import Graph, bfs_distances, bfs_levels, diameter, pendant_edges
+from .graphs import Graph, bfs_distances, bfs_levels, check_vertices, diameter, pendant_edges
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -113,9 +113,11 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
     Exactness: BFS over (vertex, color-bitmask) states visits each state
     once; a rainbow walk that revisits a vertex shortcuts to a strictly
     shorter rainbow walk, so the first state reaching y is a simple path.
-    Raises ValueError for a negative ``max_len``.
+    Raises ValueError for a negative ``max_len`` or an x or y that is not a
+    vertex of g.
     """
     _check_bounds(max_len)
+    check_vertices(g, ("x", x), ("y", y))
     if max_len is None:
         max_len = g.n - 1
     if c.palette_size > _EXACT_GUARD_BITS and max_len > _EXACT_GUARD_BITS:
@@ -176,9 +178,11 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     ``max_len`` derives from the double-sweep diameter, which is computed
     once per graph and then kept on ``g``; only on a disconnected graph is
     the sweep drawn to its end, for y's eccentricity.
-    Raises ValueError for a negative ``max_len`` or ``budget``.
+    Raises ValueError for a negative ``max_len`` or ``budget``, or an x or y
+    that is not a vertex of g.
     """
     _check_bounds(max_len, budget)
+    check_vertices(g, ("x", x), ("y", y))
     if x == y:
         return PathWitness((x,), (), frozenset())
     indptr, nbr, eids = g.csr()

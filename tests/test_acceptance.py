@@ -163,7 +163,7 @@ def test_gate_3_pairing_floor(announce):
             for seed in range(1000):
                 c = random_rainbow_tree_coloring(g, tx, ty, palette=palette, seed=seed)
                 try:
-                    res = pair_tree_paths(tx, ty, c, d)
+                    res = pair_tree_paths(tx, ty, c)
                 except GuaranteeViolation:
                     blowups += 1
                     continue

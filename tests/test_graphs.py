@@ -10,8 +10,8 @@ from rainbowconn import graphs as graphs_mod
 from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
-                                bfs_levels, complete_graph, connected, cycle_graph,
-                                degree_stats, diameter, gen_gnp,
+                                bfs_levels, check_regular_params, complete_graph,
+                                connected, cycle_graph, degree_stats, diameter, gen_gnp,
                                 gen_regular_config, graph_from_edges,
                                 neighborhood_cycle, path_graph, petersen_graph,
                                 read_edge_list, star_graph, write_edge_list)
@@ -211,6 +211,15 @@ class TestGenRegular:
         a = gen_regular_config(GenParams(n=60, p=None, omega=None, r=3, seed=5))
         b = gen_regular_config(GenParams(n=60, p=None, omega=None, r=3, seed=5))
         assert a.edges == b.edges and a.meta["attempts"] == b.meta["attempts"]
+
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_no_attempt_refused(self, attempts):
+        # used to raise GenerationExhausted after making no attempt at all
+        params = GenParams(n=10, r=3, max_attempts=attempts)
+        with pytest.raises(ValueError, match=f"max_attempts={attempts} allows no attempt"):
+            check_regular_params(params)
+        with pytest.raises(ValueError, match="allows no attempt"):
+            gen_regular_config(params)
 
     def test_exhausted_raises(self):
         # seed chosen so the single allowed attempt yields a non-simple pairing

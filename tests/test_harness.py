@@ -68,8 +68,10 @@ class TestConfigFromMapping:
     BASE = {"mode": "brute", "n_values": "5,6", "p": "0.5"}
 
     def test_coerces_types(self):
-        cfg = config_from_mapping(dict(self.BASE, trials="3", seed="7", budget="100"))
-        assert cfg.n_values == (5, 6)
+        # thm1, not BASE's brute: brute runs no search, so it refuses a budget
+        cfg = config_from_mapping(dict(self.BASE, mode="thm1", n_values="50,60", trials="3",
+                                       seed="7", budget="100"))
+        assert cfg.n_values == (50, 60)
         assert cfg.p == 0.5
         assert (cfg.trials, cfg.seed, cfg.budget) == (3, 7, 100)
 
@@ -148,6 +150,23 @@ class TestConfigValidate:
         cfg = ExperimentConfig(mode="regular", n_values=(30,), r=3, budget=-1)
         with pytest.raises(ValueError, match="budget -1"):
             cfg.validate()
+
+    @pytest.mark.parametrize("key, value", [("sampled_pairs", 7), ("budget", 3)])
+    @pytest.mark.parametrize("mode, keys", [
+        ("brute", {"n_values": (5,), "omega": 2.0}),
+        ("lemcol_stress", {"d": 3, "ell": 2}),
+    ], ids=["brute", "lemcol_stress"])
+    def test_search_keys_refused_without_search(self, mode, keys, key, value):
+        # neither mode runs the sampled search, so both keys would be ignored
+        ExperimentConfig(mode=mode, **keys).validate()
+        with pytest.raises(ValueError, match=f"{mode} does not use {key}; drop it"):
+            ExperimentConfig(mode=mode, **keys, **{key: value}).validate()
+
+    def test_search_keys_read_by_search_modes(self):
+        ExperimentConfig(mode="thm1", n_values=(30,), omega=2.0, sampled_pairs=7,
+                         budget=3).validate()
+        ExperimentConfig(mode="regular", n_values=(30,), r=3, sampled_pairs=7,
+                         budget=3).validate()
 
 
 # ----------------------------------------------------------------------------
@@ -383,6 +402,15 @@ class TestCliGenStats:
         assert captured.err == "error: omega=nan is not a number\n"
         assert not out.exists()
 
+    def test_gen_no_attempt_is_domain_error(self, tmp_path, capsys):
+        out = tmp_path / "g.el"
+        rc = main(["gen", "regular", "--n", "10", "--r", "3", "--max-attempts", "0",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == "error: max_attempts=0 allows no attempt; need >= 1\n"
+        assert not out.exists()
+
     def test_bad_env_seed_is_domain_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RAINBOW_SEED", "lots")
         rc = main(["gen", "gnp", "--n", "10", "--p", "0.5",
@@ -608,6 +636,12 @@ class TestCliPairRecolor:
     def test_pair_lemcol_binary_rule(self, capsys):
         assert main(["pair", "lemcol", "--d", "2", "--ell", "4", "--seed", "1"]) == 0
         assert "floor=4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d, ell", [(3, 0), (1, 2), (0, 2), (3, -1)])
+    def test_pair_lemcol_bad_shape_refused(self, capsys, d, ell):
+        # --ell 0 used to report "tree arities 0 and 0 do not match d=3"
+        assert main(["pair", "lemcol", "--d", str(d), "--ell", str(ell)]) == 1
+        assert capsys.readouterr().err == "error: pair lemcol needs --d >= 2 and --ell >= 1\n"
 
     def test_recolor_cycles_pipeline(self, tmp_path, capsys):
         gpath = tmp_path / "g.el"
@@ -860,7 +894,12 @@ class TestCliExperiment:
         (["--mode", "brute", "--n-values", "5", "--p", "0.5", "--trials", "1",
           "--r", "3", "--epsilon", "0.3"], "r"),
         (["--mode", "lemcol_stress", "--d", "3", "--ell", "2", "--q-max", "3"], "q_max"),
-    ], ids=["regular_p", "thm1_r_ell", "brute_r_epsilon", "lemcol_q_max"])
+        (["--mode", "brute", "--n-values", "5", "--omega", "2", "--sampled-pairs", "7",
+          "--budget", "3"], "sampled_pairs"),
+        (["--mode", "lemcol_stress", "--d", "3", "--ell", "2", "--sampled-pairs", "9"],
+         "sampled_pairs"),
+    ], ids=["regular_p", "thm1_r_ell", "brute_r_epsilon", "lemcol_q_max",
+            "brute_sampled_pairs_budget", "lemcol_sampled_pairs"])
     def test_unread_key_refused(self, tmp_path, capsys, flags, key):
         # a value the mode never reads would be lost from the CSV: refuse it
         out = tmp_path / "e.csv"

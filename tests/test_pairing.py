@@ -11,7 +11,7 @@ import oracles
 from rainbowconn import pairing as pairing_mod
 from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, color_greedy_power, regular_params
-from rainbowconn.errors import GuaranteeViolation, InsufficientArity, NoStructure
+from rainbowconn.errors import GuaranteeViolation, NoStructure
 from rainbowconn.graphs import (GenParams, Graph, bfs_distances, complete_graph, cycle_graph,
                                 gen_regular_config, graph_from_edges, grow_bfs_tree, path_graph,
                                 petersen_graph)
@@ -22,7 +22,6 @@ from rainbowconn.pairing import (
     bundle_text,
     compatibility_matrix,
     pair_tree_paths,
-    prune_to_arity,
     rainbow_witness,
     random_rainbow_tree_coloring,
     witness_via_trees,
@@ -37,6 +36,14 @@ PETERSEN = petersen_graph()
 _REGULAR_CACHE = {}
 
 
+def level_sizes(t):
+    return tuple(len(level) for level in t.levels)
+
+
+def depths(t):
+    return {v: i for i, level in enumerate(t.levels) for v in level}
+
+
 def regular_instance():
     if "g" not in _REGULAR_CACHE:
         _REGULAR_CACHE["g"] = gen_regular_config(GenParams(n=2000, r=5, seed=0))
@@ -48,30 +55,30 @@ class TestGrowBfsTree:
     def test_k4_depth_one(self):
         for root in range(4):
             t = grow_bfs_tree(complete_graph(4), root, 1)
-            assert t.level_sizes == (1, 3)
+            assert level_sizes(t) == (1, 3)
             assert sorted(t.leaves) == sorted(set(range(4)) - {root})
 
     def test_petersen_depth_two_no_bad_edges(self):
         # girth 5: every expanded vertex keeps all its non-parent edges as children
         for root in range(10):
             t = grow_bfs_tree(PETERSEN, root, 2)
-            assert t.level_sizes == (1, 3, 6)
-            for v in t.order:
-                if t.depth[v] < 2:
+            assert level_sizes(t) == (1, 3, 6)
+            for level in t.levels[:2]:
+                for v in level:
                     assert len(t.children[v]) == PETERSEN.degree(v) - (v != root)
 
     def test_c5_shortfall_at_level_one(self):
         with pytest.raises(NoStructure, match="branching shortfall at") as exc:
             build_witness_paths(cycle_graph(5), 0, 2, k=2, gamma=0, d=2)
         short = int(str(exc.value).rsplit(" ", 1)[1])
-        assert grow_bfs_tree(cycle_graph(5), 0, 2).depth[short] == 1
+        assert short in grow_bfs_tree(cycle_graph(5), 0, 2).levels[1]
 
     def test_forbidden_vertices_skipped_and_counted(self):
         g = complete_graph(4)
         t = grow_bfs_tree(g, 0, 1, forbidden=frozenset({2}))
         assert 2 not in t.vertices()
         assert len(t.children[0]) == 2 and g.degree(0) == 3  # one edge skipped
-        assert t.level_sizes == (1, 2)
+        assert level_sizes(t) == (1, 2)
 
     def test_forbidden_root_rejected(self):
         with pytest.raises(ValueError):
@@ -97,11 +104,13 @@ class TestGrowBfsTree:
     def test_plain_growth_matches_bfs_oracle(self, g, depth):
         t = grow_bfs_tree(g, 0, depth)
         want = oracles.bfs_levels(g.n, list(g.edges), 0)[:depth + 1]
-        assert list(t.level_sizes) == want + [0] * (depth + 1 - len(want))
+        assert list(level_sizes(t)) == want + [0] * (depth + 1 - len(want))
+        assert (t.root, t.target_depth) == (0, depth)
         # parent edges really exist and depths are parent + 1
+        depth_of = depths(t)
         for v, (p, eid) in t.parent.items():
             assert {v, p} == set(g.edges[eid])
-            assert t.depth[v] == t.depth[p] + 1
+            assert depth_of[v] == depth_of[p] + 1
 
     @staticmethod
     def same_as_before(g, root, depth, forbidden, d, cutoff):
@@ -109,7 +118,11 @@ class TestGrowBfsTree:
         verdict at ``cutoff`` agree with the skip-counting tree they replace."""
         new = grow_bfs_tree(g, root, depth, forbidden=forbidden)
         old = oracles.grow_bfs_tree_before(g, root, depth, min_branching=d, forbidden=forbidden)
-        assert (new.parent, new.depth, new.order) == (old.parent, old.depth, old.order)
+        assert new.parent == old.parent
+        assert len(new.levels) == depth + 1
+        assert depths(new) == old.depth
+        assert tuple(v for level in new.levels for v in level) == old.order
+        assert new.leaves == old.leaves
         if old.shortfall is None:
             pairing_mod._scaffold_tree(g, root, depth, d, forbidden)
         else:
@@ -117,6 +130,15 @@ class TestGrowBfsTree:
                 pairing_mod._scaffold_tree(g, root, depth, d, forbidden)
             assert str(exc.value) == f"tree at {root}: branching shortfall at {old.shortfall}"
         assert pairing_mod._hat_is_bad(g, new, cutoff) == oracles.hat_is_bad_before(old, cutoff)
+
+    def test_hat_verdict_never_reads_the_leaf_level(self):
+        # a leaf expands nothing, so reading its level would call every hat
+        # bad; at gamma = 0 the hat is its root alone, and at depth 1 under
+        # cutoff 2 only the root's edges are judged
+        g = complete_graph(4)
+        assert not pairing_mod._hat_is_bad(g, grow_bfs_tree(g, 0, 0), 1)
+        assert not pairing_mod._hat_is_bad(g, grow_bfs_tree(g, 0, 1), 2)
+        assert pairing_mod._hat_is_bad(g, grow_bfs_tree(g, 0, 1, forbidden=frozenset({1, 2})), 2)
 
     @given(graphs(max_n=12), st.data(), st.integers(min_value=0, max_value=4),
            st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
@@ -164,35 +186,56 @@ class TestGrowBfsTree:
 
 
 class TestPruneToArity:
+    """The prune folded into ``_scaffold_tree``: the d lowest-id children of
+    every kept vertex above depth k."""
+
+    @staticmethod
+    def scaffold(g, root, k, d):
+        return pairing_mod._scaffold_tree(g, root, k, d, frozenset())
+
     def test_complete_binary_identity(self):
         g, t1, _ = build_tree_pair_graph(2, 3)
-        pruned = prune_to_arity(t1, 2)
+        pruned = self.scaffold(g, t1.root, 3, 2)
+        assert pruned == t1
         assert pruned.children == t1.children
-        assert pruned.leaves == t1.leaves
-        assert pruned.level_sizes == t1.level_sizes
 
     def test_k4_keeps_lowest_ids(self):
-        t = grow_bfs_tree(complete_graph(4), 0, 1)
-        pruned = prune_to_arity(t, 2)
+        pruned = self.scaffold(complete_graph(4), 0, 1, 2)
         assert pruned.children[0] == [1, 2]
         assert pruned.leaves == (1, 2)
+        assert pruned.parent == {1: (0, 0), 2: (0, 1)}
+
+    def test_bundle_trees_keep_lowest_ids(self):
+        # both bundle trees of gate 4's r = 5 graph keep, at every vertex above
+        # depth k, the 3 lowest-id children the unpruned tree offers
+        g, p = regular_instance()
+        bundle = build_witness_paths(g, 10, 900, k=p.k, gamma=p.gamma, d=3)
+        forbidden = frozenset()
+        for tree in (bundle.tree_x, bundle.tree_y):
+            raw = grow_bfs_tree(g, tree.root, p.k, forbidden=forbidden)
+            assert level_sizes(tree) == tuple(3 ** i for i in range(p.k + 1))
+            for level in tree.levels[:-1]:
+                for v in level:
+                    assert tree.children[v] == raw.children[v][:3]
+            assert all(tree.parent[v] == raw.parent[v] for v in tree.parent)
+            forbidden = frozenset(tree.vertices())
 
     def test_petersen_insufficient_at_depth_two(self):
-        t = grow_bfs_tree(PETERSEN, 0, 2)
-        with pytest.raises(InsufficientArity):
-            prune_to_arity(t, 3)
+        # the depth-1 vertices of Petersen's depth-2 tree have 2 children each
+        with pytest.raises(NoStructure, match="branching shortfall at 1$"):
+            self.scaffold(PETERSEN, 0, 2, 3)
 
     def test_result_is_complete_dary(self):
-        t = grow_bfs_tree(complete_graph(8), 0, 1)
+        g = complete_graph(8)
         for d in (1, 2, 3):
-            pruned = prune_to_arity(t, d)
-            assert pruned.level_sizes == (1, d)
+            pruned = self.scaffold(g, 0, 1, d)
+            assert level_sizes(pruned) == (1, d)
             assert all(len(pruned.children[v]) in (0, d) for v in pruned.vertices())
 
     def test_bad_arity(self):
-        t = grow_bfs_tree(complete_graph(4), 0, 1)
-        with pytest.raises(ValueError):
-            prune_to_arity(t, 0)
+        for d in (0, 1):
+            with pytest.raises(ValueError, match="scaffold arity"):
+                build_witness_paths(complete_graph(4), 0, 3, k=1, gamma=0, d=d)
 
 
 def brute_max_matching(matrix):
@@ -306,8 +349,6 @@ class TestPairTreePaths:
         g, t1, t2 = build_tree_pair_graph(3, 1)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         with pytest.raises(ValueError):
-            pair_tree_paths(t1, t2, c, d=4)
-        with pytest.raises(ValueError):
             pair_tree_paths(t1, t1, c)  # not vertex-disjoint
         g2, _, b2 = build_tree_pair_graph(2, 1)
         with pytest.raises(ValueError):
@@ -316,15 +357,22 @@ class TestPairTreePaths:
         for d, ell in ((1, 2), (3, 0)):  # unary trees, depth-0 trees
             g3, u1, u2 = build_tree_pair_graph(d, ell)
             c3 = EdgeColoring(tuple(range(g3.m)), g3.m, ("random",) * g3.m)
-            for explicit in (None, d):
-                with pytest.raises(ValueError):
-                    pair_tree_paths(u1, u2, c3, d=explicit)
+            with pytest.raises(ValueError, match="arity >= 2"):
+                pair_tree_paths(u1, u2, c3)
 
     def test_wrong_arity_rejected(self):
+        # a ternary tree against a binary one, or against one that is
+        # ternary only at its root
         g, t1, t2 = build_tree_pair_graph(3, 2)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        with pytest.raises(ValueError):
-            pair_tree_paths(t1, t2, c, d=2)
+        binary = pairing_mod._scaffold_tree(g, t2.root, 2, 2, frozenset())
+        with pytest.raises(ValueError, match="tree arities 3 and 2 differ"):
+            pair_tree_paths(t1, binary, c)
+        with pytest.raises(ValueError, match="tree arities 2 and 3 differ"):
+            pair_tree_paths(binary, t1, c)
+        ragged = grow_bfs_tree(g, t2.root, 2, forbidden=frozenset({t2.root + 4}))
+        with pytest.raises(ValueError, match="expected exactly 3"):
+            pair_tree_paths(t1, ragged, c)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_deficiency_stays_within_one(self, d):
@@ -365,7 +413,7 @@ class TestPairTreePaths:
                     c = random_rainbow_tree_coloring(g, t1, t2, palette=mult * per_tree,
                                                      seed=seed)
                     try:
-                        res = pair_tree_paths(t1, t2, c, d)
+                        res = pair_tree_paths(t1, t2, c)
                     except GuaranteeViolation:
                         h.update(b"violation;")
                         continue
@@ -384,7 +432,7 @@ class TestPairTreePathsBinary:
         g, t1, t2 = build_tree_pair_graph(2, 2)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         assert compatibility_matrix(t1, t2, c) == [[True] * 2] * 2
-        res = pair_tree_paths(t1, t2, c, d=2)
+        res = pair_tree_paths(t1, t2, c)
         assert res.floor == 2
         assert len(res.pairs) == 4
 
@@ -394,14 +442,14 @@ class TestPairTreePathsBinary:
         c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
         H = compatibility_matrix(t1, t2, c)
         assert H == [[i != j for j in range(2)] for i in range(2)]
-        res = pair_tree_paths(t1, t2, c, d=2)
+        res = pair_tree_paths(t1, t2, c)
         assert len(res.pairs) == 4
 
     def test_non_rainbow_rejected(self):
         g, t1, t2 = build_tree_pair_graph(2, 2)
         c = EdgeColoring((0,) * g.m, 3, ("random",) * g.m)
         with pytest.raises(GuaranteeViolation):
-            pair_tree_paths(t1, t2, c, d=2)
+            pair_tree_paths(t1, t2, c)
 
 
 def find_structured_pair(g, p, d, candidates):
@@ -677,11 +725,28 @@ class TestWitnessViaTrees:
         assert found >= 1
 
 
+@pytest.mark.parametrize("build", ["witness_via_trees", "build_witness_paths"])
+@pytest.mark.parametrize("x, y, name, bad", [(-1, 2, "x", -1), (6, 2, "x", 6),
+                                             (2, -1, "y", -1), (2, 6, "y", 6)],
+                         ids=["x-1", "x_n", "y-1", "y_n"])
+def test_vertex_outside_graph_rejected(build, x, y, name, bad):
+    # witness_via_trees(g, c, 2, -1, ...) raised GuaranteeViolation, and a
+    # tree grown from -1 read vertex n - 1's neighbors
+    g = cycle_graph(6)
+    c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+    msg = f"^{name} {bad} is not a vertex of a graph on 6 vertices$"
+    with pytest.raises(ValueError, match=msg):
+        if build == "witness_via_trees":
+            witness_via_trees(g, c, x, y, k=1, gamma=1, d=2)
+        else:
+            build_witness_paths(g, x, y, k=1, gamma=1, d=2)
+
+
 class TestFixtures:
     def test_tree_pair_graph_shape(self):
         g, t1, t2 = build_tree_pair_graph(3, 2)
         assert g.n == 26 and g.m == 24
-        assert t1.level_sizes == t2.level_sizes == (1, 3, 9)
+        assert level_sizes(t1) == level_sizes(t2) == (1, 3, 9)
         assert not t1.vertices() & t2.vertices()
 
     def test_rainbow_coloring_distinct_per_tree(self):

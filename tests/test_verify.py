@@ -78,6 +78,21 @@ class TestWitnessOk:
         assert not witness_ok(C4, C4_ALTERNATING, w)
 
 
+@pytest.mark.parametrize("verifier", [rainbow_path_exact, rainbow_path_search],
+                         ids=["exact", "search"])
+@pytest.mark.parametrize("x, y, name, bad", [(-1, 2, "x", -1), (6, 2, "x", 6),
+                                             (2, -1, "y", -1), (2, 6, "y", 6),
+                                             (-1, -1, "x", -1)],
+                         ids=["x-1", "x_n", "y-1", "y_n", "both-1"])
+def test_vertex_outside_graph_rejected(verifier, x, y, name, bad):
+    # these returned None ("not found"), raised a numpy IndexError or a
+    # GuaranteeViolation for a path through vertex -1
+    g = cycle_graph(6)
+    msg = f"^{name} {bad} is not a vertex of a graph on 6 vertices$"
+    with pytest.raises(ValueError, match=msg):
+        verifier(g, distinct(g), x, y)
+
+
 class TestRainbowPathExact:
     def test_c4_alternating(self):
         w = rainbow_path_exact(C4, C4_ALTERNATING, 0, 2)
