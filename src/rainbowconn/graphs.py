@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import GenerationExhausted, ParityError
-from .rng import stream
+from .rng import mt_continuation, stream
 
 __all__ = [
     "Graph",
@@ -284,14 +284,25 @@ def check_regular_params(params: GenParams) -> None:
         raise ValueError(f"max_attempts={params.max_attempts} allows no attempt; need >= 1")
 
 
+# Most skip gaps drawn per numpy call in gen_gnp: the chunk's temporaries
+# stay small next to the edge array at threshold densities.
+_GNP_CHUNK = 1 << 16
+
+
 def gen_gnp(params: GenParams) -> Graph:
     """Binomial random graph G(n, p) by geometric skip sampling.
 
     With ``omega`` given instead of ``p``, uses ``p = (log n + omega)/n``
     clamped to [0, 1]; the effective p and clamp flag land in ``meta``.
     Runs in O(n + m) draws, so threshold-density graphs at n = 1e5 are cheap.
-    The drawn pairs are sorted as arrays and handed to ``Graph`` as one
-    ``(m, 2)`` array.
+    The pairs (w, v), w < v, are indexed in column order, t = v(v-1)/2 + w,
+    and the Batagelj-Brandes skip loop keeps the pair at each running sum of
+    geometric gaps (``_skip_indices``).  The gaps are drawn in bulk from the
+    ``"gnp"`` Mersenne Twister stream through ``mt_continuation``, so they
+    are the doubles an element-wise loop over ``random()`` draws, and the
+    graph is the same.  The kept indices map to pairs as arrays
+    (``_column_pairs``), and only the sorted ``(m, 2)`` array is alive while
+    ``Graph`` is built.
     """
     check_gnp_params(params)
     n = params.n
@@ -302,32 +313,68 @@ def gen_gnp(params: GenParams) -> Graph:
         raw = (math.log(n) + params.omega) / n
         p = min(1.0, max(0.0, raw))
         clamped = raw != p
-    rng = stream(params.seed, "gnp")
-    # edges (w, v), w < v, in column order
-    ws: list[int] = []
-    vs: list[int] = []
+    total = n * (n - 1) // 2
     if p >= 1.0:
-        for v in range(n):
-            ws.extend(range(v))
-            vs.extend([v] * v)
+        t = np.arange(total, dtype=np.int64)
     elif p > 0.0:
-        # Batagelj-Brandes: jump over non-edges with geometric gaps
-        log1p = math.log(1.0 - p)
-        v, w = 1, -1
-        while v < n:
-            w += 1 + int(math.log(1.0 - rng.random()) / log1p)
-            while w >= v and v < n:
-                w -= v
-                v += 1
-            if v < n:
-                ws.append(w)
-                vs.append(v)
-    u_arr = np.array(ws, dtype=np.int64)
-    v_arr = np.array(vs, dtype=np.int64)
-    del ws, vs  # freed before the Graph is built, to keep peak memory down
-    order = np.lexsort((v_arr, u_arr))
-    edges = np.column_stack((u_arr[order], v_arr[order]))
+        t = _skip_indices(mt_continuation(stream(params.seed, "gnp")), p, total)
+    else:
+        t = np.zeros(0, dtype=np.int64)
+    edges = _column_pairs(n, t)
+    del t
     return Graph(n, edges, meta={"p": p, "p_clamped": clamped})
+
+
+def _skip_indices(draws: np.random.Generator, p: float, total: int) -> np.ndarray:
+    """Column-order indices of the pairs kept by skip sampling at 0 < p < 1.
+
+    From index -1, each draw u moves on by 1 + floor(log(1 - u) / log(1 - p))
+    until the index reaches ``total``.  np.log may differ from math.log in
+    the last bit, so a ratio within 1e-12 of an integer is recomputed with
+    math.log, and every floor is the one the element-wise loop takes.
+    Ratios are clamped to ``total`` before the floor, which already ends the
+    walk, so a tiny p cannot overflow int64.
+    """
+    log1p = math.log(1.0 - p)
+    if log1p == 0.0:  # 1 - p rounds to 1 below p of about 1.1e-16
+        log1p = math.log1p(-p)
+    # about as many draws as the walk is expected to take (one per edge,
+    # plus the last), so a small graph does not pay for a full chunk
+    mean = total * p
+    size = min(_GNP_CHUNK, int(mean + 4 * math.sqrt(mean)) + 16)
+    kept = []
+    last = -1
+    while last < total:
+        u = draws.random(size)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf ratios at subnormal p
+            ratio = np.log(1.0 - u) / log1p
+            near = np.abs(ratio - np.rint(ratio)) <= 1e-12 * (1.0 + ratio)
+        for i in np.flatnonzero(near & (ratio <= total + 1)).tolist():
+            ratio[i] = math.log(1.0 - float(u[i])) / log1p
+        t = np.cumsum(1 + np.floor(np.minimum(ratio, total)).astype(np.int64))
+        t += last
+        kept.append(t[:np.searchsorted(t, total)])
+        last = int(t[-1])
+    return np.concatenate(kept)
+
+
+def _column_pairs(n: int, t: np.ndarray) -> np.ndarray:
+    """Canonical ``(m, 2)`` edges of the column-order pair indices t.
+
+    v comes from a float triangular root, corrected by one either way with
+    integer tests, and w = t - v(v-1)/2.  The keys w*n + v are distinct and
+    sort in lexicographic order of (w, v), so one value sort orders the
+    edges and a divmod splits them back.
+    """
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * t)) / 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > t
+    v += v * (v + 1) // 2 <= t
+    key = (t - v * (v - 1) // 2) * n + v
+    del v
+    key.sort()
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def gen_regular_config(params: GenParams) -> Graph:
@@ -592,6 +639,7 @@ def grow_bfs_tree(g: Graph, root: int, depth: int,
     the graph is simple, so an expanded vertex skipped exactly degree -
     children - 1 edges (one is its parent's), the root degree - children.
     """
+    check_vertices(g, ("root", root))
     if depth < 0:
         raise ValueError(f"tree depth {depth} is negative")
     if root in forbidden:

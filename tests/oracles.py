@@ -14,8 +14,10 @@ from collections import deque
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
+
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
-from rainbowconn.graphs import AMBIGUOUS, diameter
+from rainbowconn.graphs import AMBIGUOUS, Graph, diameter
 from rainbowconn.rng import stream
 from rainbowconn.verify import PathWitness, make_witness
 
@@ -413,3 +415,42 @@ def hat_is_bad_before(hat, cutoff):
         if cnt > 0 and hat.depth[v] < cutoff:
             return True
     return False
+
+
+def gen_gnp_before(params):
+    """``graphs.gen_gnp`` as the element-wise Batagelj-Brandes skip loop:
+    one ``random()`` per gap, the pairs kept in Python lists, then sorted."""
+    n = params.n
+    clamped = False
+    if params.p is not None:
+        p = float(params.p)
+    else:
+        raw = (math.log(n) + params.omega) / n
+        p = min(1.0, max(0.0, raw))
+        clamped = raw != p
+    rng = stream(params.seed, "gnp")
+    # edges (w, v), w < v, in column order
+    ws = []
+    vs = []
+    if p >= 1.0:
+        for v in range(n):
+            ws.extend(range(v))
+            vs.extend([v] * v)
+    elif p > 0.0:
+        # Batagelj-Brandes: jump over non-edges with geometric gaps
+        log1p = math.log(1.0 - p)
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log(1.0 - rng.random()) / log1p)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                ws.append(w)
+                vs.append(v)
+    u_arr = np.array(ws, dtype=np.int64)
+    v_arr = np.array(vs, dtype=np.int64)
+    del ws, vs  # freed before the Graph is built, to keep peak memory down
+    order = np.lexsort((v_arr, u_arr))
+    edges = np.column_stack((u_arr[order], v_arr[order]))
+    return Graph(n, edges, meta={"p": p, "p_clamped": clamped})

@@ -191,6 +191,76 @@ class TestGenGnp:
         with pytest.raises(ValueError, match="omega=nan"):
             gen_gnp(GenParams(n=5, omega=float("nan"), seed=0))
 
+    @pytest.mark.parametrize("p", [1e-17, 1e-300, 5e-324])
+    def test_tiny_p(self, p):
+        # 1 - p rounds to 1, so log(1 - p) is 0 and cannot divide the draws
+        for n in (10, 2000):
+            g = gen_gnp(GenParams(n=n, p=p, seed=0))
+            assert g.n == n and g.m == 0
+            assert g.meta == {"p": p, "p_clamped": False}
+
+
+class TestGenGnpBulk:
+    """The bulk draws against the element-wise skip loop they replaced."""
+
+    @staticmethod
+    def same_as_before(params):
+        new = gen_gnp(params)
+        old = oracles.gen_gnp_before(params)
+        assert new.edges == old.edges
+        assert new.meta == old.meta
+
+    # below p of about 1.1e-16 the loop divided by log(1 - p) = 0
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32),
+           p=st.sampled_from([0.0, 1.0, 1e-12, 1.0 - 1e-12]) | st.floats(1e-15, 1.0))
+    def test_p_matches_before(self, n, seed, p):
+        self.same_as_before(GenParams(n=n, p=p, seed=seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2 ** 32),
+           omega=st.floats(-20.0, 400.0))
+    def test_omega_matches_before(self, n, seed, omega):
+        self.same_as_before(GenParams(n=n, omega=omega, seed=seed))
+
+    def test_chunk_boundaries_inside_the_stream(self, monkeypatch):
+        # 3 draws per chunk: the running index crosses a chunk every third gap
+        monkeypatch.setattr(graphs_mod, "_GNP_CHUNK", 3)
+        for p in (0.02, 0.3):
+            self.same_as_before(GenParams(n=120, p=p, seed=5))
+
+    def test_gate5_instance_matches_before(self):
+        n = 10 ** 5
+        self.same_as_before(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+
+    @pytest.mark.parametrize("p", [1.2e-4, 0.003, 0.3])
+    def test_gaps_at_near_integer_ratios(self, p):
+        # u = 1 - (1 - p)^k puts log(1 - u) / log(1 - p) within a few ulps of
+        # k, where np.log and math.log can floor to different gaps
+        log1p = math.log(1.0 - p)
+        us = []
+        for k in range(1, 2001):
+            u = 1.0 - math.exp(k * log1p)
+            for step in range(-3, 4):
+                x = u
+                for _ in range(abs(step)):
+                    x = float(np.nextafter(x, 1.0 if step > 0 else 0.0))
+                if x < 1.0:  # at large k, (1 - p)^k underflows
+                    us.append(x)
+        gaps = [1 + int(math.log(1.0 - u) / log1p) for u in us]
+        total = sum(gaps)
+
+        class Draws:
+            """The adversarial draws, then one u = 0 (gap 1) that ends the walk."""
+            calls = 0
+
+            def random(self, size):
+                self.calls += 1
+                return np.array(us if self.calls == 1 else [0.0] * size)
+
+        t = graphs_mod._skip_indices(Draws(), p, total)
+        assert np.diff(t, prepend=-1).tolist() == gaps
+
 
 class TestGenRegular:
     def test_parity_error(self):
@@ -462,6 +532,11 @@ class TestLocalStructure:
     def test_neighborhood_cycle_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="negative"):
             neighborhood_cycle(cycle_graph(5), 0, -1)
+
+    @pytest.mark.parametrize("x", [-1, 6])
+    def test_neighborhood_cycle_rejects_root_outside_graph(self, x):
+        with pytest.raises(ValueError, match=f"root {x} is not a vertex"):
+            neighborhood_cycle(cycle_graph(6), x, 3)
 
     @staticmethod
     def same_as_before(g, x, depth):

@@ -363,6 +363,15 @@ class TestCliGenStats:
         assert "z1=" in text and "diameter=" in text
         assert "diameter_mode=exact" in text
 
+    @pytest.mark.parametrize("p", ["1e-17", "1e-300"])
+    def test_gen_tiny_p_writes_an_empty_graph(self, tmp_path, capsys, p):
+        out = tmp_path / "g.el"
+        assert main(["gen", "gnp", "--n", "10", "--p", p, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "wrote" in captured.out and captured.err == ""
+        g = read_edge_list(out)
+        assert (g.n, g.m) == (10, 0)
+
     def test_gen_same_seed_byte_identical(self, tmp_path, capsys):
         files = []
         for name in ("a.el", "b.el"):

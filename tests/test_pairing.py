@@ -88,6 +88,12 @@ class TestGrowBfsTree:
         with pytest.raises(ValueError, match="negative"):
             grow_bfs_tree(complete_graph(4), 0, -1)
 
+    @pytest.mark.parametrize("root", [-1, 6])
+    def test_root_outside_graph_rejected(self, root):
+        # a negative root would otherwise read adj[n - 1] and grow a tree
+        with pytest.raises(ValueError, match=f"root {root} is not a vertex"):
+            grow_bfs_tree(cycle_graph(6), root, 1)
+
     def test_path_from_root_reaches_each_leaf(self):
         t = grow_bfs_tree(PETERSEN, 0, 2)
         for leaf in t.leaves:

@@ -18,8 +18,11 @@ prints one sha256 per workload, with counts:
 
 A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
 witness came back), in query order.  Two checkouts that print the same
-digests return the same witnesses on these 4700 pairs.  The run takes
-about 20 s on 2 vCPUs.  Not a test: pytest does not collect this file.
+digests return the same witnesses on these 4700 pairs.  ``EXPECTED`` holds
+the lines the current code prints; the script exits 1, naming each line
+that differs, when a workload prints anything else.  A change that alters
+witnesses on purpose records its new lines there.  The run takes about
+20 s on 2 vCPUs.  Not a test: pytest does not collect this file.
 """
 
 import hashlib
@@ -37,6 +40,13 @@ from rainbowconn.rng import derive_seed, stream  # noqa: E402
 from rainbowconn.verify import rainbow_path_search  # noqa: E402
 
 BUDGET = 10 ** 6
+
+EXPECTED = {
+    "gate5": "gate5 c1056e000b7a896af71c012465e840bb411b1e0b5d76c0384ccc1ba7d69338fe"
+             " pairs=200 found=200",
+    "regular": "regular b9d797d5d2a4533df42afe52acdbf63ec08358c22b631979e8c8fc5ac71b6a0d"
+               " pairs=4500 found=4500 tree_hits=2534",
+}
 
 
 def sample_pairs(n, count, rng):
@@ -93,11 +103,17 @@ def regular():
 
 
 def main():
+    mismatched = 0
     for name, workload in (("gate5", gate5), ("regular", regular)):
         lines, counts = workload()
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-        print(f"{name} {digest} {counts}")
+        got = f"{name} {digest} {counts}"
+        print(got)
+        if got != EXPECTED[name]:
+            mismatched += 1
+            print(f"MISMATCH: expected {EXPECTED[name]}", file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
