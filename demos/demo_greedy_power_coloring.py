@@ -7,10 +7,8 @@ line-distance 2k may share a color.  Then every depth-k BFS tree is
 automatically rainbow, which is what the witness construction needs.
 """
 
-from collections import deque
-
 from rainbowconn.coloring import color_greedy_power, line_distance_neighbors, regular_params
-from rainbowconn.graphs import GenParams, gen_regular_config
+from rainbowconn.graphs import GenParams, gen_regular_config, grow_bfs_tree
 
 n, r = 500, 4
 g = gen_regular_config(GenParams(n=n, r=r, seed=5))
@@ -31,18 +29,7 @@ for eid in (0, g.m // 2, g.m - 1):
 
 # consequence: depth-k BFS trees are rainbow from any root
 root = 17
-depth = {root: 0}
-tree_edges = []
-dq = deque([root])
-while dq:
-    x = dq.popleft()
-    if depth[x] == params.k:
-        continue
-    for y, eid in g.adj[x]:
-        if y not in depth:
-            depth[y] = depth[x] + 1
-            tree_edges.append(eid)
-            dq.append(y)
+tree_edges = grow_bfs_tree(g, root, params.k).edge_ids()
 cols = [c.colors[e] for e in tree_edges]
 print(f"\nBFS tree from {root}: {len(tree_edges)} edges, "
       f"{len(set(cols))} distinct colors -> "

@@ -15,7 +15,9 @@ from rainbowconn.graphs import GenParams, connected, gen_gnp
 from rainbowconn.verify import report_text, verify_sampled
 
 # seed 10 gives a connected instance that still has pendant vertices,
-# so the reserved-color rule actually fires
+# so the pendant rule fires; under the default cutoff log n / 100 no
+# vertex counts as small, so Red and Blue stay unused here (an explicit
+# small_threshold for color_threshold makes them fire)
 n = 2000
 g = gen_gnp(GenParams(n=n, omega=2.0, seed=10))
 assert connected(g), "pick a seed whose instance is connected"

@@ -147,6 +147,8 @@ class CycleClass:
 # ----------------------------------------------------------------------------
 
 def _clamp1(raw: float, name: str, clamped: list[str]) -> float:
+    if not math.isfinite(raw):  # a finite epsilon can still overflow what it scales
+        raise ValueError(f"epsilon is too large: {name} = {raw}")
     if raw < 1.0:
         clamped.append(name)
         return 1.0
@@ -165,8 +167,8 @@ def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams
     loglog = math.log(math.log(n))
     if epsilon is None:
         epsilon = 1.0 / math.sqrt(loglog)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:  # NaN fails the comparison too
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     L = math.log(n) / loglog
     clamped: list[str] = []
     k = math.ceil(_clamp1(epsilon * L, "k", clamped))
@@ -193,8 +195,8 @@ def regular_params(n: int, r: int, epsilon: Optional[float] = None) -> RegularPa
         raise ValueError(f"regular_params needs r >= 3, got r={r}")
     if epsilon is None:
         epsilon = 0.1
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     logn = math.log(n)
     clamped: list[str] = []
     if r >= 4:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -197,16 +197,20 @@ def _first_violation(n: int, e: np.ndarray) -> Optional[tuple[int, str]]:
 def _build_csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR of a canonical edge list, neighbors in increasing order.
 
-    Each edge is listed at v (neighbor u) before it is listed at u (neighbor
-    v).  A stable sort by owner then hands every vertex its lower neighbors
-    first, in edge order, which is increasing because the list is sorted by
-    u, and then its higher neighbors, also in edge order and increasing.
+    Each edge is listed at v (neighbor u) in slot eid, then at u (neighbor v)
+    in slot m + eid.  Sorting the distinct keys owner * 2m + slot hands every
+    vertex its lower neighbors first, in edge order, which is increasing as
+    the list is sorted by u, then its higher ones, also increasing.  The key
+    array is then reduced in place to slots (mod 2m) and edge ids (mod m).
     """
     m = len(u)
     owner = np.concatenate([v, u])
-    order = np.argsort(owner, kind="stable")
-    nbr = np.concatenate([u, v])[order]
-    eid = order % max(m, 1)
+    key = owner * (2 * m)
+    key += np.arange(2 * m)
+    key.sort()
+    key %= max(2 * m, 1)
+    nbr = np.concatenate([u, v])[key]
+    eid = np.remainder(key, max(m, 1), out=key)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
     for arr in (indptr, nbr, eid):
@@ -467,12 +471,11 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
 
     The whole of ``bfs_levels``'s sweep, drawn to its end.  It pays about
     18 us of numpy overhead per level (2-vCPU VM, Python 3.11, numpy 2.4),
-    so it wins on graphs with few levels and loses on long thin ones.  Per
+    so it is fast on graphs with few levels and slow on long thin ones: per
     call, the random 3-, 4- and 5-regular graphs at n = 2000 take
-    0.2-0.45 ms against 1.6-3.3 ms for a deque walk, and the threshold
-    G(10^5, p) 20-25 ms; but ``cycle_graph(2000)`` takes 19 ms against
-    1.2 ms and ``path_graph(4000)`` 72 ms against 3 ms.  No library caller
-    runs BFS-heavy work on such graphs at scale.
+    0.2-0.45 ms and the threshold G(10^5, p) 20-25 ms, but
+    ``cycle_graph(2000)`` 19 ms and ``path_graph(4000)`` 72 ms.  No library
+    caller runs BFS-heavy work on such graphs at scale.
     """
     for dist in bfs_levels(g, source):
         pass
@@ -630,20 +633,19 @@ class TreePath:
 
 
 def grow_bfs_tree(g: Graph, root: int, depth: int,
-                  forbidden: frozenset[int] = frozenset()) -> RootedTree:
+                  forbidden: AbstractSet[int] = frozenset()) -> RootedTree:
     """Breadth-first tree of given depth avoiding ``forbidden`` vertices.
 
     Expansion is in BFS order, one level per step, with neighbors in
     ascending id; an edge into a forbidden vertex or back into the tree (the
-    root, or a vertex with a parent) is skipped.  Only the tree is recorded:
-    the graph is simple, so an expanded vertex skipped exactly degree -
-    children - 1 edges (one is its parent's), the root degree - children.
+    root, or a vertex with a parent) is skipped.  ``forbidden`` is only read
+    and may hold the root, so a caller can pass its live set of claimed
+    vertices.  Only the tree is recorded: the graph is simple, so an expanded
+    vertex skipped degree - children - 1 edges, the root degree - children.
     """
     check_vertices(g, ("root", root))
     if depth < 0:
         raise ValueError(f"tree depth {depth} is negative")
-    if root in forbidden:
-        raise ValueError(f"root {root} is forbidden")
     parent: dict[int, tuple[int, int]] = {}
     levels = [(root,)]
     adj = g.adj

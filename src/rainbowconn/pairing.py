@@ -7,11 +7,12 @@ between a vertex pair (x, y) in three stages:
    parent edges and levels): a depth-k tree from x, another from y avoiding
    the first, each checked once for a vertex above depth k with fewer than
    d children and then pruned, level by level, to its d lowest-id children
-   per vertex; then a depth-gamma tree hanging off every pruned leaf, each
-   avoiding everything grown before it.  Skipped edges are read off the
-   degrees and the trees' children, never counted.  A hanging tree is
-   judged on its first levels before it grows further, so an excluded one
-   is never grown to gamma.
+   per vertex; then a depth-gamma tree ("hat") hanging off every pruned
+   leaf, keyed by that leaf (None where it is excluded).  Every tree avoids
+   the one live set of vertices claimed before it.  Skipped edges are read
+   off the degrees and the trees' children, never counted.  A hat is judged
+   on its first levels before it grows further, so an excluded one is never
+   grown to gamma.
 2. Pair root-to-leaf paths of the two pruned trees so that each pair's color
    union stays rainbow; the arity d is read off the trees.  At every
    interior level a d x d bipartite compatibility graph H is built: branch
@@ -42,7 +43,7 @@ rainbow path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .coloring import EdgeColoring
 from .errors import GuaranteeViolation, NoStructure
@@ -264,29 +265,25 @@ class WitnessBundle:
     """The tree scaffold between x and y: two pruned trees and the hanging
     trees ("hats") off their leaves.
 
-    ``hats_x[i]``/``hats_y[i]`` hang off the i-th leaf of ``tree_x``/``tree_y``,
-    None where that leaf was excluded.  ``bundle_text`` derives its report
-    from these; ``rainbow_witness`` pairs the leaves under a coloring and
-    finds the connector of each matched pair in the graph it is given.
+    ``hats_x``/``hats_y`` map each leaf of ``tree_x``/``tree_y``, in leaf order,
+    to its hat, None where that leaf was excluded.  ``bundle_text`` derives its
+    report from these; ``rainbow_witness`` pairs the leaves under a coloring
+    and finds the connector of each matched pair in the graph it is given.
     """
 
     gamma: int
     tree_x: RootedTree
     tree_y: RootedTree
-    hats_x: tuple[Optional[RootedTree], ...]
-    hats_y: tuple[Optional[RootedTree], ...]
+    hats_x: dict[int, Optional[RootedTree]]
+    hats_y: dict[int, Optional[RootedTree]]
 
 
 def _hat_is_bad(g: Graph, hat: RootedTree, cutoff: int) -> bool:
-    """Bad: no leaves at its depth, or an edge skipped while building the
-    first ``cutoff`` levels, the root's always skipped edge back into the
-    scaffold tree it hangs from aside.
-
-    That is a vertex above depth min(cutoff, depth) with fewer than
-    degree - 1 children: the one edge left over is a non-root vertex's
-    parent edge, and the root's edge back into the scaffold.  Only those
-    levels are read, so a hat grown to that depth is judged as it would be
-    grown to gamma, leaves at gamma aside.
+    """Bad: no leaves at its depth, or a vertex above depth min(cutoff, depth)
+    with fewer than degree - 1 children, that is, an edge skipped in the first
+    ``cutoff`` levels besides a vertex's parent edge (for the root, its edge
+    back into the scaffold).  Only those levels are read, so a hat grown to
+    that depth is judged as it would be grown to gamma, leaves at gamma aside.
     """
     if not hat.leaves:
         return True
@@ -335,7 +332,7 @@ def _check_scaffold(g: Graph, x: int, y: int, k: int, gamma: int, d: int) -> Non
         raise ValueError(f"scaffold arity d={d} is below 2; pairing needs d >= 2")
 
 
-def _scaffold_tree(g: Graph, root: int, k: int, d: int, forbidden: frozenset[int]
+def _scaffold_tree(g: Graph, root: int, k: int, d: int, forbidden: AbstractSet[int]
                    ) -> RootedTree:
     """The depth-k BFS tree at root pruned to arity d: the complete d-ary
     tree that keeps the d lowest-id children of every kept vertex above
@@ -380,28 +377,28 @@ def build_witness_paths(g: Graph, x: int, y: int, k: int, gamma: int, d: int
     cutoff = max(1, -(-gamma // 10))
     top = min(cutoff, gamma)
     tree_x = _scaffold_tree(g, x, k, d, frozenset())
-    if y in tree_x.vertices():
+    used = tree_x.vertices()
+    if y in used:
         raise NoStructure(f"{y} lies inside the depth-{k} tree of {x}")
-    tree_y = _scaffold_tree(g, y, k, d, frozenset(tree_x.vertices()))
+    tree_y = _scaffold_tree(g, y, k, d, used)
+    used |= tree_y.vertices()
 
-    used = tree_x.vertices() | tree_y.vertices()
-    hats_x: list[Optional[RootedTree]] = []
-    hats_y: list[Optional[RootedTree]] = []
+    hats_x: dict[int, Optional[RootedTree]] = {}
+    hats_y: dict[int, Optional[RootedTree]] = {}
     for tree, hats in ((tree_x, hats_x), (tree_y, hats_y)):
         for leaf in tree.leaves:
-            forbidden = frozenset(used - {leaf})
-            hat = grow_bfs_tree(g, leaf, top, forbidden=forbidden)
+            hat = grow_bfs_tree(g, leaf, top, forbidden=used)
             if _hat_is_bad(g, hat, cutoff):
                 hat = None
             elif top < gamma:
-                full = grow_bfs_tree(g, leaf, gamma, forbidden=forbidden)
+                full = grow_bfs_tree(g, leaf, gamma, forbidden=used)
                 hat = full if full.leaves else None
-            hats.append(hat)
+            hats[leaf] = hat
             if hat is not None:
                 used |= hat.vertices()
 
     return WitnessBundle(gamma=gamma, tree_x=tree_x, tree_y=tree_y,
-                         hats_x=tuple(hats_x), hats_y=tuple(hats_y))
+                         hats_x=hats_x, hats_y=hats_y)
 
 
 def bundle_text(bundle: WitnessBundle) -> str:
@@ -414,8 +411,8 @@ def bundle_text(bundle: WitnessBundle) -> str:
         "gamma": bundle.gamma,
         "levels_x": ",".join(str(len(level)) for level in tree_x.levels),
         "levels_y": ",".join(str(len(level)) for level in tree_y.levels),
-        "excluded_x": bundle.hats_x.count(None),
-        "excluded_y": bundle.hats_y.count(None),
+        "excluded_x": list(bundle.hats_x.values()).count(None),
+        "excluded_y": list(bundle.hats_y.values()).count(None),
     }
     return "".join(f"{key}={value}\n" for key, value in report.items())
 
@@ -433,16 +430,14 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     GuaranteeViolation (a broken scaffold) when a rainbow one fails the
     re-check or does not run x..y.
     """
-    if all(h is None for h in bundle.hats_x) or all(h is None for h in bundle.hats_y):
+    if not any(bundle.hats_x.values()) or not any(bundle.hats_y.values()):
         return None
     try:
         pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
     except GuaranteeViolation:
         return None
-    hat_x = dict(zip(bundle.tree_x.leaves, bundle.hats_x))
-    hat_y = dict(zip(bundle.tree_y.leaves, bundle.hats_y))
     for px, py in pairing.pairs:
-        conn = _find_connector(g, hat_x[px.leaf], hat_y[py.leaf])
+        conn = _find_connector(g, bundle.hats_x[px.leaf], bundle.hats_y[py.leaf])
         if conn is None:
             continue
         verts, eids = _join(px, conn, py)

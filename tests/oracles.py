@@ -193,6 +193,19 @@ def canonical_adjacency(n, edges):
     return tuple(tuple(lst) for lst in adj)
 
 
+def build_csr_before(n, u, v):
+    """``graphs._build_csr`` ordering the 2m slots by a stable argsort of
+    their owners, as it did before it sorted distinct keys as values."""
+    m = len(u)
+    owner = np.concatenate([v, u])
+    order = np.argsort(owner, kind="stable")
+    nbr = np.concatenate([u, v])[order]
+    eid = order % max(m, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return indptr, nbr, eid
+
+
 def rainbow_path_exact_before(g, c, x, y, max_len=None):
     """``verify.rainbow_path_exact`` with a visited set kept beside ``parent``."""
     if max_len is None:

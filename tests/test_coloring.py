@@ -66,6 +66,17 @@ class TestThresholdParams:
         with pytest.raises(ValueError):
             threshold_params(10**5, epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon, match", [
+        (math.inf, "epsilon must be positive and finite, got inf"),
+        (math.nan, "epsilon must be positive and finite, got nan"),
+        (-math.inf, "epsilon must be positive and finite, got -inf"),
+        (1e308, "epsilon is too large: k = inf"),  # finite, but epsilon * L overflows
+    ], ids=["inf", "nan", "-inf", "1e308"])
+    def test_non_finite_epsilon_named(self, epsilon, match):
+        for n in (20, 10**5):
+            with pytest.raises(ValueError, match=match):
+                threshold_params(n, epsilon=epsilon)
+
 
 class TestRegularParams:
     def test_r4_large(self):
@@ -107,6 +118,16 @@ class TestRegularParams:
             regular_params(2000, 2)
         with pytest.raises(ValueError):
             regular_params(2000, 3, epsilon=-1.0)
+
+    @pytest.mark.parametrize("epsilon, match", [
+        (math.inf, "epsilon must be positive and finite, got inf"),
+        (math.nan, "epsilon must be positive and finite, got nan"),
+        (1e308, "epsilon is too large: gamma = inf"),  # finite, but gamma overflows
+    ], ids=["inf", "nan", "1e308"])
+    @pytest.mark.parametrize("r", [3, 5])
+    def test_non_finite_epsilon_named(self, epsilon, match, r):
+        with pytest.raises(ValueError, match=match):
+            regular_params(20, r, epsilon=epsilon)
 
     def test_gamma_epsilon_configurable(self):
         wide = regular_params(2000, 3, epsilon=0.5)

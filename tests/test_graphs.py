@@ -134,6 +134,26 @@ class TestArrayAdjacency:
     def test_matches_reference_on_fixed_graphs(self, make):
         assert_adjacency_matches_reference(make())
 
+    @staticmethod
+    def csr_matches_before(g):
+        e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+        for got, want in zip(g.csr(), oracles.build_csr_before(g.n, e[:, 0], e[:, 1])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @given(graphs(min_n=0, max_n=12))
+    @example(Graph(0, []))
+    @example(Graph(1, []))
+    @example(Graph(5, []))
+    @example(Graph(6, [(1, 4), (2, 4)]))
+    @settings(max_examples=150)
+    def test_csr_matches_stable_argsort(self, g):
+        self.csr_matches_before(g)
+
+    def test_csr_matches_stable_argsort_on_gate5(self):
+        n = 10 ** 5
+        self.csr_matches_before(gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0)))
+
     def test_array_input_equals_list_input(self):
         edges = [(0, 2), (0, 3), (1, 2), (2, 3)]
         a = Graph(4, edges)

@@ -480,6 +480,19 @@ class TestCliColorVerify:
         assert "pairs_checked=120" in text
         assert "success_rate=1.000000" in text
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e308"])
+    def test_thm1_non_finite_epsilon_is_an_error(self, tmp_path, capsys, epsilon):
+        gpath = tmp_path / "star.el"
+        write_edge_list(star_graph(19), gpath)
+        cpath = tmp_path / "star.col"
+        rc = main(["color", "thm1", "--in", str(gpath), "--epsilon", epsilon,
+                   "--out", str(cpath)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: epsilon ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert not cpath.exists()
+
     def test_greedy_coloring_is_locally_proper(self, tmp_path, capsys):
         p4 = write_p4(tmp_path)
         cpath = tmp_path / "g.col"
@@ -916,6 +929,20 @@ class TestCliExperiment:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err == f"error: {flags[1]} does not use {key}; drop it\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "1e308"])
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "thm1", "--n-values", "20", "--omega", "1"],
+        ["--mode", "regular", "--n-values", "20", "--r", "3"],
+    ], ids=["thm1", "regular"])
+    def test_non_finite_epsilon_is_an_error(self, tmp_path, capsys, flags, epsilon):
+        out = tmp_path / "e.csv"
+        rc = main(["experiment", *flags, "--epsilon", epsilon, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: epsilon ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
         assert not out.exists()
 
     def test_bad_config_key_is_domain_error(self, tmp_path, capsys):

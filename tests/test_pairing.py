@@ -80,9 +80,15 @@ class TestGrowBfsTree:
         assert len(t.children[0]) == 2 and g.degree(0) == 3  # one edge skipped
         assert level_sizes(t) == (1, 2)
 
-    def test_forbidden_root_rejected(self):
-        with pytest.raises(ValueError):
-            grow_bfs_tree(complete_graph(4), 0, 1, forbidden=frozenset({0}))
+    def test_forbidden_root_grows_the_same_tree(self):
+        # a tree starts at its root and never re-enters it, so a forbidden
+        # set that holds the root forbids nothing more
+        for g in (complete_graph(4), PETERSEN, cycle_graph(6)):
+            for root in range(g.n):
+                for forbidden in (set(), {(root + 1) % g.n}, set(range(0, g.n, 3))):
+                    without = grow_bfs_tree(g, root, 2, forbidden=forbidden - {root})
+                    held = grow_bfs_tree(g, root, 2, forbidden=forbidden | {root})
+                    assert (held.parent, held.levels) == (without.parent, without.levels)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -152,7 +158,8 @@ class TestGrowBfsTree:
     def test_matches_before(self, g, data, depth, d, cutoff):
         root = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         forbidden = data.draw(st.frozensets(st.integers(min_value=0, max_value=g.n - 1)))
-        self.same_as_before(g, root, depth, forbidden - {root}, d, cutoff)
+        # a drawn set may hold the root, as the scaffold's claimed set does
+        self.same_as_before(g, root, depth, forbidden, d, cutoff)
 
     def test_matches_before_on_witness_trees(self, monkeypatch):
         # every tree build_witness_paths grows on gate 4's r = 5 graph
@@ -160,7 +167,9 @@ class TestGrowBfsTree:
         grown = []
 
         def recording(graph, root, depth, forbidden=frozenset()):
-            grown.append((root, depth, forbidden))
+            # the scaffold passes its live claimed set, which grows after
+            # the call, so the set is recorded as it stood
+            grown.append((root, depth, frozenset(forbidden)))
             return grow_bfs_tree(graph, root, depth, forbidden=forbidden)
 
         monkeypatch.setattr(pairing_mod, "grow_bfs_tree", recording)
@@ -470,11 +479,9 @@ def find_structured_pair(g, p, d, candidates):
 def matched_joins(g, c, bundle):
     """(vertices, edge ids) of each matched leaf pair's x..y join under c,
     for the pairs with both hanging trees and a connector; colors unchecked."""
-    hat_x = dict(zip(bundle.tree_x.leaves, bundle.hats_x))
-    hat_y = dict(zip(bundle.tree_y.leaves, bundle.hats_y))
     joins = []
     for px, py in pair_tree_paths(bundle.tree_x, bundle.tree_y, c).pairs:
-        conn = pairing_mod._find_connector(g, hat_x[px.leaf], hat_y[py.leaf])
+        conn = pairing_mod._find_connector(g, bundle.hats_x[px.leaf], bundle.hats_y[py.leaf])
         if conn is not None:
             joins.append(pairing_mod._join(px, conn, py))
     return joins
@@ -508,12 +515,11 @@ class TestBuildWitnessPaths:
         vx, vy = bundle.tree_x.vertices(), bundle.tree_y.vertices()
         assert not vx & vy
         claimed = vx | vy
-        for hats, tree in ((bundle.hats_x, bundle.tree_x),
-                           (bundle.hats_y, bundle.tree_y)):
-            for i, hat in enumerate(hats):
+        for hats in (bundle.hats_x, bundle.hats_y):
+            for leaf, hat in hats.items():
                 if hat is None:
                     continue
-                assert hat.root == tree.leaves[i]
+                assert hat.root == leaf
                 overlap = hat.vertices() & claimed
                 assert overlap == {hat.root}
                 claimed |= hat.vertices()
@@ -529,8 +535,8 @@ class TestBuildWitnessPaths:
         assert (fields["x"], fields["y"]) == ("10", "900")
         assert (fields["d"], fields["k"], fields["gamma"]) == ("3", str(p.k), str(p.gamma))
         assert fields["levels_x"] == fields["levels_y"] == "1,3,9"
-        assert int(fields["excluded_x"]) == sum(h is None for h in bundle.hats_x)
-        assert int(fields["excluded_y"]) == sum(h is None for h in bundle.hats_y)
+        assert int(fields["excluded_x"]) == sum(h is None for h in bundle.hats_x.values())
+        assert int(fields["excluded_y"]) == sum(h is None for h in bundle.hats_y.values())
 
     def test_determinism(self):
         g, p = regular_instance()
@@ -539,6 +545,13 @@ class TestBuildWitnessPaths:
         again = build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
         assert (again.hats_x, again.hats_y) == (bundle.hats_x, bundle.hats_y)
         assert bundle_text(again) == bundle_text(bundle)
+
+    def test_hats_keyed_by_leaf_in_order(self):
+        g, p = regular_instance()
+        for x, y in [(10, 900), (1, 900), (3, 777), (26, 384)]:
+            bundle = build_witness_paths(g, x, y, k=p.k, gamma=p.gamma, d=3)
+            assert tuple(bundle.hats_x) == bundle.tree_x.leaves
+            assert tuple(bundle.hats_y) == bundle.tree_y.leaves
 
     def test_tree_input_has_no_structure(self):
         g = path_graph(30)
@@ -600,11 +613,12 @@ class TestRainbowWitness:
         g, p = regular_instance()
         if side == "y":
             bundle = build_witness_paths(g, 1, 900, k=p.k, gamma=p.gamma, d=3)
-            assert bundle.hats_y.count(None) == len(bundle.hats_y) > bundle.hats_x.count(None)
+            excluded_x = sum(h is None for h in bundle.hats_x.values())
+            assert sum(h is None for h in bundle.hats_y.values()) == len(bundle.hats_y) > excluded_x
         else:
             bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
-            assert bundle.hats_y.count(None) < len(bundle.hats_y)
-            bundle.hats_x = (None,) * len(bundle.hats_x)
+            assert sum(h is None for h in bundle.hats_y.values()) < len(bundle.hats_y)
+            bundle.hats_x = dict.fromkeys(bundle.hats_x)
         x, y = bundle.tree_x.root, bundle.tree_y.root
 
         def no_pairing(*args):

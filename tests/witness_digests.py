@@ -15,14 +15,22 @@ prints one sha256 per workload, with counts:
   For each run seed 1-10 and r = 3, 4, 5, round 0's 150 pairs are drawn.
   Each pair tries ``witness_via_trees`` first (d = r - 2 >= 2), then the
   search.
+- ``bundles``: the scaffolds behind those tree witnesses.  For every pair
+  of the regular protocol at r = 4 and 5, ``build_witness_paths`` grows
+  the bundle at d = r - 2, whether or not a query would reach it.
 
 A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
-witness came back), in query order.  Two checkouts that print the same
-digests return the same witnesses on these 4700 pairs.  ``EXPECTED`` holds
-the lines the current code prints; the script exits 1, naming each line
-that differs, when a workload prints anything else.  A change that alters
-witnesses on purpose records its new lines there.  The run takes about
-20 s on 2 vCPUs.  Not a test: pytest does not collect this file.
+witness came back), in query order.  A bundle is hashed as the line ``r
+seed u v:`` followed by each scaffold tree and then each hat, leaf by leaf,
+as its ``levels`` and its sorted ``parent`` items (``None`` for an excluded
+leaf), or ``NoStructure`` when the scaffold cannot be grown; so a hat that
+changes is seen even when no matched pair joins through it.  Two checkouts
+that print the same digests return the same witnesses on these 4700 pairs
+and grow the same 3000 bundles.  ``EXPECTED`` holds the lines the current
+code prints; the script exits 1, naming each line that differs, when a
+workload prints anything else.  A change that alters witnesses on purpose
+records its new lines there.  The run takes about 25 s on 2 vCPUs.  Not a
+test: pytest does not collect this file.
 """
 
 import hashlib
@@ -35,17 +43,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rainbowconn.coloring import (color_greedy_power, color_threshold,  # noqa: E402
                                   recolor_cycle_classes, regular_params, threshold_params)
 from rainbowconn.graphs import GenParams, gen_gnp, gen_regular_config  # noqa: E402
-from rainbowconn.pairing import witness_via_trees  # noqa: E402
+from rainbowconn.errors import NoStructure  # noqa: E402
+from rainbowconn.pairing import build_witness_paths, witness_via_trees  # noqa: E402
 from rainbowconn.rng import derive_seed, stream  # noqa: E402
 from rainbowconn.verify import rainbow_path_search  # noqa: E402
 
 BUDGET = 10 ** 6
+INSTANCES = []
 
 EXPECTED = {
     "gate5": "gate5 c1056e000b7a896af71c012465e840bb411b1e0b5d76c0384ccc1ba7d69338fe"
              " pairs=200 found=200",
     "regular": "regular b9d797d5d2a4533df42afe52acdbf63ec08358c22b631979e8c8fc5ac71b6a0d"
                " pairs=4500 found=4500 tree_hits=2534",
+    "bundles": "bundles bc1b708493a417943d2f6bdf0a37cc8a220f1a64356f1531e8485ec94424dced"
+               " pairs=3000 built=2946",
 }
 
 
@@ -76,20 +88,30 @@ def gate5():
     return lines, f"pairs=200 found={found}"
 
 
+def regular_instances():
+    """Gate 4's (r, params, graph, coloring) at n = 2000, built once."""
+    if not INSTANCES:
+        n = 2000
+        for r in (3, 4, 5):
+            g = gen_regular_config(GenParams(n=n, r=r, seed=0))
+            rp = regular_params(n, r)
+            base = color_greedy_power(g, radius=2 * rp.k, q=rp.q, seed=1)
+            c = recolor_cycle_classes(g, base, rp.k)[0] if r == 3 else base
+            INSTANCES.append((r, rp, g, c))
+    return INSTANCES
+
+
+def regular_pairs(g, seed, r):
+    """Round 0's 150 pairs of perfbench's regular run ``seed`` at degree r."""
+    return sample_pairs(g.n, 150, stream(seed, f"regular:{r}:0"))
+
+
 def regular():
-    n = 2000
-    instances = []
-    for r in (3, 4, 5):
-        g = gen_regular_config(GenParams(n=n, r=r, seed=0))
-        rp = regular_params(n, r)
-        base = color_greedy_power(g, radius=2 * rp.k, q=rp.q, seed=1)
-        c = recolor_cycle_classes(g, base, rp.k)[0] if r == 3 else base
-        instances.append((r, rp, g, c))
     lines = []
     tree_hits = found = 0
     for seed in range(1, 11):
-        for r, rp, g, c in instances:
-            for u, v in sample_pairs(n, 150, stream(seed, f"regular:{r}:0")):
+        for r, rp, g, c in regular_instances():
+            for u, v in regular_pairs(g, seed, r):
                 w = None
                 if r - 2 >= 2:
                     w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=r - 2)
@@ -102,9 +124,35 @@ def regular():
     return lines, f"pairs={len(lines)} found={found} tree_hits={tree_hits}"
 
 
+def tree_text(t):
+    return "None" if t is None else f"{t.levels} {sorted(t.parent.items())}"
+
+
+def bundles():
+    lines = []
+    built = 0
+    for seed in range(1, 11):
+        for r, rp, g, _ in regular_instances():
+            if r - 2 < 2:
+                continue
+            for u, v in regular_pairs(g, seed, r):
+                try:
+                    b = build_witness_paths(g, u, v, k=rp.k, gamma=rp.gamma, d=r - 2)
+                except NoStructure:
+                    body = "NoStructure"
+                else:
+                    built += 1
+                    parts = [tree_text(b.tree_x), tree_text(b.tree_y)]
+                    parts += [f"{leaf} {tree_text(hat)}" for hats in (b.hats_x, b.hats_y)
+                              for leaf, hat in hats.items()]
+                    body = " | ".join(parts)
+                lines.append(f"{r} {seed} {u} {v}: {body}\n")
+    return lines, f"pairs={len(lines)} built={built}"
+
+
 def main():
     mismatched = 0
-    for name, workload in (("gate5", gate5), ("regular", regular)):
+    for name, workload in (("gate5", gate5), ("regular", regular), ("bundles", bundles)):
         lines, counts = workload()
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         got = f"{name} {digest} {counts}"
