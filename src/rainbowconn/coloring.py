@@ -17,7 +17,10 @@ The passes:
 - ``color_greedy_power``: proper coloring of the distance power of the line
   graph; edge e may not share a color with any edge within line-distance
   ``radius``.  Colors are drawn uniformly among the non-blocked ones, so the
-  result is both proper and usefully random.
+  result is both proper and usefully random.  An edge f other than
+  e = (a, b) lies within line distance R of e exactly when f has an end
+  within graph distance R - 1 of a or b, so the blocked edges are those at
+  the vertices of two ``grow_bfs_tree`` balls.
 - ``recolor_cycle_classes``: roots whose depth-k neighborhood spans exactly
   one cycle are grouped by that cycle; each group's induced edges are
   recolored positionally from fresh palettes so that structurally identical
@@ -34,7 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import NotConnected, PaletteExhausted
-from .graphs import (AMBIGUOUS, Graph, connected, default_small_threshold,
+from .graphs import (AMBIGUOUS, Graph, connected, default_small_threshold, grow_bfs_tree,
                      neighborhood_cycle, parse_fields, pendant_edges, read_text_lines)
 from .rng import np_stream, stream
 
@@ -69,12 +72,15 @@ class EdgeColoring:
     def __post_init__(self):
         if len(self.colors) != len(self.provenance):
             raise ValueError("colors and provenance length mismatch")
-        for c in self.colors:
-            if not 0 <= c < self.palette_size:
-                raise ValueError(f"color {c} outside palette [0, {self.palette_size})")
-        for tag in self.provenance:
-            if tag not in PROVENANCE_TAGS:
-                raise ValueError(f"unknown provenance tag {tag!r}")
+        if self.palette_size < 0:
+            raise ValueError(f"palette size {self.palette_size} is negative")
+        if self.colors:
+            for c in (min(self.colors), max(self.colors)):
+                if not 0 <= c < self.palette_size:
+                    raise ValueError(f"color {c} outside palette [0, {self.palette_size})")
+        unknown = set(self.provenance).difference(PROVENANCE_TAGS)
+        if unknown:
+            raise ValueError(f"unknown provenance tag {min(unknown)!r}")
 
     @property
     def m(self) -> int:
@@ -147,12 +153,19 @@ class CycleClass:
 # ----------------------------------------------------------------------------
 
 def _clamp1(raw: float, name: str, clamped: list[str]) -> float:
-    if not math.isfinite(raw):  # a finite epsilon can still overflow what it scales
-        raise ValueError(f"epsilon is too large: {name} = {raw}")
     if raw < 1.0:
         clamped.append(name)
         return 1.0
     return raw
+
+
+def _tree_depth(raw: float, name: str, n: int, epsilon: float, clamped: list[str]) -> int:
+    """ceil(raw) clamped up to 1; refused at n or more (or when epsilon
+    overflowed it), since no tree on n vertices is that deep."""
+    if not raw <= n - 1:
+        raise ValueError(f"epsilon is too large: {name} = {raw:.6g} reaches n={n} "
+                         f"at epsilon={epsilon}")
+    return math.ceil(_clamp1(raw, name, clamped))
 
 
 def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams:
@@ -160,7 +173,8 @@ def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams
 
     Requires n >= 16 so that log log n > 1 and L is well behaved.  The
     default epsilon = 1/sqrt(log log n) vanishes as n grows, which keeps
-    q = ceil((1+5 epsilon) L) within (1+o(1)) L of the optimum.
+    q = ceil((1+5 epsilon) L) within (1+o(1)) L of the optimum.  An epsilon
+    that makes k or gamma reach n is refused.
     """
     if n < 16:
         raise ValueError(f"threshold_params needs n >= 16 (log log n must exceed 1), got n={n}")
@@ -171,8 +185,8 @@ def threshold_params(n: int, epsilon: Optional[float] = None) -> ThresholdParams
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     L = math.log(n) / loglog
     clamped: list[str] = []
-    k = math.ceil(_clamp1(epsilon * L, "k", clamped))
-    gamma = math.ceil(_clamp1((0.5 + epsilon) * L, "gamma", clamped))
+    k = _tree_depth(epsilon * L, "k", n, epsilon, clamped)
+    gamma = _tree_depth((0.5 + epsilon) * L, "gamma", n, epsilon, clamped)
     q = math.ceil(_clamp1((1.0 + 5.0 * epsilon) * L, "q", clamped))
     p0 = ((1.0 + 3.0 * epsilon) / (1.0 + 5.0 * epsilon)) ** 2
     branching = _clamp1(math.log(n) / 101.0, "branching", clamped)
@@ -187,7 +201,8 @@ def regular_params(n: int, r: int, epsilon: Optional[float] = None) -> RegularPa
     rounded up; the r = 3 expression compensates for binary branching with
     an extra doubly-log correction.  sigma, the guaranteed number of rainbow
     path pairs, is (r-2)^{k-1} - 6 for r >= 4 (clamped to 1) and 2^{floor(k/2)}
-    for r = 3.  epsilon, the slack in the hanging depth gamma, defaults to 0.1.
+    for r = 3.  epsilon, the slack in the hanging depth gamma, defaults to 0.1;
+    one that makes gamma reach n is refused.
     """
     if n < 16:
         raise ValueError(f"regular_params needs n >= 16, got n={n}")
@@ -214,7 +229,7 @@ def regular_params(n: int, r: int, epsilon: Optional[float] = None) -> RegularPa
         theta_r = None
         sigma = 2 ** (k // 2)
     q = 10 * (r - 1) ** (2 * k)
-    gamma = math.ceil(_clamp1((0.5 + epsilon) * logn / math.log(r - 1), "gamma", clamped))
+    gamma = _tree_depth((0.5 + epsilon) * logn / math.log(r - 1), "gamma", n, epsilon, clamped)
     return RegularParams(n=n, r=r, k=k, theta_r=theta_r, q=q, gamma=gamma,
                          epsilon=epsilon, sigma=sigma, clamped=tuple(clamped))
 
@@ -264,23 +279,15 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
     for v in np.flatnonzero((degs >= 2) & (degs < small_threshold)).tolist():
         usable = sorted(e for e in eids[indptr[v]:indptr[v + 1]].tolist()
                         if provenance[e] != "pendant")
-        have_red = any(colors[e] == red and provenance[e] == "red_blue" for e in usable)
-        have_blue = any(colors[e] == blue and provenance[e] == "red_blue" for e in usable)
+        reserved = {colors[e] for e in usable if provenance[e] == "red_blue"}
+        missing = [want for want in (red, blue) if want not in reserved]
         open_edges = [e for e in usable if provenance[e] != "red_blue"]
-        flagged = False
-        for want, have in ((red, have_red), (blue, have_blue)):
-            if have:
-                continue
-            if not open_edges:
-                # fewer usable edges than reserved slots: color what exists,
-                # flag the vertex once
-                if not flagged:
-                    flags.append(f"reserved_fallback:{v}")
-                    flagged = True
-                continue
-            e = open_edges.pop(0)
+        for want, e in zip(missing, open_edges):
             colors[e] = want
             provenance[e] = "red_blue"
+        if len(missing) > len(open_edges):
+            # fewer usable edges than reserved slots: color what exists, flag the vertex
+            flags.append(f"reserved_fallback:{v}")
     return EdgeColoring(tuple(colors), palette, tuple(provenance), tuple(flags))
 
 
@@ -288,36 +295,24 @@ def color_threshold(g: Graph, params: ThresholdParams, seed: int = 0,
 # greedy power coloring for regular graphs
 # ----------------------------------------------------------------------------
 
-def _line_ball(g: Graph, e: int, radius: int, visited: list[int], stamp: int) -> list[int]:
-    """Edge ids within line-graph distance 1..radius of edge ``e``.
+def _edge_ball(g: Graph, e: int, radius: int) -> set[int]:
+    """Vertices within graph distance radius - 1 of either end of edge ``e``.
 
-    ``visited`` (one slot per edge) is marked with ``stamp``, which must
-    differ from every value already in it, so one array serves many calls.
+    An edge other than ``e`` lies within line distance ``radius`` of it
+    exactly when one of its ends is in this set.  No tree grows past n - 1.
     """
-    adj, edges = g.adj, g.edges
-    visited[e] = stamp
-    ball: list[int] = []
-    frontier = [e]
-    for _ in range(radius):
-        nxt = []
-        for f in frontier:
-            for endpoint in edges[f]:
-                for _, fid in adj[endpoint]:
-                    if visited[fid] != stamp:
-                        visited[fid] = stamp
-                        nxt.append(fid)
-        if not nxt:
-            break
-        ball.extend(nxt)
-        frontier = nxt
-    return ball
+    if radius < 1:
+        return set()
+    a, b = g.edges[e]
+    depth = min(radius - 1, g.n - 1)
+    return grow_bfs_tree(g, a, depth).vertices() | grow_bfs_tree(g, b, depth).vertices()
 
 
 def line_distance_neighbors(g: Graph, edge_id: int, radius: int) -> set[int]:
     """Edge ids within line-graph distance <= radius of ``edge_id`` (itself excluded)."""
     if not 0 <= edge_id < g.m:
         raise ValueError(f"edge id {edge_id} out of range")
-    return set(_line_ball(g, edge_id, radius, [0] * g.m, 1))
+    return {f for w in _edge_ball(g, edge_id, radius) for _, f in g.adj[w]} - {edge_id}
 
 
 def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColoring:
@@ -335,11 +330,11 @@ def color_greedy_power(g: Graph, radius: int, q: int, seed: int = 0) -> EdgeColo
         raise ValueError("radius must be nonnegative")
     rng = stream(seed, "greedy")
     m = g.m
+    adj = g.adj
     colors = [-1] * m
-    visited = [0] * m
     for e in range(m):
         # edges below e are the colored ones
-        blocked = {colors[f] for f in _line_ball(g, e, radius, visited, e + 1) if f < e}
+        blocked = {colors[f] for w in _edge_ball(g, e, radius) for _, f in adj[w] if f < e}
         free = q - len(blocked)
         if free <= 0:
             raise PaletteExhausted(e, len(blocked), q)

@@ -18,8 +18,9 @@ the connectivity threshold ``p = (log n + omega)/n`` via skip sampling, and
 random r-regular graphs via the pairing (configuration) model with rejection
 of loops and repeated edges; ``check_gnp_params`` and
 ``check_regular_params`` hold what each refuses.  ``grow_bfs_tree`` is the
-one depth-capped BFS tree, behind the pairing scaffold and
-``neighborhood_cycle``; its ``RootedTree`` is the parent edges and the
+one depth-capped BFS tree, and the one breadth-first vertex walk in Python,
+behind the pairing scaffold, ``neighborhood_cycle`` and the greedy
+coloring's line balls; its ``RootedTree`` is the parent edges and the
 levels alone, the root, depth and leaves read off the levels and the
 children derived on first use.
 
@@ -675,9 +676,9 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
     the full depth.  A vertex is in the ball when it is x or has a parent,
     and an edge is on the tree when it is some vertex's parent edge.  With
     exactly one off it, (u, v), the cycle is u's and v's tree paths below
-    where they meet, closed by it.
+    where they meet, closed by it.  The tree stops at depth n - 1.
     """
-    tree = grow_bfs_tree(g, x, depth)
+    tree = grow_bfs_tree(g, x, min(depth, g.n - 1))
     parent = tree.parent
     tree_eids = set(tree.edge_ids())
     adj = g.adj

@@ -321,13 +321,16 @@ def _find_connector(g: Graph, hx: Optional[RootedTree], hy: Optional[RootedTree]
 
 
 def _check_scaffold(g: Graph, x: int, y: int, k: int, gamma: int, d: int) -> None:
-    """Reject an x or y outside the graph and scaffold shapes the pairing
-    cannot use (k < 1, gamma < 0 or d < 2)."""
+    """Reject an x or y outside the graph, scaffold shapes the pairing cannot
+    use (k < 1, gamma < 0 or d < 2) and depths no tree on n vertices has."""
     check_vertices(g, ("x", x), ("y", y))
     if k < 1:
         raise ValueError(f"scaffold depth k={k} is zero or negative; need k >= 1")
     if gamma < 0:
         raise ValueError(f"hanging depth gamma={gamma} is negative; need gamma >= 0")
+    for name, depth in (("scaffold depth k", k), ("hanging depth gamma", gamma)):
+        if depth >= g.n:
+            raise ValueError(f"{name}={depth} reaches n={g.n}; no tree is that deep")
     if d < 2:
         raise ValueError(f"scaffold arity d={d} is below 2; pairing needs d >= 2")
 

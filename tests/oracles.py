@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from rainbowconn.coloring import EdgeColoring
+from rainbowconn.errors import PaletteExhausted
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
 from rainbowconn.graphs import AMBIGUOUS, Graph, diameter
 from rainbowconn.rng import stream
@@ -414,6 +416,57 @@ def grow_bfs_tree_before(g, root, depth, min_branching=0, forbidden=frozenset())
     return SimpleNamespace(root=root, parent=parent, depth=depth_of, order=tuple(order),
                            leaves=tuple(v for v in order if depth_of[v] == depth),
                            bad_edges=bad, shortfall=shortfall)
+
+
+def line_ball_before(g, e, radius, visited, stamp):
+    """``coloring._line_ball``, the edge walk ``_edge_ball``'s two vertex
+    balls replaced: edge ids within line distance 1..radius of ``e``, found
+    level by level over edges, ``visited`` (one slot per edge) marked with
+    ``stamp``, a value not yet in it, so one array serves many calls."""
+    adj, edges = g.adj, g.edges
+    visited[e] = stamp
+    ball = []
+    frontier = [e]
+    for _ in range(radius):
+        nxt = []
+        for f in frontier:
+            for endpoint in edges[f]:
+                for _, fid in adj[endpoint]:
+                    if visited[fid] != stamp:
+                        visited[fid] = stamp
+                        nxt.append(fid)
+        if not nxt:
+            break
+        ball.extend(nxt)
+        frontier = nxt
+    return ball
+
+
+def line_distance_neighbors_before(g, edge_id, radius):
+    """``coloring.line_distance_neighbors`` over ``line_ball_before``."""
+    return set(line_ball_before(g, edge_id, radius, [0] * g.m, 1))
+
+
+def color_greedy_power_before(g, radius, q, seed=0):
+    """``coloring.color_greedy_power`` over ``line_ball_before``, one stamp
+    per edge: the blocked colors are those of the colored edges in the ball."""
+    rng = stream(seed, "greedy")
+    m = g.m
+    colors = [-1] * m
+    visited = [0] * m
+    for e in range(m):
+        blocked = {colors[f] for f in line_ball_before(g, e, radius, visited, e + 1) if f < e}
+        free = q - len(blocked)
+        if free <= 0:
+            raise PaletteExhausted(e, len(blocked), q)
+        color = rng.randrange(free)
+        for b in sorted(blocked):
+            if b <= color:
+                color += 1
+            else:
+                break
+        colors[e] = color
+    return EdgeColoring(tuple(colors), q, ("greedy",) * m)
 
 
 def hat_is_bad_before(hat, cutoff):

@@ -1,11 +1,12 @@
 """Parameter derivation, the three coloring passes, and the coloring file format."""
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,6 +30,8 @@ from strategies import graphs
 
 
 PETERSEN = petersen_graph()
+# a triangle, a path and two isolated vertices (3 and 8)
+TWO_PARTS = Graph(9, [(0, 1), (0, 2), (1, 2), (4, 5), (5, 6), (6, 7)])
 
 
 class TestThresholdParams:
@@ -76,6 +79,20 @@ class TestThresholdParams:
         for n in (20, 10**5):
             with pytest.raises(ValueError, match=match):
                 threshold_params(n, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [1e17, 1e300])
+    def test_depth_reaching_n_refused(self, epsilon):
+        # 1e300 used to give a 301-digit k, 1e17 a palette of about 1.6e18
+        with pytest.raises(ValueError, match="^epsilon is too large: k = .* reaches n=200 at "
+                                             f"epsilon={re.escape(str(epsilon))}$"):
+            threshold_params(200, epsilon=epsilon)
+
+    def test_depth_boundary_is_n_minus_1(self):
+        # gamma = ceil((1/2 + epsilon) L) is the deeper tree; n - 1 is allowed
+        L = threshold_params(20).L
+        assert threshold_params(20, epsilon=18.5 / L - 0.5).gamma == 19
+        with pytest.raises(ValueError, match="too large: gamma = 19.5 reaches n=20 at "):
+            threshold_params(20, epsilon=19.5 / L - 0.5)
 
 
 class TestRegularParams:
@@ -128,6 +145,17 @@ class TestRegularParams:
     def test_non_finite_epsilon_named(self, epsilon, match, r):
         with pytest.raises(ValueError, match=match):
             regular_params(20, r, epsilon=epsilon)
+
+    @pytest.mark.parametrize("r", [3, 5])
+    def test_depth_reaching_n_refused(self, r):
+        # gamma used to have 301 digits at epsilon = 1e300
+        with pytest.raises(ValueError, match=r"^epsilon is too large: gamma = .* reaches "
+                                             r"n=2000 at epsilon=1e\+300$"):
+            regular_params(2000, r, epsilon=1e300)
+        scale = math.log(2000) / math.log(r - 1)
+        assert regular_params(2000, r, epsilon=1998.5 / scale - 0.5).gamma == 1999
+        with pytest.raises(ValueError, match="gamma = 1999.5 reaches n=2000"):
+            regular_params(2000, r, epsilon=1999.5 / scale - 0.5)
 
     def test_gamma_epsilon_configurable(self):
         wide = regular_params(2000, 3, epsilon=0.5)
@@ -357,6 +385,54 @@ class TestColorGreedyPower:
             color_greedy_power(PETERSEN, radius=-1, q=5)
 
 
+class TestGreedyMatchesEdgeWalk:
+    """``color_greedy_power`` and ``line_distance_neighbors`` grow two
+    vertex balls per edge; ``oracles`` keeps the edge walk they replaced."""
+
+    @staticmethod
+    def outcome(color, g, radius, q, seed):
+        try:
+            return color(g, radius, q, seed)
+        except PaletteExhausted as exc:
+            return ("exhausted", exc.edge_id, str(exc))
+
+    @given(g=graphs(min_n=1, max_n=12), radius=st.integers(0, 5),
+           q=st.integers(1, 24), seed=st.integers(0, 2 ** 32))
+    @example(g=Graph(1, []), radius=2, q=1, seed=0)
+    @example(g=Graph(5, []), radius=3, q=1, seed=0)
+    @example(g=TWO_PARTS, radius=5, q=4, seed=3)
+    @example(g=path_graph(6), radius=0, q=1, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_colors_and_exhaustion_match_before(self, g, radius, q, seed):
+        want = self.outcome(oracles.color_greedy_power_before, g, radius, q, seed)
+        assert self.outcome(color_greedy_power, g, radius, q, seed) == want
+
+    @given(g=graphs(min_n=1, max_n=12), radius=st.integers(0, 5))
+    @example(g=TWO_PARTS, radius=5)
+    @settings(max_examples=100, deadline=None)
+    def test_line_distance_neighbors_match_before(self, g, radius):
+        for e in range(g.m):
+            want = oracles.line_distance_neighbors_before(g, e, radius)
+            assert line_distance_neighbors(g, e, radius) == want
+
+    def test_gate4_r3_coloring_matches_before(self):
+        g = gen_regular_config(GenParams(n=2000, r=3, seed=0))
+        p = regular_params(2000, 3)
+        want = oracles.color_greedy_power_before(g, 2 * p.k, p.q, seed=1)
+        assert color_greedy_power(g, radius=2 * p.k, q=p.q, seed=1) == want
+
+    @pytest.mark.parametrize("g", [path_graph(12), PETERSEN, TWO_PARTS],
+                             ids=["path", "petersen", "disconnected"])
+    def test_huge_radius_is_radius_n_minus_1(self, g):
+        # two balls n - 2 deep already hold every end of e's component, and
+        # a ball is never grown deeper than n - 1, however large the radius
+        far = color_greedy_power(g, radius=10 ** 8, q=g.m, seed=5)
+        assert far == color_greedy_power(g, radius=g.n - 1, q=g.m, seed=5)
+        for e in range(g.m):
+            assert (line_distance_neighbors(g, e, 10 ** 8)
+                    == line_distance_neighbors(g, e, g.n - 1))
+
+
 def gadget_edges(offset):
     # triangle with a 2-edge path hanging off each corner
     base = [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 5), (5, 6), (2, 7), (7, 8)]
@@ -443,6 +519,25 @@ class TestRecolorCycleClasses:
         g = cycle_graph(6)
         with pytest.raises(ValueError, match="negative"):
             recolor_cycle_classes(g, random_coloring(g, 6, seed=0), k=-1)
+
+
+class TestEdgeColoring:
+    def test_negative_palette_refused(self):
+        # a palette of -3 with no edges used to load and verify
+        with pytest.raises(ValueError, match="^palette size -3 is negative$"):
+            EdgeColoring((), -3, ())
+
+    def test_empty_palette_without_edges_accepted(self):
+        assert EdgeColoring((), 0, ()).m == 0
+
+    @pytest.mark.parametrize("colors, bad", [((0, 3, 1), 3), ((2, -1, 0), -1), ((-2, 5, 0), -2)])
+    def test_color_outside_palette_named(self, colors, bad):
+        with pytest.raises(ValueError, match=rf"^color {bad} outside palette \[0, 3\)$"):
+            EdgeColoring(colors, 3, ("random",) * 3)
+
+    def test_unknown_tag_named(self):
+        with pytest.raises(ValueError, match="^unknown provenance tag 'bogus'$"):
+            EdgeColoring((0, 1), 2, ("random", "bogus"))
 
 
 class TestColoringFile:

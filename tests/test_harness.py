@@ -493,6 +493,45 @@ class TestCliColorVerify:
         assert captured.err.count("\n") == 1  # one line, no traceback
         assert not cpath.exists()
 
+    @pytest.mark.parametrize("epsilon", ["1e17", "1e300"])
+    def test_thm1_epsilon_past_n_is_an_error(self, tmp_path, capsys, epsilon):
+        # 1e300 escaped as "high is out of bounds for int64"; 1e17 wrote a
+        # palette of about 1.6e18
+        gpath = tmp_path / "g.el"
+        assert main(["gen", "gnp", "--n", "200", "--omega", "2", "--seed", "0",
+                     "--out", str(gpath)]) == 0
+        capsys.readouterr()
+        cpath = tmp_path / "g.col"
+        rc = main(["color", "thm1", "--in", str(gpath), "--epsilon", epsilon,
+                   "--out", str(cpath)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: epsilon is too large: k = ")
+        assert captured.err.endswith(f"reaches n=200 at epsilon={float(epsilon)}\n")
+        assert captured.err.count("\n") == 1
+        assert not cpath.exists()
+
+    def test_greedy_huge_radius_is_radius_n_minus_1(self, tmp_path, capsys):
+        gpath = tmp_path / "g.el"
+        assert main(["gen", "regular", "--n", "40", "--r", "3", "--seed", "0",
+                     "--out", str(gpath)]) == 0
+        outs = []
+        for radius in ("100000000", "39"):
+            outs.append(tmp_path / f"r{radius}.col")
+            assert main(["color", "greedy", "--in", str(gpath), "--radius", radius,
+                         "--q", "60", "--seed", "0", "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_negative_palette_is_an_error(self, tmp_path, capsys):
+        # a 1-vertex graph has no pairs, so this coloring used to verify
+        gpath = tmp_path / "k1.el"
+        gpath.write_text("1 0\n")
+        cpath = tmp_path / "neg.col"
+        cpath.write_text("0 -3\n")
+        rc = main(["verify", "exact", "--in", str(gpath), "--coloring", str(cpath)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: palette size -3 is negative\n"
+
     def test_greedy_coloring_is_locally_proper(self, tmp_path, capsys):
         p4 = write_p4(tmp_path)
         cpath = tmp_path / "g.col"
@@ -682,6 +721,21 @@ class TestCliPairRecolor:
         assert c.m == 90
         assert c.palette_size >= 60
 
+    def test_recolor_huge_depth_is_depth_n_minus_1(self, tmp_path, capsys):
+        # --k 100000000 grew 10**8 empty levels per vertex
+        gpath = tmp_path / "g.el"
+        base = tmp_path / "base.col"
+        assert main(["gen", "regular", "--n", "40", "--r", "3", "--seed", "0",
+                     "--out", str(gpath)]) == 0
+        assert main(["color", "greedy", "--in", str(gpath), "--radius", "2",
+                     "--q", "60", "--seed", "0", "--out", str(base)]) == 0
+        outs = []
+        for k in ("100000000", "39"):
+            outs.append(tmp_path / f"k{k}.col")
+            assert main(["recolor", "cycles", "--in", str(gpath), "--coloring", str(base),
+                         "--k", k, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_recolor_mismatched_coloring_errors(self, tmp_path, capsys):
         gpath = tmp_path / "g.el"
         write_edge_list(cycle_graph(6), gpath)
@@ -772,6 +826,16 @@ class TestCliWitness:
         assert rc == 1
         assert captured.err.startswith("error:") and "negative" in captured.err
         assert ("gamma=-1" if gamma < 0 else "k=-1") in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k, gamma", [("100000000", "4"), ("2", "2000")], ids=["k", "gamma"])
+    def test_witness_depth_past_n_rejected(self, witness_files, capsys, k, gamma):
+        gpath, cpath, _ = witness_files
+        rc = main(["witness", "--in", str(gpath), "--coloring", str(cpath),
+                   "--x", "3", "--y", "777", "--k", k, "--gamma", gamma, "--d", "3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and "reaches n=2000" in captured.err
         assert captured.out == ""
 
     def test_witness_unusable_scaffold_prints_no_bundle(self, witness_files, capsys):

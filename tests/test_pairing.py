@@ -762,6 +762,30 @@ def test_vertex_outside_graph_rejected(build, x, y, name, bad):
             build_witness_paths(g, x, y, k=1, gamma=1, d=2)
 
 
+@pytest.mark.parametrize("build", ["witness_via_trees", "build_witness_paths"])
+@pytest.mark.parametrize("k, gamma, msg",
+                         [(6, 1, "scaffold depth k=6 reaches n=6"),
+                          (1, 6, "hanging depth gamma=6 reaches n=6"),
+                          (10 ** 8, 1, "scaffold depth k=100000000 reaches n=6")],
+                         ids=["k_n", "gamma_n", "k_huge"])
+def test_depth_of_n_rejected(build, k, gamma, msg):
+    # no tree on n vertices is n deep; a depth of 10**8 grew 10**8 empty levels
+    g = cycle_graph(6)
+    c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+    with pytest.raises(ValueError, match=f"^{msg}; no tree is that deep$"):
+        if build == "witness_via_trees":
+            witness_via_trees(g, c, 0, 3, k=k, gamma=gamma, d=2)
+        else:
+            build_witness_paths(g, 0, 3, k=k, gamma=gamma, d=2)
+
+
+def test_depth_n_minus_1_accepted():
+    g = cycle_graph(6)
+    c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+    assert witness_via_trees(g, c, 0, 3, k=5, gamma=5, d=2).vertices in ((0, 1, 2, 3),
+                                                                       (0, 5, 4, 3))
+
+
 class TestFixtures:
     def test_tree_pair_graph_shape(self):
         g, t1, t2 = build_tree_pair_graph(3, 2)

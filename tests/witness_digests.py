@@ -18,19 +18,24 @@ prints one sha256 per workload, with counts:
 - ``bundles``: the scaffolds behind those tree witnesses.  For every pair
   of the regular protocol at r = 4 and 5, ``build_witness_paths`` grows
   the bundle at d = r - 2, whether or not a query would reach it.
+- ``colorings``: the colorings behind the regular protocol, hashed
+  directly, so a coloring change that moves no witness is still seen:
+  gate 4's three greedy colorings and the r = 3 recoloring.
 
 A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
 witness came back), in query order.  A bundle is hashed as the line ``r
 seed u v:`` followed by each scaffold tree and then each hat, leaf by leaf,
 as its ``levels`` and its sorted ``parent`` items (``None`` for an excluded
 leaf), or ``NoStructure`` when the scaffold cannot be grown; so a hat that
-changes is seen even when no matched pair joins through it.  Two checkouts
-that print the same digests return the same witnesses on these 4700 pairs
-and grow the same 3000 bundles.  ``EXPECTED`` holds the lines the current
-code prints; the script exits 1, naming each line that differs, when a
-workload prints anything else.  A change that alters witnesses on purpose
-records its new lines there.  The run takes about 25 s on 2 vCPUs.  Not a
-test: pytest does not collect this file.
+changes is seen even when no matched pair joins through it.  A coloring is
+hashed as the line ``r name palette: c0 c1 ...``, its colors in edge
+order.  Two checkouts that print the same digests return the same
+witnesses on these 4700 pairs, grow the same 3000 bundles and color gate
+4's graphs the same.  ``EXPECTED`` holds the lines the current code
+prints; the script exits 1, naming each line that differs, when a
+workload prints anything else.  A change that alters witnesses or
+colorings on purpose records its new lines there.  The run takes about
+25 s on 2 vCPUs.  Not a test: pytest does not collect this file.
 """
 
 import hashlib
@@ -58,6 +63,8 @@ EXPECTED = {
                " pairs=4500 found=4500 tree_hits=2534",
     "bundles": "bundles bc1b708493a417943d2f6bdf0a37cc8a220f1a64356f1531e8485ec94424dced"
                " pairs=3000 built=2946",
+    "colorings": "colorings 4b44a8165e4b0755a7e20c06eb2af10ae64f7f2be9d6bc26ddd51c9039af2f52"
+                 " colorings=4",
 }
 
 
@@ -89,7 +96,8 @@ def gate5():
 
 
 def regular_instances():
-    """Gate 4's (r, params, graph, coloring) at n = 2000, built once."""
+    """Gate 4's (r, params, graph, greedy coloring, coloring queried) at
+    n = 2000, built once."""
     if not INSTANCES:
         n = 2000
         for r in (3, 4, 5):
@@ -97,7 +105,7 @@ def regular_instances():
             rp = regular_params(n, r)
             base = color_greedy_power(g, radius=2 * rp.k, q=rp.q, seed=1)
             c = recolor_cycle_classes(g, base, rp.k)[0] if r == 3 else base
-            INSTANCES.append((r, rp, g, c))
+            INSTANCES.append((r, rp, g, base, c))
     return INSTANCES
 
 
@@ -110,7 +118,7 @@ def regular():
     lines = []
     tree_hits = found = 0
     for seed in range(1, 11):
-        for r, rp, g, c in regular_instances():
+        for r, rp, g, _, c in regular_instances():
             for u, v in regular_pairs(g, seed, r):
                 w = None
                 if r - 2 >= 2:
@@ -132,7 +140,7 @@ def bundles():
     lines = []
     built = 0
     for seed in range(1, 11):
-        for r, rp, g, _ in regular_instances():
+        for r, rp, g, _, _ in regular_instances():
             if r - 2 < 2:
                 continue
             for u, v in regular_pairs(g, seed, r):
@@ -150,9 +158,19 @@ def bundles():
     return lines, f"pairs={len(lines)} built={built}"
 
 
+def colorings():
+    lines = []
+    for r, _, _, base, c in regular_instances():
+        named = [("greedy", base)] + ([("recolored", c)] if c is not base else [])
+        lines += [f"{r} {name} {col.palette_size}: {' '.join(map(str, col.colors))}\n"
+                  for name, col in named]
+    return lines, f"colorings={len(lines)}"
+
+
 def main():
     mismatched = 0
-    for name, workload in (("gate5", gate5), ("regular", regular), ("bundles", bundles)):
+    for name, workload in (("gate5", gate5), ("regular", regular), ("bundles", bundles),
+                           ("colorings", colorings)):
         lines, counts = workload()
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         got = f"{name} {digest} {counts}"
