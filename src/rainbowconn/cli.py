@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair = sub.add_parser("pair", help="matched path pairing on rainbow trees")
     pair_sub = pair.add_subparsers(dest="rule", required=True)
     lemcol = pair_sub.add_parser("lemcol", help="pair synthetic rainbow d-ary trees")
-    lemcol.add_argument("--d", type=int, required=True, help="arity (2 pairs two levels per round)")
+    lemcol.add_argument("--d", type=int, required=True,
+                        help="arity (for 2 the floor 2^(ell//2) is a checked claim)")
     lemcol.add_argument("--ell", type=int, required=True, help="depth")
     lemcol.add_argument("--palette", type=int, default=None)
     lemcol.add_argument("--seed", type=int, default=None)
@@ -204,8 +205,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_recolor(args) -> int:
-    g = read_edge_list(args.infile)
-    base = read_coloring(args.coloring)
+    g, base = _load_colored(args)
     rec, classes = recolor_cycle_classes(g, base, args.k)
     write_coloring(rec, args.out)
     print(f"wrote {args.out}: Q={rec.palette_size} classes={len(classes)} "

@@ -43,6 +43,7 @@ from .rng import np_stream, stream
 
 __all__ = [
     "EdgeColoring",
+    "check_coloring",
     "ThresholdParams",
     "RegularParams",
     "CycleClass",
@@ -88,6 +89,12 @@ class EdgeColoring:
 
     def used_colors(self) -> set[int]:
         return set(self.colors)
+
+
+def check_coloring(g: Graph, c: EdgeColoring) -> None:
+    """ValueError, naming both counts, when c does not color exactly g's edges."""
+    if c.m != g.m:
+        raise ValueError(f"coloring colors {c.m} edges but the graph has {g.m}")
 
 
 @dataclass(frozen=True)
@@ -411,8 +418,7 @@ def recolor_cycle_classes(g: Graph, base: EdgeColoring, k: int
     cycles are flagged and left on the base coloring, as are classes whose
     induced subgraph is not cycle-plus-trees.
     """
-    if base.m != g.m:
-        raise ValueError("coloring does not match graph")
+    check_coloring(g, base)
     if k < 0:
         raise ValueError(f"neighborhood depth k={k} is negative")
     by_cycle: dict[tuple[int, ...], list[int]] = {}

@@ -14,17 +14,15 @@ between a vertex pair (x, y) in three stages:
    on its first levels before it grows further, so an excluded one is never
    grown to gamma.
 2. Pair root-to-leaf paths of the two pruned trees so that each pair's color
-   union stays rainbow; the arity d is read off the trees.  At every
-   interior level a d x d bipartite compatibility graph H is built: branch
-   i on the x side is compatible with branch j on the y side when i's entry
-   color appears nowhere in j's branch and vice versa.  A maximum matching
-   of H (size >= d-1 is guaranteed for rainbow trees) selects the branch
-   pairs to recurse into, multiplying the path count by at least d-1 per
-   level.  Binary trees use the same recursion two levels at a time on the
-   four grandchild branches, where a matching of size >= 2 is expected (see
-   ``pair_tree_paths``).  The recursion yields (x leaf, y leaf) pairs; a
-   root-to-leaf path is fixed by its leaf, so ``RootedTree.path_from_root``
-   builds each paired path.
+   union stays rainbow; the arity d is read off the trees.  Both trees are
+   rainbow, so a pair qualifies exactly when its two root paths share no
+   color.  The pairs are one maximum matching (``bipartite_matching``) of
+   the bipartite graph of x leaves and y leaves joined where their root
+   paths share no color (``pair_tree_paths``).  The paper's lemma, which
+   matches branches level by level, shows that this graph has a matching
+   of size (d-1)^depth for d >= 3; for d = 2 the floor 2^(depth//2) is a
+   claim each call checks.  A root-to-leaf path is fixed by its leaf, so
+   ``RootedTree.path_from_root`` builds each leaf's path once.
 3. Join each matched leaf pair, and only those, through their hanging
    trees and a connecting edge found between the two leaf sets
    (``rainbow_witness``).  Every x..y path is the same join (root path,
@@ -35,9 +33,9 @@ between a vertex pair (x, y) in three stages:
    derived from them.
 
 Failure is always explicit: GuaranteeViolation when a matching falls below
-its floor (non-rainbow input or a bug), NoStructure when the graph cannot
-host the disjoint scaffold trees, None when no matched pair yields a
-rainbow path.
+its floor (non-rainbow input, a bug, or for d = 2 a coloring that refutes
+the claimed floor), NoStructure when the graph cannot host the disjoint
+scaffold trees, None when no matched pair yields a rainbow path.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Optional, Sequence
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, check_coloring
 from .errors import GuaranteeViolation, NoStructure
 from .graphs import Graph, RootedTree, TreePath, bfs_distances, check_vertices, grow_bfs_tree
 from .verify import PathWitness, make_witness
@@ -54,7 +52,6 @@ __all__ = [
     "PairingResult",
     "WitnessBundle",
     "bipartite_matching",
-    "compatibility_matrix",
     "pair_tree_paths",
     "pairing_floor",
     "build_witness_paths",
@@ -68,10 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PairingResult:
-    """Matched (x-side path, y-side path) pairs with rainbow unions.
+    """Matched (x-side path, y-side path) pairs with rainbow unions, in
+    x-leaf order.
 
-    ``floor`` is the pair count the pairing guarantees for the trees' arity
-    and depth: the product of the matching floors of its rounds.
+    ``floor`` is the pair count ``pairing_floor`` promises for the trees'
+    arity and depth, proved for d >= 3 and checked for d = 2.
     """
 
     pairs: tuple[tuple[TreePath, TreePath], ...]
@@ -79,45 +77,54 @@ class PairingResult:
 
 
 def bipartite_matching(adjacency: Sequence[Sequence[bool]]) -> set[tuple[int, int]]:
-    """Maximum matching of a small bipartite adjacency matrix.
+    """Maximum matching of a bipartite adjacency matrix.
 
-    Kuhn's augmenting-path scan, rows in order, columns in order; the same
-    matrix always yields the same matching.
+    Kuhn's augmenting-path search, rows in order, each row's columns in
+    order, so the same matrix always yields the same matching.  The search
+    path is a list, not recursion: on the nearly full matrices of
+    ``pair_tree_paths`` the path from row i runs through most rows before
+    it, past Python's recursion limit at about a thousand leaves.  ``after``
+    links each column the search has visited onward, so a scan jumps over
+    them.
     """
     rows = len(adjacency)
     cols = len(adjacency[0]) if rows else 0
     match_col: list[Optional[int]] = [None] * cols
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in range(cols):
-            if adjacency[i][j] and j not in visited:
-                visited.add(j)
-                if match_col[j] is None or augment(match_col[j], visited):
-                    match_col[j] = i
-                    return True
-        return False
-
-    for i in range(rows):
-        augment(i, set())
+    for root in range(rows):
+        after = list(range(cols + 1))  # after[j] == j: column j not yet visited
+        path = [root]  # the rows the search has reached, in order
+        taken: list[int] = []  # taken[k]: the column path[k] took, matched to path[k + 1]
+        while path:
+            # the row's first unvisited column it reaches; the columns an
+            # earlier scan of this row passed are visited or not its own,
+            # so every scan can start at 0
+            row = adjacency[path[-1]]
+            j = 0
+            while True:
+                while after[j] != j:
+                    after[j] = after[after[j]]
+                    j = after[j]
+                if j == cols or row[j]:
+                    break
+                j += 1
+            if j == cols:  # dead end: back to the row before this one
+                path.pop()
+                if taken:
+                    taken.pop()
+                continue
+            after[j] = j + 1
+            taken.append(j)
+            if match_col[j] is None:  # augment: every row on the path takes its column
+                for i, col in zip(path, taken):
+                    match_col[col] = i
+                break
+            path.append(match_col[j])
     return {(i, j) for j, i in enumerate(match_col) if i is not None}
 
 
 # ----------------------------------------------------------------------------
 # matched path pairing
 # ----------------------------------------------------------------------------
-
-def _subtree_colors(t: RootedTree, c: EdgeColoring) -> dict[int, frozenset[int]]:
-    """Colors on the edges strictly below each vertex (excludes its own edge)."""
-    out: dict[int, frozenset[int]] = {}
-    for level in reversed(t.levels):
-        for v in level:
-            acc: set[int] = set()
-            for w in t.children[v]:
-                acc |= out[w]
-                acc.add(c.colors[t.parent[w][1]])
-            out[v] = frozenset(acc)
-    return out
-
 
 def _check_complete(t: RootedTree, d: int) -> None:
     for level in t.levels[:-1]:
@@ -132,58 +139,12 @@ def _rainbow(c: EdgeColoring, eids) -> bool:
     return len(set(cols)) == len(cols)
 
 
-def compatibility_matrix(t1: RootedTree, t2: RootedTree, c: EdgeColoring
-                         ) -> list[list[bool]]:
-    """The branch compatibility graph H at the two roots.
-
-    Entry (i, j) is True when the color entering x-branch i appears neither
-    on y-branch j's entry edge nor inside its subtree, and symmetrically.
-    Exposed so the defect form of Hall's condition, |N_H(S)| >= |S| - 1 for
-    every row set S, can be audited on real instances; that is exactly what
-    the d-1 matching floor needs.  A single branch CAN be isolated outright
-    (all of the other root's entry colors landing inside it), so no stronger
-    per-branch degree bound holds.
-    """
-    return _branch_matrix(_branches(t1, t1.root, 1), _branches(t2, t2.root, 1), c,
-                          _subtree_colors(t1, c), _subtree_colors(t2, c))
-
-
-def _branches(t: RootedTree, node: int, step: int) -> list[tuple[int, list[int]]]:
-    """(end vertex, edge ids) of the paths from ``node`` down ``step`` levels,
-    in child order and then grandchild order."""
-    out = [(node, [])]
-    for _ in range(step):
-        out = [(w, eids + [t.parent[w][1]]) for v, eids in out for w in t.children[v]]
-    return out
-
-
-def _branch_matrix(bx, by, c: EdgeColoring, sub1, sub2) -> list[list[bool]]:
-    """Entry (i, j): x-branch i's colors miss y-branch j's colors and every
-    color below j's end, and y-branch j's colors miss every color below i's
-    end."""
-    cx = [{c.colors[e] for e in eids} for _, eids in bx]
-    cy = [{c.colors[e] for e in eids} for _, eids in by]
-    below_y = [cy[j] | sub2[end] for j, (end, _) in enumerate(by)]
-    return [[cx[i].isdisjoint(below_y[j]) and cy[j].isdisjoint(sub1[end])
-             for j in range(len(by))]
-            for i, (end, _) in enumerate(bx)]
-
-
-def _step(d: int, remaining: int) -> tuple[int, int]:
-    """(levels consumed, matching floor) of the next pairing round."""
-    return (2, 2) if d == 2 and remaining >= 2 else (1, d - 1)
-
-
 def pairing_floor(d: int, depth: int) -> int:
-    """Pairs ``pair_tree_paths`` guarantees on two d-ary trees of this depth:
-    the product of its rounds' matching floors, (d-1)^depth for d >= 3 and
-    2^(depth//2) for d = 2."""
-    floor = 1
-    while depth:
-        step, f = _step(d, depth)
-        floor *= f
-        depth -= step
-    return floor
+    """Pairs ``pair_tree_paths`` promises on two rainbow d-ary trees of this
+    depth: (d-1)^depth for d >= 3, which the level-by-level matching lemma
+    proves, and 2^(depth//2) for d = 2, a claim that every call checks but
+    no proof backs."""
+    return 2 ** (depth // 2) if d == 2 else (d - 1) ** depth
 
 
 def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring) -> PairingResult:
@@ -192,19 +153,17 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring) -> PairingR
     The arity d is the trees' own, read off t1's root and required of every
     interior vertex of both trees (ValueError otherwise).
 
-    Each round matches the branches below the current node pair and recurses
-    into the matched pairs.  For d >= 3 a branch is one child: the d x d
-    compatibility graph always supports a matching of size d-1, so at least
-    (d-1)^depth pairs come out.  For d = 2 a round takes two levels: the four
-    grandchild branches per side each carry two path colors, and any one
-    color can block at most two branches on the other side, which is meant
-    to force a matching of size >= 2.  A final odd level falls back to a
-    one-level round with floor 1, so at least 2^(depth//2) pairs come out.
-    A matching below its floor raises GuaranteeViolation.  For d >= 3 that
-    means the input was not rainbow or the implementation broke; for d = 2
-    it also happens, rarely, on rainbow trees (4 of 1200 colorings at depths
-    3-6 with palette = per-tree edge count, 1 of 1500 at depth 6 with twice
-    that).
+    Both trees are rainbow, so a pair's color union is rainbow exactly when
+    its two root paths share no color.  The pairs are one maximum matching
+    (``bipartite_matching``) of the bipartite graph with the x leaves on one
+    side, the y leaves on the other and an edge where the two root paths
+    share no color, listed in x-leaf order.  For d >= 3 the lemma's
+    level-by-level matching, of size d-1 below every matched node pair, is
+    one such matching, so at least (d-1)^depth pairs come out.  Fewer pairs
+    than ``pairing_floor`` raise GuaranteeViolation: for d >= 3 the input
+    was not rainbow or the implementation broke; for d = 2 the floor
+    2^(depth//2) is a claim each call checks, not a proof, so there a
+    violation would also refute the claim.
     """
     d = t1.arity()
     if d < 2:
@@ -219,41 +178,20 @@ def pair_tree_paths(t1: RootedTree, t2: RootedTree, c: EdgeColoring) -> PairingR
         _check_complete(t, d)
         if not _rainbow(c, t.edge_ids()):
             raise GuaranteeViolation(f"tree at {t.root} is not rainbow under this coloring")
-    sub1 = _subtree_colors(t1, c)
-    sub2 = _subtree_colors(t2, c)
-
-    def recurse(xn: int, yn: int, remaining: int) -> list[tuple[int, int]]:
-        """(x leaf, y leaf) pairs matched below the node pair (xn, yn)."""
-        if remaining == 0:
-            return [(xn, yn)]
-        step, floor = _step(d, remaining)
-        bx = _branches(t1, xn, step)
-        by = _branches(t2, yn, step)
-        matched = bipartite_matching(_branch_matrix(bx, by, c, sub1, sub2))
-        if len(matched) < floor:
-            raise GuaranteeViolation(
-                f"matching of size {len(matched)} < {floor} at nodes ({xn}, {yn})"
-            )
-        return [pair for i, j in sorted(matched)
-                for pair in recurse(bx[i][0], by[j][0], remaining - step)]
-
+    paths1 = [t1.path_from_root(v) for v in t1.leaves]
+    paths2 = [t2.path_from_root(v) for v in t2.leaves]
+    cols1 = [{c.colors[e] for e in p.edge_ids} for p in paths1]
+    cols2 = [{c.colors[e] for e in p.edge_ids} for p in paths2]
+    matched = bipartite_matching([[a.isdisjoint(b) for b in cols2] for a in cols1])
     floor = pairing_floor(d, t1.target_depth)
-    leaf_pairs = recurse(t1.root, t2.root, t1.target_depth)
-    if len(leaf_pairs) < floor:
-        raise GuaranteeViolation(f"{len(leaf_pairs)} pairs produced, floor is {floor}")
-    pairs = []
-    seen1: set[int] = set()
-    seen2: set[int] = set()
-    for leaf1, leaf2 in leaf_pairs:
-        p1, p2 = t1.path_from_root(leaf1), t2.path_from_root(leaf2)
-        if not _rainbow(c, p1.edge_ids + p2.edge_ids):
-            raise GuaranteeViolation("paired paths share a color; pairing is broken")
-        if leaf1 in seen1 or leaf2 in seen2:
-            raise GuaranteeViolation("leaf reused within one side")
-        seen1.add(leaf1)
-        seen2.add(leaf2)
-        pairs.append((p1, p2))
-    return PairingResult(tuple(pairs), floor)
+    if len(matched) < floor:
+        raise GuaranteeViolation(f"{len(matched)} pairs matched, floor is {floor}")
+    pairs = tuple((paths1[i], paths2[j]) for i, j in sorted(matched))
+    if not all(_rainbow(c, p1.edge_ids + p2.edge_ids) for p1, p2 in pairs):
+        raise GuaranteeViolation("paired paths share a color; pairing is broken")
+    if any(len({pair[side].leaf for pair in pairs}) < len(pairs) for side in (0, 1)):
+        raise GuaranteeViolation("leaf reused within one side")
+    return PairingResult(pairs, floor)
 
 
 # ----------------------------------------------------------------------------
@@ -431,8 +369,10 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     under c or no composition is rainbow, and None before any pairing when
     one side excluded every leaf, since then no pair has a connector;
     GuaranteeViolation (a broken scaffold) when a rainbow one fails the
-    re-check or does not run x..y.
+    re-check or does not run x..y; ValueError when c does not color g's
+    edges.
     """
+    check_coloring(g, c)
     if not any(bundle.hats_x.values()) or not any(bundle.hats_y.values()):
         return None
     try:
@@ -458,9 +398,10 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     leaf pairs (``rainbow_witness``).  Every witness it returns runs x..y and
     was re-checked by ``make_witness``; None when y is unreachable, the
     scaffold cannot be grown, or no matched pair yields a rainbow path.
-    Raises ValueError when x or y is not a vertex of g, or k < 1, gamma < 0
-    or d < 2, for close and far pairs alike."""
+    Raises ValueError when x or y is not a vertex of g, k < 1, gamma < 0,
+    d < 2 or c does not color g's edges, for close and far pairs alike."""
     _check_scaffold(g, x, y, k, gamma, d)
+    check_coloring(g, c)
     dist = bfs_distances(g, x)
     if dist[y] < 0:
         return None

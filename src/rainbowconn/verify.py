@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, check_coloring
 from .errors import GuaranteeViolation, GuardError, NotConnected
 from .graphs import Graph, bfs_distances, bfs_levels, check_vertices, diameter, pendant_edges
 from .rng import derive_seed, stream
@@ -113,11 +113,12 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
     Exactness: BFS over (vertex, color-bitmask) states visits each state
     once; a rainbow walk that revisits a vertex shortcuts to a strictly
     shorter rainbow walk, so the first state reaching y is a simple path.
-    Raises ValueError for a negative ``max_len`` or an x or y that is not a
-    vertex of g.
+    Raises ValueError for a negative ``max_len``, an x or y that is not a
+    vertex of g, or a coloring of another edge count than g's.
     """
     _check_bounds(max_len)
     check_vertices(g, ("x", x), ("y", y))
+    check_coloring(g, c)
     if max_len is None:
         max_len = g.n - 1
     if c.palette_size > _EXACT_GUARD_BITS and max_len > _EXACT_GUARD_BITS:
@@ -178,11 +179,12 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     ``max_len`` derives from the double-sweep diameter, which is computed
     once per graph and then kept on ``g``; only on a disconnected graph is
     the sweep drawn to its end, for y's eccentricity.
-    Raises ValueError for a negative ``max_len`` or ``budget``, or an x or y
-    that is not a vertex of g.
+    Raises ValueError for a negative ``max_len`` or ``budget``, an x or y
+    that is not a vertex of g, or a coloring of another edge count than g's.
     """
     _check_bounds(max_len, budget)
     check_vertices(g, ("x", x), ("y", y))
+    check_coloring(g, c)
     if x == y:
         return PathWitness((x,), (), frozenset())
     indptr, nbr, eids = g.csr()

@@ -6,18 +6,20 @@ are compared against these on instances small enough for the naive cost.
 
 The ``*_before`` functions are different: they are the implementations a
 hot-path rewrite replaced, kept verbatim (less the argument checks) so a
-differential test can demand identical results from the rewrite.
+differential test can demand identical results from the rewrite, or, where
+the rewrite changed results on purpose, results at least as good.
 """
 
 import math
 from collections import deque
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 
 from rainbowconn.coloring import EdgeColoring
-from rainbowconn.errors import PaletteExhausted
+from rainbowconn.errors import GuaranteeViolation, PaletteExhausted
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
 from rainbowconn.graphs import AMBIGUOUS, Graph, diameter
 from rainbowconn.rng import stream
@@ -520,3 +522,108 @@ def gen_gnp_before(params):
     order = np.lexsort((v_arr, u_arr))
     edges = np.column_stack((u_arr[order], v_arr[order]))
     return Graph(n, edges, meta={"p": p, "p_clamped": clamped})
+
+
+def bipartite_matching_before(adjacency):
+    """``pairing.bipartite_matching`` as the recursive Kuhn search it
+    replaced: rows in order, each row's columns in order, one visited set
+    per row's search."""
+    rows = len(adjacency)
+    cols = len(adjacency[0]) if rows else 0
+    match_col = [None] * cols
+
+    def augment(i, visited):
+        for j in range(cols):
+            if adjacency[i][j] and j not in visited:
+                visited.add(j)
+                if match_col[j] is None or augment(match_col[j], visited):
+                    match_col[j] = i
+                    return True
+        return False
+
+    for i in range(rows):
+        augment(i, set())
+    return {(i, j) for j, i in enumerate(match_col) if i is not None}
+
+
+def pair_tree_paths_before(t1, t2, c):
+    """``pairing.pair_tree_paths`` as the per-level branch recursion it
+    replaced, less the argument checks: the (x leaf, y leaf) pairs it
+    matched, in its order.  Each round matches the branches below a node
+    pair, one child deep for d >= 3 with floor d - 1, and for d = 2 two
+    levels deep with floor 2 (one level, floor 1, for a last odd level).
+    Raises GuaranteeViolation when a round matches fewer than its floor."""
+    d = t1.arity()
+
+    def subtree_colors(t):
+        out = {}
+        for level in reversed(t.levels):
+            for v in level:
+                acc = set()
+                for w in t.children[v]:
+                    acc |= out[w]
+                    acc.add(c.colors[t.parent[w][1]])
+                out[v] = frozenset(acc)
+        return out
+
+    def branches(t, node, step):
+        out = [(node, [])]
+        for _ in range(step):
+            out = [(w, eids + [t.parent[w][1]]) for v, eids in out for w in t.children[v]]
+        return out
+
+    def branch_matrix(bx, by):
+        cx = [{c.colors[e] for e in eids} for _, eids in bx]
+        cy = [{c.colors[e] for e in eids} for _, eids in by]
+        below_y = [cy[j] | sub2[end] for j, (end, _) in enumerate(by)]
+        return [[cx[i].isdisjoint(below_y[j]) and cy[j].isdisjoint(sub1[end])
+                 for j in range(len(by))]
+                for i, (end, _) in enumerate(bx)]
+
+    def step_of(remaining):
+        return (2, 2) if d == 2 and remaining >= 2 else (1, d - 1)
+
+    sub1 = subtree_colors(t1)
+    sub2 = subtree_colors(t2)
+
+    def recurse(xn, yn, remaining):
+        if remaining == 0:
+            return [(xn, yn)]
+        step, floor = step_of(remaining)
+        bx = branches(t1, xn, step)
+        by = branches(t2, yn, step)
+        matched = bipartite_matching_before(branch_matrix(bx, by))
+        if len(matched) < floor:
+            raise GuaranteeViolation(
+                f"matching of size {len(matched)} < {floor} at nodes ({xn}, {yn})")
+        return [pair for i, j in sorted(matched)
+                for pair in recurse(bx[i][0], by[j][0], remaining - step)]
+
+    return recurse(t1.root, t2.root, t1.target_depth)
+
+
+def max_leaf_pairs(t1, t2, c):
+    """Most (x leaf, y leaf) pairs, no leaf used twice, whose two root paths
+    share no color: a DP over the x leaves in order and the set of y leaves
+    used so far.  Fine up to about 16 leaves per side."""
+    def path_colors(t, leaf):
+        cols = set()
+        while leaf != t.root:
+            leaf, eid = t.parent[leaf]
+            cols.add(c.colors[eid])
+        return cols
+
+    cols1 = [path_colors(t1, v) for v in t1.leaves]
+    cols2 = [path_colors(t2, v) for v in t2.leaves]
+
+    @lru_cache(maxsize=None)
+    def best(i, used):
+        if i == len(cols1):
+            return 0
+        out = best(i + 1, used)
+        for j, cols in enumerate(cols2):
+            if not used >> j & 1 and cols1[i].isdisjoint(cols):
+                out = max(out, 1 + best(i + 1, used | 1 << j))
+        return out
+
+    return best(0, 0)

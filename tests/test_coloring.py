@@ -440,6 +440,12 @@ def gadget_edges(offset):
 
 
 class TestRecolorCycleClasses:
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_wrong_length_names_both_counts(self, m):
+        c = EdgeColoring(tuple(range(m)), m, ("greedy",) * m)
+        with pytest.raises(ValueError, match=f"coloring colors {m} edges but the graph has 6"):
+            recolor_cycle_classes(cycle_graph(6), c, k=1)
+
     def test_forest_untouched(self):
         g = path_graph(6)
         base = color_greedy_power(g, radius=2, q=6, seed=1)

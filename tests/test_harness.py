@@ -6,8 +6,10 @@ from dataclasses import fields
 
 import pytest
 
+from rainbowconn import experiment as experiment_mod
 from rainbowconn.cli import build_parser, main
 from rainbowconn.coloring import EdgeColoring, read_coloring, threshold_params, write_coloring
+from rainbowconn.errors import GuaranteeViolation
 from rainbowconn.experiment import (
     CSV_HEADER,
     SCHEMA,
@@ -283,15 +285,27 @@ class TestRunExperiment:
         assert summary.startswith("5 rows")
         assert "min/q1/med/q3/max = 1.0000" in summary
 
-    def test_violation_row_keeps_floor(self, tmp_path):
-        # trial 299 colors the two depth-6 binary trees so that a two-level
-        # round matches only one branch pair; its row still names the floor
+    def test_violation_row_keeps_floor(self, tmp_path, monkeypatch):
+        # a pairing that falls below its floor still leaves a row naming
+        # the floor it missed
+        def short_pairing(t1, t2, c):
+            raise GuaranteeViolation("0 pairs matched, floor is 8")
+
+        monkeypatch.setattr(experiment_mod, "pair_tree_paths", short_pairing)
+        cfg = ExperimentConfig(mode="lemcol_stress", d=2, ell=6, trials=2,
+                               seed=0, out=str(tmp_path / "l.csv"))
+        records, _ = run_experiment(cfg)
+        assert all("guarantee_violation" in rec.flags for rec in records)
+        assert [(rec.sigma, rec.pairs_tried) for rec in records] == [(8, 0)] * 2
+
+    def test_binary_stress_meets_floor(self, tmp_path):
+        # trial 299 once fell below the floor, when binary trees were
+        # paired two levels per round
         cfg = ExperimentConfig(mode="lemcol_stress", d=2, ell=6, trials=300,
                                seed=0, out=str(tmp_path / "l.csv"))
         records, _ = run_experiment(cfg)
-        bad = [rec for rec in records if "guarantee_violation" in rec.flags]
-        assert [rec.trial for rec in bad] == [299]
-        assert (bad[0].sigma, bad[0].pairs_tried) == (8, 0)
+        assert not [rec.trial for rec in records if "guarantee_violation" in rec.flags]
+        assert min(rec.pairs_tried for rec in records) >= 8
 
     def test_regular_mode_populates_recolor_fields(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -747,6 +761,7 @@ class TestCliPairRecolor:
         captured = capsys.readouterr()
         assert rc == 1
         assert "error:" in captured.err
+        assert f"{cpath} colors 3 edges but {gpath} has 6" in captured.err
 
     def test_recolor_negative_depth_rejected(self, tmp_path, capsys):
         gpath = tmp_path / "g.el"

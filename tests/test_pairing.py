@@ -1,6 +1,7 @@
-"""Tree growth, the recursive path-pairing lemma, and witness bundles."""
+"""Tree growth, the matched path pairing, and witness bundles."""
 
 import hashlib
+import time
 from itertools import combinations
 
 import pytest
@@ -20,12 +21,13 @@ from rainbowconn.pairing import (
     build_tree_pair_graph,
     build_witness_paths,
     bundle_text,
-    compatibility_matrix,
     pair_tree_paths,
+    pairing_floor,
     rainbow_witness,
     random_rainbow_tree_coloring,
     witness_via_trees,
 )
+from rainbowconn.rng import derive_seed
 from rainbowconn.verify import sample_pairs, witness_ok
 from strategies import graphs
 
@@ -295,28 +297,59 @@ class TestBipartiteMatching:
         assert len({j for _, j in m}) == len(m)
         assert len(m) == brute_max_matching(matrix)
 
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9),
+           st.sampled_from([0.2, 0.5, 0.9, 1.0]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_matching_as_recursive_kuhn(self, rows, cols, density, data):
+        matrix = [[data.draw(st.floats(0, 1, exclude_max=True)) < density
+                   for _ in range(cols)] for _ in range(rows)]
+        assert bipartite_matching(matrix) == oracles.bipartite_matching_before(matrix)
 
-def worst_deficiency(H, d):
-    """max over row sets S of |S| - |N_H(S)|; <= 1 guarantees a d-1 matching."""
-    worst = 0
-    for size in range(1, d + 1):
-        for S in combinations(range(d), size):
-            nbrs = {j for i in S for j in range(d) if H[i][j]}
-            worst = max(worst, size - len(nbrs))
-    return worst
+    def test_same_matching_on_dense_leaf_matrices(self):
+        # the pairing's own matrices are nearly full, where Kuhn's search
+        # paths run through most earlier rows
+        for d, ell in ((2, 8), (4, 3), (3, 4)):
+            g, t1, t2 = build_tree_pair_graph(d, ell)
+            for seed in range(3):
+                c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * (g.m // 2), seed=seed)
+                cols1, cols2 = ([{c.colors[e] for e in t.path_from_root(v).edge_ids}
+                                 for v in t.leaves] for t in (t1, t2))
+                matrix = [[a.isdisjoint(b) for b in cols2] for a in cols1]
+                assert bipartite_matching(matrix) == oracles.bipartite_matching_before(matrix)
 
 
-# (d, ell, guaranteed pairs): (d-1)^ell, and 2^(ell//2) for binary trees,
-# which pair two levels per round
+# (d, ell, promised pairs): (d-1)^ell, which the matching lemma proves, and
+# 2^(ell//2) for binary trees, a claim each call checks
 FLOOR_CASES = [(3, 1, 2), (3, 2, 4), (3, 3, 8), (4, 1, 3), (4, 2, 9),
                (2, 2, 2), (2, 3, 2), (2, 4, 4), (2, 6, 8)]
+
+# (d, ell) of the tree pairs whose pairings are pinned and compared
+PAIRING_GRID = [(2, ell) for ell in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+# (ell, palette per tree edge, seed) of binary colorings on which the
+# per-level recursion's two-level round matched one branch pair below its
+# floor of two: two from palettes of one per-tree edge count, and trial 299
+# of ``lemcol_stress --d 2 --ell 6 --trials 300 --seed 0``
+RECORDED_BINARY = [(3, 1, 213), (4, 1, 218), (6, 2, derive_seed(0, "lemcol_stress:2", 299))]
+
+
+def assert_rainbow_pairs(res, t1, t2, c):
+    """Each pair runs root to leaf in its tree, its union is rainbow, and no
+    leaf is used twice on one side."""
+    for p1, p2 in res.pairs:
+        cols = [c.colors[e] for e in p1.edge_ids + p2.edge_ids]
+        assert len(set(cols)) == len(cols)
+        assert p1.vertices[0] == t1.root and p1.leaf in t1.leaves
+        assert p2.vertices[0] == t2.root and p2.leaf in t2.leaves
+    for side in (0, 1):
+        leaves = [pair[side].leaf for pair in res.pairs]
+        assert len(leaves) == len(set(leaves))
 
 
 class TestPairTreePaths:
     def test_disjoint_palettes_full_pairing(self):
         g, t1, t2 = build_tree_pair_graph(3, 1)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        assert compatibility_matrix(t1, t2, c) == [[True] * 3] * 3
         res = pair_tree_paths(t1, t2, c)
         assert len(res.pairs) == 3
 
@@ -324,8 +357,6 @@ class TestPairTreePaths:
         g, t1, t2 = build_tree_pair_graph(3, 1)
         half = g.m // 2
         c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
-        H = compatibility_matrix(t1, t2, c)
-        assert H == [[i != j for j in range(3)] for i in range(3)]
         res = pair_tree_paths(t1, t2, c)
         assert len(res.pairs) == 3
 
@@ -339,12 +370,22 @@ class TestPairTreePaths:
             res = pair_tree_paths(t1, t2, c)
             assert res.floor == floor
             assert len(res.pairs) >= floor
-            for p1, p2 in res.pairs:
-                cols = ([c.colors[e] for e in p1.edge_ids]
-                        + [c.colors[e] for e in p2.edge_ids])
-                assert len(set(cols)) == len(cols)
-                assert p1.vertices[0] == t1.root and p1.leaf in t1.leaves
-                assert p2.vertices[0] == t2.root and p2.leaf in t2.leaves
+            assert_rainbow_pairs(res, t1, t2, c)
+
+    @pytest.mark.parametrize("d,ell", [(2, 10), (4, 5)])
+    def test_thousand_leaf_trees_pair_quickly(self, d, ell):
+        # 1024 leaves a side: the search path for a late leaf runs through
+        # most earlier ones, deeper than the default recursion limit; the
+        # per-level recursion this matching replaced took 0.03 s here
+        g, t1, t2 = build_tree_pair_graph(d, ell)
+        c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * (g.m // 2), seed=0)
+        t0 = time.perf_counter()
+        res = pair_tree_paths(t1, t2, c)
+        elapsed = time.perf_counter() - t0
+        assert len(res.pairs) >= res.floor
+        assert len(res.pairs) == len(t1.leaves) == 1024
+        assert_rainbow_pairs(res, t1, t2, c)
+        assert elapsed < 10.0, f"pairing 1024 leaves took {elapsed:.1f} s"
 
     def test_leaves_never_reused(self):
         g, t1, t2 = build_tree_pair_graph(3, 2)
@@ -358,6 +399,21 @@ class TestPairTreePaths:
         g, t1, t2 = build_tree_pair_graph(3, 2)
         c = EdgeColoring((0,) * g.m, 4, ("random",) * g.m)
         with pytest.raises(GuaranteeViolation):
+            pair_tree_paths(t1, t2, c)
+
+    @pytest.mark.parametrize("matched, msg", [
+        ({(0, 3), (0, 6), (1, 4), (3, 0)}, "leaf reused"),
+        ({(0, 3), (6, 3), (1, 4), (3, 0)}, "leaf reused"),
+        ({(0, 0), (1, 1), (2, 2), (3, 3)}, "share a color"),
+    ])
+    def test_post_check_catches_a_broken_matching(self, monkeypatch, matched, msg):
+        # identical palettes: leaves i and j share a root path color exactly
+        # when they hang off the same root child, i // 3 == j // 3
+        g, t1, t2 = build_tree_pair_graph(3, 2)
+        half = g.m // 2
+        c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
+        monkeypatch.setattr(pairing_mod, "bipartite_matching", lambda matrix: matched)
+        with pytest.raises(GuaranteeViolation, match=msg):
             pair_tree_paths(t1, t2, c)
 
     def test_structure_violations(self):
@@ -389,38 +445,24 @@ class TestPairTreePaths:
         with pytest.raises(ValueError, match="expected exactly 3"):
             pair_tree_paths(t1, ragged, c)
 
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_deficiency_stays_within_one(self, d):
-        # each root color of one tree blocks at most one branch column of
-        # the other, so no row set can lose more than one column overall
-        g, t1, t2 = build_tree_pair_graph(d, 2)
-        per_tree = len(t1.edge_ids())
-        for seed in range(100):
-            c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * per_tree, seed=seed)
-            H = compatibility_matrix(t1, t2, c)
-            assert worst_deficiency(H, d) <= 1
-            assert len(bipartite_matching(H)) >= d - 1
-
     def test_isolated_branch_still_leaves_matching(self):
-        # one branch of T1 can swallow every root color of T2, isolating its
-        # row completely; the d-1 matching must survive regardless
+        # one branch of T1 holds every root color of T2, so each path
+        # through it shares a color with some root branch of T2; the
+        # (d-1)^ell pairs must survive regardless
         g, t1, t2 = build_tree_pair_graph(3, 2)
         per_tree = len(t1.edge_ids())
         c = random_rainbow_tree_coloring(g, t1, t2, palette=2 * per_tree, seed=21)
-        H = compatibility_matrix(t1, t2, c)
-        assert H[2] == [False, False, False]
-        assert len(bipartite_matching(H)) == 2
+        branch = t1.children[t1.root][2]
+        swallowed = {c.colors[t1.parent[v][1]] for v in [branch] + t1.children[branch]}
+        assert {c.colors[t2.parent[w][1]] for w in t2.children[t2.root]} <= swallowed
         assert len(pair_tree_paths(t1, t2, c).pairs) >= 4
 
     def test_pinned_pairing_digest(self):
-        # Differential guard: every pair (vertices and edge ids) over 6600
-        # rainbow colorings, hashed.  The digest was taken from the separate
-        # d-ary and binary recursions that pair_tree_paths replaced; palettes
-        # of one per-tree edge count hit a few d = 2 guarantee violations,
-        # which are part of the pinned outcome.
-        grid = [(2, ell) for ell in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+        # Every pair (vertices and edge ids) over 6600 rainbow colorings,
+        # hashed.  The digest was taken from the one leaf matching; none of
+        # these colorings falls below its floor.
         h = hashlib.sha256()
-        for d, ell in grid:
+        for d, ell in PAIRING_GRID:
             g, t1, t2 = build_tree_pair_graph(d, ell)
             per_tree = len(t1.edge_ids())
             for mult in (1, 2):
@@ -437,16 +479,57 @@ class TestPairTreePaths:
                                        p2.vertices, p2.edge_ids)).encode())
                     h.update(b";")
         assert h.hexdigest() == (
-            "4a8b680cbb625813bfa8e73e379455aeee453be86e0a5b2e92d4eb86228d7b45")
+            "21bf054a19606830a034ee5aa5ecbe80b2a226a4ee6be2379919c4d7052f531c")
+
+
+    def test_at_least_the_recursion_and_exactly_the_maximum(self):
+        # differential against the per-level recursion the leaf matching
+        # replaced, wherever that recursion met its floors, and exact
+        # against the exhaustive maximum where a side has at most 9 leaves
+        compared = exact = 0
+        for d, ell in PAIRING_GRID:
+            g, t1, t2 = build_tree_pair_graph(d, ell)
+            per_tree = len(t1.edge_ids())
+            for mult in (1, 2):
+                for seed in range(100):
+                    c = random_rainbow_tree_coloring(g, t1, t2, palette=mult * per_tree,
+                                                     seed=seed)
+                    res = pair_tree_paths(t1, t2, c)
+                    assert_rainbow_pairs(res, t1, t2, c)
+                    try:
+                        before = oracles.pair_tree_paths_before(t1, t2, c)
+                    except GuaranteeViolation:
+                        pass
+                    else:
+                        compared += 1
+                        assert len(res.pairs) >= len(before)
+                    if len(t1.leaves) <= 9:
+                        exact += 1
+                        assert len(res.pairs) == oracles.max_leaf_pairs(t1, t2, c)
+        assert (compared, exact) == (2200, 1200)
+
+    @pytest.mark.parametrize("ell,mult,seed", RECORDED_BINARY,
+                             ids=["depth3-seed213", "depth4-seed218", "lemcol-trial299"])
+    def test_recorded_binary_counterexamples_meet_floor(self, ell, mult, seed):
+        g, t1, t2 = build_tree_pair_graph(2, ell)
+        c = random_rainbow_tree_coloring(g, t1, t2, palette=mult * len(t1.edge_ids()),
+                                         seed=seed)
+        with pytest.raises(GuaranteeViolation, match="matching of size 1 < 2"):
+            oracles.pair_tree_paths_before(t1, t2, c)
+        res = pair_tree_paths(t1, t2, c)
+        assert res.floor == pairing_floor(2, ell)
+        assert len(res.pairs) >= res.floor
+        assert_rainbow_pairs(res, t1, t2, c)
+        if len(t1.leaves) <= 9:
+            assert len(res.pairs) == oracles.max_leaf_pairs(t1, t2, c)
 
 
 class TestPairTreePathsBinary:
-    """d = 2: the recursion pairs two levels per round with floor 2."""
+    """d = 2: the same leaf matching, against the checked floor 2^(ell//2)."""
 
     def test_depth2_disjoint_palettes(self):
         g, t1, t2 = build_tree_pair_graph(2, 2)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
-        assert compatibility_matrix(t1, t2, c) == [[True] * 2] * 2
         res = pair_tree_paths(t1, t2, c)
         assert res.floor == 2
         assert len(res.pairs) == 4
@@ -455,8 +538,6 @@ class TestPairTreePathsBinary:
         g, t1, t2 = build_tree_pair_graph(2, 2)
         half = g.m // 2
         c = EdgeColoring(tuple(range(half)) * 2, half, ("random",) * g.m)
-        H = compatibility_matrix(t1, t2, c)
-        assert H == [[i != j for j in range(2)] for i in range(2)]
         res = pair_tree_paths(t1, t2, c)
         assert len(res.pairs) == 4
 
@@ -784,6 +865,19 @@ def test_depth_n_minus_1_accepted():
     c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
     assert witness_via_trees(g, c, 0, 3, k=5, gamma=5, d=2).vertices in ((0, 1, 2, 3),
                                                                        (0, 5, 4, 3))
+
+
+@pytest.mark.parametrize("m", [2, 9])
+def test_coloring_of_wrong_length_rejected(m):
+    # too short once raised IndexError; too long was accepted silently
+    g = cycle_graph(6)
+    c = EdgeColoring(tuple(range(m)), m, ("random",) * m)
+    msg = f"coloring colors {m} edges but the graph has 6"
+    with pytest.raises(ValueError, match=msg):
+        witness_via_trees(g, c, 0, 3, k=1, gamma=1, d=2)
+    bundle = build_witness_paths(g, 0, 3, k=1, gamma=1, d=2)
+    with pytest.raises(ValueError, match=msg):
+        rainbow_witness(g, c, 0, 3, bundle)
 
 
 class TestFixtures:

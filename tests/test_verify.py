@@ -574,3 +574,18 @@ def test_search_labels_only_the_levels_it_reads(monkeypatch):
     assert at_distance >= 3
     assert len(deepest) == len(pairs)
     assert bfs_calls == []
+
+
+@pytest.mark.parametrize("m", [2, 9])
+@pytest.mark.parametrize("verifier", [
+    lambda g, c: rainbow_path_exact(g, c, 0, 3),
+    lambda g, c: rainbow_path_search(g, c, 0, 3),
+    lambda g, c: verify_sampled(g, c, 3),
+    lambda g, c: verify_all_pairs(g, c, mode="search"),
+], ids=["exact", "search", "sampled", "all_pairs"])
+def test_coloring_of_wrong_length_rejected(verifier, m):
+    # too short once read as "no rainbow path" or raised IndexError; too
+    # long was accepted silently
+    c = EdgeColoring(tuple(range(m)), m, ("random",) * m)
+    with pytest.raises(ValueError, match=f"coloring colors {m} edges but the graph has 6"):
+        verifier(cycle_graph(6), c)

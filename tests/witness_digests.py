@@ -21,6 +21,10 @@ prints one sha256 per workload, with counts:
 - ``colorings``: the colorings behind the regular protocol, hashed
   directly, so a coloring change that moves no witness is still seen:
   gate 4's three greedy colorings and the r = 3 recoloring.
+- ``pairings``: the leaf pairings behind those bundles, hashed directly,
+  so a pairing change that moves no witness is still seen.  For every pair
+  of the regular protocol at r = 4 and 5, ``pair_tree_paths`` pairs the
+  two scaffold trees under the queried coloring.
 
 A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
 witness came back), in query order.  A bundle is hashed as the line ``r
@@ -29,9 +33,11 @@ as its ``levels`` and its sorted ``parent`` items (``None`` for an excluded
 leaf), or ``NoStructure`` when the scaffold cannot be grown; so a hat that
 changes is seen even when no matched pair joins through it.  A coloring is
 hashed as the line ``r name palette: c0 c1 ...``, its colors in edge
-order.  Two checkouts that print the same digests return the same
-witnesses on these 4700 pairs, grow the same 3000 bundles and color gate
-4's graphs the same.  ``EXPECTED`` holds the lines the current code
+order.  A pairing is hashed as the line ``r seed u v:`` followed by its
+(x leaf, y leaf) pairs in order, or ``GuaranteeViolation``, or
+``NoStructure``.  Two checkouts that print the same digests return the
+same witnesses on these 4700 pairs, grow the same 3000 bundles, pair
+their trees the same and color gate 4's graphs the same.  ``EXPECTED`` holds the lines the current code
 prints; the script exits 1, naming each line that differs, when a
 workload prints anything else.  A change that alters witnesses or
 colorings on purpose records its new lines there.  The run takes about
@@ -48,8 +54,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from rainbowconn.coloring import (color_greedy_power, color_threshold,  # noqa: E402
                                   recolor_cycle_classes, regular_params, threshold_params)
 from rainbowconn.graphs import GenParams, gen_gnp, gen_regular_config  # noqa: E402
-from rainbowconn.errors import NoStructure  # noqa: E402
-from rainbowconn.pairing import build_witness_paths, witness_via_trees  # noqa: E402
+from rainbowconn.errors import GuaranteeViolation, NoStructure  # noqa: E402
+from rainbowconn.pairing import (build_witness_paths, pair_tree_paths,  # noqa: E402
+                                 witness_via_trees)
 from rainbowconn.rng import derive_seed, stream  # noqa: E402
 from rainbowconn.verify import rainbow_path_search  # noqa: E402
 
@@ -59,12 +66,14 @@ INSTANCES = []
 EXPECTED = {
     "gate5": "gate5 c1056e000b7a896af71c012465e840bb411b1e0b5d76c0384ccc1ba7d69338fe"
              " pairs=200 found=200",
-    "regular": "regular b9d797d5d2a4533df42afe52acdbf63ec08358c22b631979e8c8fc5ac71b6a0d"
-               " pairs=4500 found=4500 tree_hits=2534",
+    "regular": "regular 9df2099bf1faa2c6cd76691e9a5101c15e8ece0b6d6cfd7d1512ea9852607df5"
+               " pairs=4500 found=4500 tree_hits=2537",
     "bundles": "bundles bc1b708493a417943d2f6bdf0a37cc8a220f1a64356f1531e8485ec94424dced"
                " pairs=3000 built=2946",
     "colorings": "colorings 4b44a8165e4b0755a7e20c06eb2af10ae64f7f2be9d6bc26ddd51c9039af2f52"
                  " colorings=4",
+    "pairings": "pairings e4627c47e7b5b19919c14934c41c4dd76102264f76b3b06370d553ad926b8602"
+                " pairs=3000 paired=2946 matched=25057",
 }
 
 
@@ -167,10 +176,32 @@ def colorings():
     return lines, f"colorings={len(lines)}"
 
 
+def pairings():
+    lines = []
+    paired = matched = 0
+    for seed in range(1, 11):
+        for r, rp, g, _, c in regular_instances():
+            if r - 2 < 2:
+                continue
+            for u, v in regular_pairs(g, seed, r):
+                # the scaffold trees do not depend on gamma: grow the hats to depth 0
+                try:
+                    b = build_witness_paths(g, u, v, k=rp.k, gamma=0, d=r - 2)
+                    res = pair_tree_paths(b.tree_x, b.tree_y, c)
+                except (NoStructure, GuaranteeViolation) as exc:
+                    body = type(exc).__name__
+                else:
+                    paired += 1
+                    matched += len(res.pairs)
+                    body = " ".join(f"{px.leaf},{py.leaf}" for px, py in res.pairs)
+                lines.append(f"{r} {seed} {u} {v}: {body}\n")
+    return lines, f"pairs={len(lines)} paired={paired} matched={matched}"
+
+
 def main():
     mismatched = 0
     for name, workload in (("gate5", gate5), ("regular", regular), ("bundles", bundles),
-                           ("colorings", colorings)):
+                           ("colorings", colorings), ("pairings", pairings)):
         lines, counts = workload()
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         got = f"{name} {digest} {counts}"
