@@ -310,7 +310,7 @@ def _edge_ball(g: Graph, e: int, radius: int) -> set[int]:
     """
     if radius < 1:
         return set()
-    a, b = g.edges[e]
+    a, b = g.ends[e].tolist()
     depth = min(radius - 1, g.n - 1)
     return grow_bfs_tree(g, a, depth).vertices() | grow_bfs_tree(g, b, depth).vertices()
 

@@ -1,17 +1,18 @@
 """Graph container, random generators, BFS, BFS trees, and the neighborhood-cycle probe.
 
 Graphs are undirected, simple, on vertices ``0..n-1``, held in canonical form:
-the edge list stores each edge as ``(u, v)`` with ``u < v``, sorted
-lexicographically, and the position of an edge in that list is its edge id.
-The constructor builds the adjacency once, as numpy CSR arrays with each
-vertex's neighbors in increasing order; BFS and edge lookups read only the
-arrays, and Python loops over small neighborhoods read ``Graph.adj``, the
-same lists as tuples, built on first use.  Two graphs built from the same
-edge set are therefore identical objects field-for-field, and every
-downstream coloring or traversal that iterates "in edge order" or "in
-neighbor order" is reproducible.  Constructor violations (a pair out of
-range or out of order) are found by vectorized checks, and
-``read_edge_list`` reports them as ``path:line``.
+the edge array ``Graph.ends`` stores each edge as a row ``(u, v)`` with
+``u < v``, rows sorted lexicographically, and the row of an edge is its edge
+id.  The array is read-only and is the graph's identity.  The constructor
+builds the adjacency once, as numpy CSR arrays with each vertex's neighbors
+in increasing order; BFS and edge lookups read only the arrays.  Python
+loops read tuples built on first use: ``Graph.adj``, the same lists as
+``(neighbor, edge_id)`` tuples, and ``Graph.edges``, the rows as int pairs.
+Two graphs built from the same edge set are therefore identical objects
+field-for-field, and every downstream coloring or traversal that iterates
+"in edge order" or "in neighbor order" is reproducible.  Constructor
+violations (a pair out of range or out of order) are found by vectorized
+checks, and ``read_edge_list`` reports them as ``path:line``.
 
 The generators cover the two random families studied here: binomial graphs at
 the connectivity threshold ``p = (log n + omega)/n`` via skip sampling, and
@@ -81,40 +82,59 @@ __all__ = [
 class Graph:
     """Simple undirected graph in canonical form, held as arrays.
 
-    ``edges[i]`` is the pair with edge id ``i``; the tuple is the graph's
-    identity for ``==`` and ``hash``.  The adjacency is CSR, built once by
-    the constructor and read-only: the neighbors of ``v`` are
+    ``ends[i]`` is the pair ``(u, v)``, ``u < v``, with edge id ``i``: a
+    read-only ``(m, 2)`` int64 array, and with ``n`` the graph's identity
+    for ``==`` and ``hash``.  The constructor copies an array the caller
+    still holds, so no later write reaches the graph.  The adjacency is CSR,
+    built once by the constructor and read-only: the neighbors of ``v`` are
     ``nbr[indptr[v]:indptr[v + 1]]`` in increasing order, and ``eid`` holds
     the id of the edge to each; ``edge_id`` binary-searches the slice of the
-    smaller endpoint.  ``adj[v]`` gives the same lists as ``(neighbor,
-    edge_id)`` tuples for Python loops over small graphs; it is built on
-    first use, so work that reads only the arrays never pays for it.
-    ``meta`` carries generator diagnostics (attempt counts, effective p) and
-    is not part of identity.
+    smaller endpoint.  Two views for Python loops are built on first use, so
+    work that reads only the arrays never pays for them: ``adj[v]``, the
+    same lists as ``(neighbor, edge_id)`` tuples, and ``edges``, the rows of
+    ``ends`` as a tuple of int pairs.  ``meta`` carries generator
+    diagnostics (attempt counts, effective p) and is not part of identity.
     """
 
-    __slots__ = ("n", "edges", "indptr", "nbr", "eid", "meta",
-                 "_adj_cache", "_sweep_cache")
+    __slots__ = ("n", "ends", "indptr", "nbr", "eid", "meta",
+                 "_edges_cache", "_adj_cache", "_sweep_cache")
 
     def __init__(self, n: int, edges: Union[Sequence[tuple[int, int]], np.ndarray],
                  meta: Optional[dict] = None):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        bad_n = _n_problem(n)
+        if bad_n is not None:
+            raise ValueError(bad_n)
         e = _edge_array(edges)
         bad = _first_violation(n, e)
         if bad is not None:
             raise ValueError(bad[1])
+        if isinstance(edges, np.ndarray) and np.may_share_memory(e, edges):
+            e = e.copy()
+        e.flags.writeable = False
         self.n = n
-        u, v = e[:, 0], e[:, 1]
-        self.edges: tuple[tuple[int, int], ...] = tuple(zip(u.tolist(), v.tolist()))
-        self.indptr, self.nbr, self.eid = _build_csr(n, u, v)
+        self.ends = e
+        self.indptr, self.nbr, self.eid = _build_csr(n, e[:, 0], e[:, 1])
         self.meta: dict = dict(meta) if meta else {}
+        self._edges_cache = None
         self._adj_cache = None
         self._sweep_cache = None
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``edges[i]``: the pair with edge id ``i``, as Python ints."""
+        if self._edges_cache is None:
+            self._edges_cache = tuple(self._pairs())
+        return self._edges_cache
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The rows of ``ends`` as int pairs, zipped from the two columns:
+        ``ends.tolist()`` would also hold m 2-lists at once, which raised a
+        thm1 run's peak memory at n = 10^5 by about a fifth."""
+        return zip(*self.ends.T.tolist())
 
     @property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -122,9 +142,8 @@ class Graph:
         if self._adj_cache is None:
             # In edge order every vertex meets its lower neighbors first, in
             # increasing order, then its higher ones, so no list needs sorting.
-            # Built from ``edges``, the tuples share its int objects.
             adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for i, (u, v) in enumerate(self.edges):
+            for i, (u, v) in enumerate(self._pairs()):
                 adj[u].append((v, i))
                 adj[v].append((u, i))
             self._adj_cache = tuple(map(tuple, adj))
@@ -160,13 +179,28 @@ class Graph:
         return self.indptr, self.nbr, self.eid
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.ends, other.ends))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.ends.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# The most vertices numpy can hold: indptr has n + 1 int64 entries, and no
+# array may span more bytes than the largest intp.
+_MAX_N = np.iinfo(np.intp).max // 8 - 1
+
+
+def _n_problem(n: int) -> Optional[str]:
+    """Why n cannot be a vertex count; None when it can."""
+    if n < 0:
+        return "n must be nonnegative"
+    if n > _MAX_N:
+        return f"n={n} is more vertices than numpy can index (at most {_MAX_N})"
+    return None
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -708,7 +742,7 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
 
 def write_edge_list(g: Graph, path: Union[str, Path]) -> None:
     lines = [f"{g.n} {g.m}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g.edges)
+    lines.extend(f"{u} {v}\n" for u, v in g._pairs())
     Path(path).write_text("".join(lines))
 
 
@@ -716,10 +750,16 @@ def read_text_lines(path: Union[str, Path]) -> list[tuple[str, str]]:
     """Non-blank lines of a text file with any ``#`` comment cut off.
 
     Returns (where, body) pairs, ``where`` being "path:line", so that every
-    parse error can name the line it comes from.
+    parse error can name the line it comes from.  A file that does not
+    decode raises ValueError naming the path.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not {exc.encoding} text "
+                         f"({exc.reason} at byte {exc.start})") from None
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if body:
             out.append((f"{path}:{lineno}", body))
@@ -746,8 +786,9 @@ def read_edge_list(path: Union[str, Path]) -> Graph:
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     n, m = parse_fields(*lines[0], (int, int))
-    if n < 0:
-        raise ValueError(f"{lines[0][0]}: n must be nonnegative")
+    bad_n = _n_problem(n)
+    if bad_n is not None:
+        raise ValueError(f"{lines[0][0]}: {bad_n}")
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
     edges = _edge_array([parse_fields(where, body, (int, int)) for where, body in lines[1:]])

@@ -81,16 +81,19 @@ def make_witness(g: Graph, c: EdgeColoring, vertices: Sequence[int],
 
 
 def witness_ok(g: Graph, c: EdgeColoring, w: PathWitness) -> bool:
-    """Full revalidation: consecutive adjacency, simplicity, color distinctness."""
-    if len(w.vertices) != len(w.edge_ids) + 1:
+    """Full revalidation: consecutive adjacency, simplicity, color distinctness.
+
+    The path's edges are read with one index into ``g.ends``; an edge id
+    outside ``[0, m)`` fails the check."""
+    eids = list(w.edge_ids)
+    if len(w.vertices) != len(eids) + 1 or len(set(w.vertices)) != len(w.vertices):
         return False
-    if len(set(w.vertices)) != len(w.vertices):
+    if eids and not 0 <= min(eids) <= max(eids) < g.m:
         return False
-    for (a, b), eid in zip(zip(w.vertices, w.vertices[1:]), w.edge_ids):
-        u, v = g.edges[eid]
-        if {a, b} != {u, v}:
-            return False
-    cols = [c.colors[e] for e in w.edge_ids]
+    steps = zip(w.vertices, w.vertices[1:])
+    if any({a, b} != {u, v} for (a, b), (u, v) in zip(steps, g.ends[eids].tolist())):
+        return False
+    cols = [c.colors[e] for e in eids]
     return len(set(cols)) == len(cols) and frozenset(cols) == w.color_set
 
 

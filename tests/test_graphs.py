@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from rainbowconn import graphs as graphs_mod
 from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
+from rainbowconn.experiment import ExperimentConfig, run_experiment
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
                                 bfs_levels, check_regular_params, complete_graph,
                                 connected, cycle_graph, degree_stats, diameter, gen_gnp,
@@ -166,6 +169,88 @@ class TestArrayAdjacency:
         for arr in (indptr, nbr, eid):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+
+@st.composite
+def edge_lists(draw, max_n=3):
+    """(n, canonical pair list); tiny n, so two draws often give one graph."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, k in zip(pairs, keep) if k]
+
+
+def eager_edges(edges) -> tuple:
+    """The edge tuple the constructor built eagerly before ``ends`` was the identity."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return tuple(zip(e[:, 0].tolist(), e[:, 1].tolist()))
+
+
+class TestEdgeArrayIdentity:
+    @given(edge_lists(), edge_lists(), st.booleans(), st.booleans())
+    @settings(max_examples=300)
+    def test_identity_matches_the_tuple(self, a_case, b_case, a_as_array, b_as_array):
+        # == and hash over (n, ends) agree with the old ones over (n, edges)
+        def build(n, edges, as_array):
+            return Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2) if as_array else edges)
+
+        (na, ea), (nb, eb) = a_case, b_case
+        a, b = build(na, ea, a_as_array), build(nb, eb, b_as_array)
+        same = (na, eager_edges(ea)) == (nb, eager_edges(eb))
+        assert (a == b) == same
+        assert (hash(a) == hash(b)) == same
+        for g, edges in ((a, ea), (b, eb)):
+            assert g.edges == eager_edges(edges) == tuple(edges)
+            assert all(type(x) is int for e in g.edges for x in e)
+            assert g.m == len(edges)
+
+    def test_caller_array_is_copied(self):
+        mine = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+        g = Graph(3, mine)
+        view = Graph(3, mine[:2])
+        mine[0] = (1, 2)
+        mine[2] = (0, 1)
+        assert g.ends.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert g.edges == ((0, 1), (0, 2), (1, 2)) == eager_edges(g.ends)
+        assert view.edges == ((0, 1), (0, 2))
+        assert g == complete_graph(3) and hash(g) == hash(complete_graph(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Graph(3, np.array([[0, 1], [1, 2]], dtype=np.int64)),
+        lambda: complete_graph(4),
+        lambda: Graph(2, []),
+        lambda: gen_gnp(GenParams(n=50, p=0.2, seed=3)),
+    ], ids=["array", "list", "empty", "gnp"])
+    def test_ends_read_only(self, make):
+        g = make()
+        assert g.ends.dtype == np.int64 and g.ends.shape == (g.m, 2)
+        with pytest.raises(ValueError):
+            g.ends[..., 0] = 1
+
+    def test_threshold_pipeline_leaves_edges_unbuilt(self):
+        # generation, probes, coloring, and searches whose witnesses pass
+        # make_witness read the array, never the tuple
+        g = gen_gnp(GenParams(n=5000, omega=2.0, seed=1))
+        degree_stats(g)
+        diameter(g, mode="double_sweep")
+        assert connected(g)
+        c = color_threshold(g, threshold_params(g.n), seed=0)
+        found = [rainbow_path_search(g, c, u, v, seed=derive_seed(0, f"{u}:{v}"))
+                 for u, v in sample_pairs(g.n, 10, seed=0)]
+        assert any(w is not None for w in found)
+        assert g._edges_cache is None
+
+    def test_experiment_thm1_never_reads_edges(self, tmp_path, monkeypatch):
+        reads = []
+        tuple_view = Graph.edges
+        monkeypatch.setattr(Graph, "edges", property(
+            lambda g: reads.append(g) or tuple_view.fget(g)))
+        cfg = ExperimentConfig(mode="thm1", n_values=(300,), omega=2.0, trials=2, seed=0,
+                               sampled_pairs=10, out=str(tmp_path / "t.csv"))
+        records, _ = run_experiment(cfg)
+        assert sum(rec.pairs_connected or 0 for rec in records) > 0
+        assert reads == []
 
 
 class TestGenGnp:
@@ -604,6 +689,24 @@ class TestFileFormat:
         path.write_text("# a comment\n\n3 1\n\n# another\n0 2\n")
         g = read_edge_list(path)
         assert g.n == 3 and g.edges == ((0, 2),)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "g.el"
+        path.write_bytes(b"3 1\n0 \xff\n")
+        want = f"{path}: not utf-8 text (invalid start byte at byte 6)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("n", [10 ** 20, 2 ** 63 - 1, graphs_mod._MAX_N + 1])
+    def test_unindexable_n_refused(self, tmp_path, n):
+        # numpy cannot hold indptr for this n, so no array is ever asked for
+        path = tmp_path / "g.el"
+        path.write_text(f"{n} 1\n0 1\n")
+        want = f"{path}:1: n={n} is more vertices than numpy can index"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            read_edge_list(path)
+        with pytest.raises(ValueError, match=f"^n={n} is more vertices"):
+            Graph(n, [])
 
     def test_bad_count_raises(self, tmp_path):
         path = tmp_path / "g.el"

@@ -7,6 +7,7 @@ from dataclasses import fields
 import pytest
 
 from rainbowconn import experiment as experiment_mod
+from rainbowconn import graphs as graphs_mod
 from rainbowconn.cli import build_parser, main
 from rainbowconn.coloring import EdgeColoring, read_coloring, threshold_params, write_coloring
 from rainbowconn.errors import GuaranteeViolation
@@ -1045,6 +1046,36 @@ class TestCliUsage:
     def test_empty_argv(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_non_utf8_input_named(self, tmp_path, capsys):
+        path = tmp_path / "g.el"
+        path.write_bytes(b"\xff 1\n")
+        assert main(["stats", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not utf-8 text (invalid start byte at byte 0)\n")
+
+    def test_unindexable_n_named(self, tmp_path, capsys):
+        path = tmp_path / "g.el"
+        path.write_text("99999999999999999999 1\n0 1\n")
+        assert main(["stats", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: n=99999999999999999999 is more vertices")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 22.4 GiB"),
+         "error: out of memory: Unable to allocate 22.4 GiB\n"),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, exc, line):
+        # one allocation raises, as numpy's does when the request is too large;
+        # nothing is allocated for real
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(graphs_mod, "_column_pairs", refuse)
+        assert main(["gen", "gnp", "--n", "10", "--p", "0.5", "--out", str(tmp_path / "g.el")]) == 1
+        assert capsys.readouterr().err == line
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["stats", "--in", str(tmp_path / "absent.el")])

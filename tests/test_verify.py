@@ -73,6 +73,13 @@ class TestWitnessOk:
         w = PathWitness((0, 1, 2), (0, 1), frozenset({0}))
         assert not witness_ok(g, c, w)
 
+    @pytest.mark.parametrize("eids", [(-1, 1), (3, 4), (3, 99)])
+    def test_rejects_edge_id_outside_graph(self, eids):
+        # (2, 3, 0) is a rainbow path on C4's edges 3 and 1; -1 must not
+        # wrap around to edge 3, and 4 is past the last id
+        assert witness_ok(C4, C4_ALTERNATING, PathWitness((2, 3, 0), (3, 1), frozenset({0, 1})))
+        assert not witness_ok(C4, C4_ALTERNATING, PathWitness((2, 3, 0), eids, frozenset({0, 1})))
+
     def test_rejects_stale_color_set(self):
         w = PathWitness((0, 1, 2), (0, 2), frozenset({0, 5}))
         assert not witness_ok(C4, C4_ALTERNATING, w)
