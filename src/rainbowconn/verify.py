@@ -11,7 +11,11 @@ with different truth guarantees:
 - ``rainbow_path_search``: iterative-deepening DFS with the used-color set,
   seeded neighbor shuffling, an admissible distance-to-target prune, and a
   node-expansion budget.  Sound (every witness it returns is valid) but
-  incomplete: a None under budget pressure proves nothing.
+  incomplete: a None under budget pressure proves nothing.  Its distances
+  cover only the x-y corridor of each length limit (``corridor_distances``,
+  a ball from each end), and elsewhere never read short, so the prune cuts
+  what exact distances would cut and every witness is the one full
+  distances would give.
 - ``brute_force_rc``: smallest palette size that admits a rainbow-connected
   coloring, by scanning q upward from ``rc_lower_bound`` and enumerating
   colorings in canonical color-introduction order.
@@ -32,7 +36,8 @@ from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, check_coloring
 from .errors import GuaranteeViolation, GuardError, NotConnected
-from .graphs import Graph, bfs_distances, bfs_levels, check_vertices, diameter, pendant_edges
+from .graphs import (Graph, bfs_distances, check_vertices, corridor_distances, diameter,
+                     pendant_edges)
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -173,15 +178,23 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     cannot reach y within the current limit (hop distance lower bound) are
     cut.  The expansion budget is shared across all deepening rounds.
 
-    The hop distances come from one ``bfs_levels`` sweep from y, drawn only
-    as far as the deepening reads it.  The prune at limit L reads levels
-    up to L - 1 only: every vertex past them is cut anyway.  So the sweep
-    first stops at the level that holds x's nearest neighbor, which gives
-    the x-y distance without labelling x's own level, usually the widest,
-    and then labels one more level each time the limit rises.  The default
-    ``max_len`` derives from the double-sweep diameter, which is computed
-    once per graph and then kept on ``g``; only on a disconnected graph is
-    the sweep drawn to its end, for y's eccentricity.
+    The hop distances come from ``corridor_distances``, which grows a ball
+    from each end until they meet, so its first limit is the x-y distance,
+    and then labels, for each limit L, only the corridor: the vertices v
+    other than x with d(x, v) + d(v, y) <= L, with their exact distance to
+    y.  Every other vertex is unlabelled, which the unsigned view reads as
+    2^64 - 1, or carries a distance no shorter than its true one.  The
+    prune ``depth + dist[v] > limit`` is therefore unchanged: the search
+    reaches v at a depth of at least d(x, v), so a vertex off the corridor
+    is cut either way, and on the corridor it reads the exact distance.  So
+    every expansion, shuffle, witness and budget cut-off is the one full
+    distances from y would give; only the labelling costs less.  On the
+    threshold G(10^5, p) a search at the typical x-y distance 5 labels
+    about a tenth of what y's levels up to distance 4 hold, which a sweep
+    from y labels.  The default ``max_len`` derives from the double-sweep
+    diameter, which is computed once per graph and then kept on ``g``; only
+    on a disconnected graph does a full BFS from y give y's eccentricity
+    instead.
     Raises ValueError for a negative ``max_len`` or ``budget``, an x or y
     that is not a vertex of g, or a coloring of another edge count than g's.
     """
@@ -190,28 +203,19 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     check_coloring(g, c)
     if x == y:
         return PathWitness((x,), (), frozenset())
-    indptr, nbr, eids = g.csr()
-    sweep = bfs_levels(g, y)
-    dist_arr = next(sweep)
-    x_nbrs = nbr[indptr[x]:indptr[x + 1]]
-    dist_x = 1  # one past the deepest level labelled
-    while not (dist_arr[x_nbrs] >= 0).any():
-        if next(sweep, None) is None:
-            return None  # x lies outside y's component
-        dist_x += 1
+    corridor = corridor_distances(g, x, y)
+    dist_x, labels = next(corridor, (None, None))
+    if dist_x is None:
+        return None  # x lies outside y's component
     if max_len is None:
         d = diameter(g, "double_sweep")
         if d is None:
-            for _ in sweep:
-                pass
-            d = int(dist_arr.max())  # y's eccentricity
+            d = int(bfs_distances(g, y).max())  # y's eccentricity
         max_len = 4 * d
     limit_cap = min(max_len, c.palette_size, g.n - 1)
     if dist_x > limit_cap:
         return None
-    # Read as unsigned, an unlabelled -1 is 2^64 - 1: farther than any
-    # limit, so the prune cuts it.  The view follows the sweep's labelling.
-    dist = memoryview(dist_arr.view("u8"))
+    indptr, nbr, eids = g.csr()
     rng = stream(seed, f"search:{x}:{y}")
     colors = c.colors
 
@@ -226,7 +230,11 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
 
     for limit in range(dist_x, limit_cap + 1):
         if limit > dist_x:
-            next(sweep, None)  # the prune now reads level limit - 1
+            _, labels = next(corridor)
+        # Read as unsigned, an unlabelled -1 is 2^64 - 1: farther than any
+        # limit, so the prune cuts it.  The labels may move to another array
+        # from one limit to the next.
+        dist = memoryview(labels.view("u8"))
         # one shuffled neighbor iterator per vertex on the path
         path = [x]
         edge_path: list[int] = []

@@ -21,7 +21,7 @@ import numpy as np
 from rainbowconn.coloring import EdgeColoring
 from rainbowconn.errors import GuaranteeViolation, PaletteExhausted
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
-from rainbowconn.graphs import AMBIGUOUS, Graph, diameter
+from rainbowconn.graphs import AMBIGUOUS, DegreeStats, Graph, default_small_threshold, diameter
 from rainbowconn.rng import stream
 from rainbowconn.verify import PathWitness, make_witness
 
@@ -195,6 +195,20 @@ def canonical_adjacency(n, edges):
     for lst in adj:
         lst.sort()
     return tuple(tuple(lst) for lst in adj)
+
+
+def degree_stats_before(g, small_threshold=None):
+    """``graphs.degree_stats`` as a Python loop over the vertices."""
+    if small_threshold is None:
+        small_threshold = default_small_threshold(g.n)
+    hist = {}
+    small = []
+    for v, d in enumerate(g.degrees()):
+        hist[d] = hist.get(d, 0) + 1
+        if d < small_threshold:
+            small.append(v)
+    return DegreeStats(z1=hist.get(1, 0), small_vertices=frozenset(small), histogram=hist,
+                       small_threshold=float(small_threshold))
 
 
 def build_csr_before(n, u, v):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from rainbowconn.graphs import Graph, connected
+from rainbowconn.graphs import Graph, connected, graph_from_edges
 
 
 @st.composite
@@ -32,3 +32,13 @@ def forests(draw, min_n=2, max_n=10):
         if attach >= 0:
             edges.append((attach, v))
     return Graph(n, sorted(edges))
+
+
+@st.composite
+def sparse_graphs(draw, min_n=1, max_n=60):
+    """Random graph with at most 3n/2 edges, drawn as vertex pairs: long
+    shortest paths, and often several components and isolated vertices."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n // 2))
+    return graph_from_edges(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -14,15 +14,15 @@ from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.experiment import ExperimentConfig, run_experiment
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
                                 bfs_levels, check_regular_params, complete_graph,
-                                connected, cycle_graph, degree_stats, diameter, gen_gnp,
-                                gen_regular_config, graph_from_edges,
+                                connected, corridor_distances, cycle_graph, degree_stats,
+                                diameter, gen_gnp, gen_regular_config, graph_from_edges,
                                 neighborhood_cycle, path_graph, petersen_graph,
                                 read_edge_list, star_graph, write_edge_list)
 from rainbowconn.rng import derive_seed
 from rainbowconn.verify import rainbow_path_search, sample_pairs
 
 import oracles
-from strategies import forests, graphs
+from strategies import forests, graphs, sparse_graphs
 
 
 def rejected(n, edges) -> str:
@@ -505,6 +505,40 @@ class TestDistances:
             arrays.add(id(dist))
         assert d == full.max() and len(arrays) == 1
 
+    @given(sparse_graphs(), st.data())
+    @example(Graph(5, [(0, 1), (1, 2), (3, 4)]), None)   # x and y apart
+    @example(Graph(3, [(1, 2)]), None)                   # x isolated
+    @example(path_graph(30), None)                       # narrow levels only
+    @settings(max_examples=300, deadline=None)
+    def test_corridor_against_two_full_bfs(self, g, data):
+        # the first limit is d(x, y); nothing is yielded across components;
+        # up to d + 3 every vertex v != x with d(x, v) + d(v, y) <= L reads
+        # d(v, y), and every other vertex -1 or no less than d(v, y)
+        if data is None:
+            x, y = 0, g.n - 1
+        else:
+            x = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="x")
+            y = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="y")
+        from_x, from_y = bfs_distances(g, x), bfs_distances(g, y)
+        steps = corridor_distances(g, x, y)
+        if from_y[x] < 0:
+            assert next(steps, None) is None
+            return
+        d = int(from_y[x])
+        limits = []
+        for limit, dist in islice(steps, 4):
+            limits.append(limit)
+            inside = (from_x >= 0) & (from_x + from_y <= limit)
+            inside[x] = False
+            assert (dist[inside] == from_y[inside]).all()
+            rest = dist[~inside]
+            assert ((rest == -1) | (rest >= from_y[~inside]) & (from_y[~inside] >= 0)).all()
+        assert limits == list(range(d, d + 4))
+
+    def test_corridor_rejects_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match="y 5 is not a vertex"):
+            next(corridor_distances(path_graph(5), 0, 5))
+
     def test_bfs_leaves_adj_unbuilt(self):
         # every graph takes the CSR sweep; none builds the tuple adjacency
         g = petersen_graph()
@@ -622,6 +656,19 @@ class TestDegreeStats:
     def test_z1_equals_histogram_entry(self, g):
         st_ = degree_stats(g)
         assert st_.z1 == st_.histogram.get(1, 0)
+
+    @given(st.one_of(graphs(min_n=0, max_n=12), sparse_graphs()),
+           st.one_of(st.none(), st.floats(min_value=-1, max_value=8, allow_nan=False),
+                     st.integers(min_value=0, max_value=8)))
+    @example(Graph(0, []), None)
+    @settings(max_examples=150)
+    def test_matches_the_vertex_loop(self, g, threshold):
+        # the same record, down to the histogram's key order
+        got = degree_stats(g, threshold)
+        want = oracles.degree_stats_before(g, threshold)
+        assert got == want
+        assert list(got.histogram.items()) == list(want.histogram.items())
+        assert all(type(k) is int and type(v) is int for k, v in got.histogram.items())
 
 
 class TestLocalStructure:

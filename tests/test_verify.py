@@ -35,7 +35,7 @@ from rainbowconn.verify import (
     witness_lines,
     witness_ok,
 )
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 
 def mono(g, color=0, palette=1):
@@ -261,6 +261,42 @@ class TestRewrittenSearches:
                 == oracles.rainbow_path_search_before(g, c, x, y, max_len, budget, seed))
         assert (rainbow_path_exact(g, c, x, y, max_len)
                 == oracles.rainbow_path_exact_before(g, c, x, y, max_len))
+
+    @given(sparse_graphs(min_n=2, max_n=40), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=10**6),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+           st.one_of(st.just(0), st.integers(min_value=1, max_value=60), st.just(10**6)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_witness_as_before_on_sparse_graphs(self, g, q, seed, max_len, budget, data):
+        # long shortest paths: the corridor's balls reach radius 2 and more,
+        # and its labels are continued inside x's ball
+        c = random_coloring(g, q, seed=seed) if g.m else EdgeColoring((), q, ())
+        x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        y = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        assert (rainbow_path_search(g, c, x, y, max_len, budget, seed)
+                == oracles.rainbow_path_search_before(g, c, x, y, max_len, budget, seed))
+
+    def test_every_budget_matches_on_the_threshold_graph(self):
+        # each budget from 0 to one past the expansions a search spends cuts
+        # it where the one-sided sweep's search was cut; the tight palette
+        # makes some searches run past their first limit
+        n = 2000
+        g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+        c = random_coloring(g, 8, seed=2)
+        longer = 0
+        for x, y in sample_pairs(n, 20, 11):
+            spent = None  # the smallest budget that finds the witness
+            for budget in range(1000):
+                w = rainbow_path_search(g, c, x, y, budget=budget, seed=x)
+                assert w == oracles.rainbow_path_search_before(g, c, x, y, budget=budget, seed=x)
+                if spent is None and w is not None:
+                    spent, found = budget, w
+                if spent is not None and budget > spent:
+                    break
+            assert spent is not None and w == found
+            longer += found.length > int(bfs_distances(g, y)[x])
+        assert longer > 0
 
     def test_budget_exhaustion_matches(self):
         # the x..y path of 5 edges takes exactly 5 expansions: one fewer runs out
@@ -545,41 +581,48 @@ def test_make_witness_check_survives_optimize_flag():
 
 
 def test_search_labels_only_the_levels_it_reads(monkeypatch):
-    # a search found at limit = dist(x) labels levels 0..dist(x) - 1 from y,
-    # short of x's own level and of y's eccentricity, and runs no full BFS
+    # a search labels a ball around each end and, inside x's ball, y's
+    # levels up to limit - 1: at distance >= 4 fewer than half the vertices
+    # of y's levels 0..dist(x) - 1, which a sweep from y labels, and no full BFS
     g = gen_gnp(GenParams(n=5000, omega=2.0, seed=0))
     c = random_coloring(g, 40, seed=1)
     diameter(g, mode="double_sweep")
     pairs = [(3, 4000), (17, 2500), (100, 4999), (0, 1), (1234, 321)]
     dists = {y: bfs_distances(g, y) for _, y in pairs}
     bfs_calls = []
-    deepest = []  # per search, the deepest level its sweep labelled
-    inner_bfs, inner_levels = graphs_mod.bfs_distances, graphs_mod.bfs_levels
+    labelled = []  # per search, the vertices its corridor labelled
+    inner_bfs, inner_corridor, inner_step = (graphs_mod.bfs_distances,
+                                             graphs_mod.corridor_distances,
+                                             graphs_mod._next_level)
 
     def counting_bfs(graph, source):
         bfs_calls.append(source)
         return inner_bfs(graph, source)
 
-    def counting_levels(graph, source):
-        deepest.append(-1)
-        for dist in inner_levels(graph, source):
-            deepest[-1] += 1
-            yield dist
+    def counting_corridor(graph, x, y):
+        labelled.append(2 + graph.degree(x))  # x, y and x's neighbors
+        yield from inner_corridor(graph, x, y)
+
+    def counting_step(graph, dist, frontier, d, inside=None):
+        level = inner_step(graph, dist, frontier, d, inside)
+        labelled[-1] += level.size
+        return level
 
     monkeypatch.setattr(graphs_mod, "bfs_distances", counting_bfs)
     monkeypatch.setattr(verify_mod, "bfs_distances", counting_bfs)
-    monkeypatch.setattr(verify_mod, "bfs_levels", counting_levels)
-    at_distance = 0
+    monkeypatch.setattr(verify_mod, "corridor_distances", counting_corridor)
+    monkeypatch.setattr(graphs_mod, "_next_level", counting_step)
+    far = 0
     for x, y in pairs:
         w = rainbow_path_search(g, c, x, y, budget=20000, seed=x)
-        dist_x, ecc = int(dists[y][x]), int(dists[y].max())
         assert w is not None
-        assert deepest[-1] <= w.length - 1 < ecc
-        if w.length == dist_x:
-            at_distance += 1
-            assert deepest[-1] == dist_x - 1
-    assert at_distance >= 3
-    assert len(deepest) == len(pairs)
+        dist_x = int(dists[y][x])
+        if dist_x >= 4:
+            far += 1
+            sweep = int(((dists[y] >= 0) & (dists[y] < dist_x)).sum())
+            assert labelled[-1] < sweep / 2, (x, y, labelled[-1], sweep)
+    assert far >= 3
+    assert len(labelled) == len(pairs)
     assert bfs_calls == []
 
 
