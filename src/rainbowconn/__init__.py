@@ -13,8 +13,8 @@ package bundles the pieces needed to study rc on random graphs at desk scale:
   greedy coloring for regular graphs, and the cycle-class recoloring pass;
 - :mod:`rainbowconn.verify`: exact and budgeted rainbow path verifiers plus
   a small-instance brute-force rc solver;
-- :mod:`rainbowconn.pairing`: rainbow tree growth, the recursive
-  matching-based pairing of root-to-leaf paths, and witness-path assembly;
+- :mod:`rainbowconn.pairing`: rainbow tree growth, the pairing of
+  root-to-leaf paths by one maximum matching, and witness-path assembly;
 - :mod:`rainbowconn.experiment` / :mod:`rainbowconn.cli`: sweep harness and
   command line front end.
 """

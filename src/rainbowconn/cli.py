@@ -248,8 +248,10 @@ def _cmd_verify(args) -> int:
         else:
             w = rainbow_path_search(g, c, args.x, args.y, max_len=args.max_len,
                                     budget=args.budget, seed=_seed(args))
-        if w is None:
-            print(f"pair ({args.x},{args.y}): no rainbow path")
+        if w is None:  # say what the None proves: a search is cut by its budget
+            why = (f" found within budget {args.budget}" if args.mode == "search" else
+                   "" if args.max_len is None else f" of at most {args.max_len} edges")
+            print(f"pair ({args.x},{args.y}): no rainbow path{why}")
             return 1
         print(f"pair ({args.x},{args.y}): rainbow path length {w.length}")
         _print_path(c, w)

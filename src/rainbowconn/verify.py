@@ -5,13 +5,13 @@ graph is rainbow connected when every vertex pair has one.  Three verifiers
 with different truth guarantees:
 
 - ``rainbow_path_exact``: breadth-first walk over (vertex, used-color-set)
-  states.  Complete up to ``max_len`` and returns a shortest witness, but the
-  state space scales with 2^Q, so a guard refuses instances where both the
-  palette and the length bound exceed 24.
+  states.  Complete up to its length cap and returns a shortest witness, so
+  a None proves that no rainbow path of at most that many edges exists.
+  The state space scales with 2^Q, so a guard refuses a cap above 24.
 - ``rainbow_path_search``: iterative-deepening DFS with the used-color set,
   seeded neighbor shuffling, an admissible distance-to-target prune, and a
-  node-expansion budget.  Sound (every witness it returns is valid) but
-  incomplete: a None under budget pressure proves nothing.  Its distances
+  node-expansion budget.  Sound (every witness it returns is valid); a None
+  proves absence only when the budget did not run out.  Its distances
   cover only the x-y corridor of each length limit (``corridor_distances``,
   a ball from each end), and elsewhere never read short, so the prune cuts
   what exact distances would cut and every witness is the one full
@@ -19,6 +19,10 @@ with different truth guarantees:
 - ``brute_force_rc``: smallest palette size that admits a rainbow-connected
   coloring, by scanning q upward from ``rc_lower_bound`` and enumerating
   colorings in canonical color-introduction order.
+
+Both verifiers look for paths of at most ``_pair_cap`` edges: a rainbow
+path uses each color and each vertex at most once, so it has at most
+min(palette, n - 1) edges, and ``max_len`` can only lower that.
 
 ``VerifyReport`` aggregates per-pair outcomes, its statistics derived from
 the lengths of the witnesses found, and serializes as key=value text.
@@ -36,8 +40,7 @@ from typing import Optional, Sequence
 
 from .coloring import EdgeColoring, check_coloring
 from .errors import GuaranteeViolation, GuardError, NotConnected
-from .graphs import (Graph, bfs_distances, check_vertices, corridor_distances, diameter,
-                     pendant_edges)
+from .graphs import Graph, bfs_distances, check_vertices, corridor_distances, pendant_edges
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -102,12 +105,23 @@ def witness_ok(g: Graph, c: EdgeColoring, w: PathWitness) -> bool:
     return len(set(cols)) == len(cols) and frozenset(cols) == w.color_set
 
 
-def _check_bounds(max_len: Optional[int], budget: int = 0) -> None:
-    """A negative bound would slip past the guards and bound nothing."""
+def _pair_cap(g: Graph, c: EdgeColoring, x: int, y: int, max_len: Optional[int],
+              budget: int = 0) -> int:
+    """The most edges a rainbow x-y path can have: min(palette, n - 1), as
+    it repeats no color and no vertex, lowered to ``max_len`` when given.
+
+    First the checks both verifiers share, in this order: ValueError for a
+    negative ``max_len`` or ``budget`` (either would bound nothing), an x or
+    y that is not a vertex of g, or a coloring of another edge count than
+    g's."""
     if max_len is not None and max_len < 0:
         raise ValueError(f"max_len {max_len} is negative")
     if budget < 0:
         raise ValueError(f"budget {budget} is negative")
+    check_vertices(g, ("x", x), ("y", y))
+    check_coloring(g, c)
+    cap = min(c.palette_size, g.n - 1)
+    return cap if max_len is None else min(cap, max_len)
 
 
 # ----------------------------------------------------------------------------
@@ -116,24 +130,19 @@ def _check_bounds(max_len: Optional[int], budget: int = 0) -> None:
 
 def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
                        max_len: Optional[int] = None) -> Optional[PathWitness]:
-    """Shortest rainbow x-y path, or None if none exists within max_len.
+    """Shortest rainbow x-y path, or None if none has at most ``_pair_cap``
+    edges: with no ``max_len``, None proves that no rainbow path exists.
 
     Exactness: BFS over (vertex, color-bitmask) states visits each state
     once; a rainbow walk that revisits a vertex shortcuts to a strictly
     shorter rainbow walk, so the first state reaching y is a simple path.
-    Raises ValueError for a negative ``max_len``, an x or y that is not a
-    vertex of g, or a coloring of another edge count than g's.
+    Raises GuardError when the cap exceeds 24, and ValueError as
+    ``_pair_cap`` does.
     """
-    _check_bounds(max_len)
-    check_vertices(g, ("x", x), ("y", y))
-    check_coloring(g, c)
-    if max_len is None:
-        max_len = g.n - 1
-    if c.palette_size > _EXACT_GUARD_BITS and max_len > _EXACT_GUARD_BITS:
-        raise GuardError(
-            f"palette {c.palette_size} and max_len {max_len} both exceed "
-            f"{_EXACT_GUARD_BITS}; state space impractical"
-        )
+    cap = _pair_cap(g, c, x, y, max_len)
+    if cap > _EXACT_GUARD_BITS:
+        raise GuardError(f"a rainbow path here may have {cap} edges, more than "
+                         f"{_EXACT_GUARD_BITS}; state space impractical")
     if x == y:
         return PathWitness((x,), (), frozenset())
     colors = c.colors
@@ -144,7 +153,7 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
     queue: deque[tuple[int, int, int]] = deque([(x, 0, 0)])  # vertex, mask, depth
     while queue:
         u, mask, depth = queue.popleft()
-        if depth == max_len:
+        if depth == cap:
             continue
         for v, eid in adj[u]:
             bit = 1 << colors[eid]
@@ -170,13 +179,16 @@ def rainbow_path_exact(g: Graph, c: EdgeColoring, x: int, y: int,
 def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
                         max_len: Optional[int] = None, budget: int = 10 ** 6,
                         seed: int = 0) -> Optional[PathWitness]:
-    """Budgeted rainbow path search; None means "not found", never "absent".
+    """Budgeted rainbow path search.  A None with budget left proves that no
+    rainbow path has at most ``_pair_cap`` edges; a None that ran out of
+    budget proves nothing.
 
-    Iterative deepening on path length from the x-y distance upward.  At
-    each expansion the neighbor order is reshuffled from the seeded stream,
-    the used-color set prunes non-rainbow extensions, and branches that
-    cannot reach y within the current limit (hop distance lower bound) are
-    cut.  The expansion budget is shared across all deepening rounds.
+    Iterative deepening on path length from the x-y distance up to the
+    cap.  At each expansion the neighbor order is reshuffled from the
+    seeded stream, the used-color set prunes non-rainbow extensions, and
+    branches that cannot reach y within the current limit (hop distance
+    lower bound) are cut.  The expansion budget is shared across all
+    deepening rounds.
 
     The hop distances come from ``corridor_distances``, which grows a ball
     from each end until they meet, so its first limit is the x-y distance,
@@ -191,30 +203,16 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     distances from y would give; only the labelling costs less.  On the
     threshold G(10^5, p) a search at the typical x-y distance 5 labels
     about a tenth of what y's levels up to distance 4 hold, which a sweep
-    from y labels.  The default ``max_len`` derives from the double-sweep
-    diameter, which is computed once per graph and then kept on ``g``; only
-    on a disconnected graph does a full BFS from y give y's eccentricity
-    instead.
-    Raises ValueError for a negative ``max_len`` or ``budget``, an x or y
-    that is not a vertex of g, or a coloring of another edge count than g's.
+    from y labels.
+    Raises ValueError as ``_pair_cap`` does.
     """
-    _check_bounds(max_len, budget)
-    check_vertices(g, ("x", x), ("y", y))
-    check_coloring(g, c)
+    cap = _pair_cap(g, c, x, y, max_len, budget)
     if x == y:
         return PathWitness((x,), (), frozenset())
     corridor = corridor_distances(g, x, y)
     dist_x, labels = next(corridor, (None, None))
-    if dist_x is None:
-        return None  # x lies outside y's component
-    if max_len is None:
-        d = diameter(g, "double_sweep")
-        if d is None:
-            d = int(bfs_distances(g, y).max())  # y's eccentricity
-        max_len = 4 * d
-    limit_cap = min(max_len, c.palette_size, g.n - 1)
-    if dist_x > limit_cap:
-        return None
+    if dist_x is None or dist_x > cap:
+        return None  # x lies outside y's component, or too far for the cap
     indptr, nbr, eids = g.csr()
     rng = stream(seed, f"search:{x}:{y}")
     colors = c.colors
@@ -228,7 +226,7 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
 
     expansions = 0
 
-    for limit in range(dist_x, limit_cap + 1):
+    for limit in range(dist_x, cap + 1):
         if limit > dist_x:
             _, labels = next(corridor)
         # Read as unsigned, an unlabelled -1 is 2^64 - 1: farther than any

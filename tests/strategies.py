@@ -1,10 +1,23 @@
-"""Shared hypothesis strategies for small graphs."""
+"""Shared hypothesis strategies for small graphs, and the hub family."""
 
 from itertools import combinations
 
 from hypothesis import strategies as st
 
+from rainbowconn.coloring import EdgeColoring
 from rainbowconn.graphs import Graph, connected, graph_from_edges
+
+
+def hub_path(length):
+    """The path 0..length, its edge (i, i + 1) in color i + 1, and a hub
+    ``length + 1`` joined to every path vertex in color 0.  The diameter is
+    2, but the only rainbow 0-``length`` path is the path itself: any path
+    through the hub uses two edges of color 0."""
+    hub = length + 1
+    g = graph_from_edges(length + 2, [(i, i + 1) for i in range(length)]
+                         + [(i, hub) for i in range(hub)])
+    colors = tuple(0 if hub in e else max(e) for e in g.edges)
+    return g, EdgeColoring(colors, length + 1, ("random",) * g.m)
 
 
 @st.composite

@@ -23,6 +23,7 @@ from rainbowconn.experiment import (
 )
 from rainbowconn.graphs import (GenParams, cycle_graph, gen_regular_config, path_graph,
                                 read_edge_list, star_graph, write_edge_list)
+from strategies import hub_path
 
 
 def write_p4(tmp_path):
@@ -581,6 +582,34 @@ class TestCliColorVerify:
         out = capsys.readouterr().out
         assert "rainbow path length 3" in out
         assert "vertices 0>1>2>3" in out
+
+    def test_single_pair_exact_names_its_length_cap(self, tmp_path, capsys):
+        p4 = write_p4(tmp_path)
+        good = tmp_path / "good.col"
+        write_coloring(distinct_coloring(3), good)
+        assert main(["verify", "exact", "--in", str(p4), "--coloring", str(good),
+                     "--x", "0", "--y", "3", "--max-len", "2"]) == 1
+        assert capsys.readouterr().out == "pair (0,3): no rainbow path of at most 2 edges\n"
+
+    def test_single_pair_search_names_its_budget(self, tmp_path, capsys):
+        p4 = write_p4(tmp_path)
+        bad = tmp_path / "bad.col"
+        write_coloring(EdgeColoring((0, 0, 1), 2, ("random",) * 3), bad)
+        assert main(["verify", "search", "--in", str(p4), "--coloring", str(bad),
+                     "--x", "0", "--y", "3", "--budget", "50"]) == 1
+        assert capsys.readouterr().out == "pair (0,3): no rainbow path found within budget 50\n"
+
+    @pytest.mark.parametrize("mode", ["exact", "search"])
+    def test_hub_graph_verifies(self, tmp_path, capsys, mode):
+        # diameter 2, and the 0-9 pair's one rainbow path has 9 edges: a
+        # search capped at 4 * diameter missed it
+        g, c = hub_path(9)
+        gpath, cpath = tmp_path / "hub.el", tmp_path / "hub.col"
+        write_edge_list(g, gpath)
+        write_coloring(c, cpath)
+        assert main(["verify", mode, "--in", str(gpath), "--coloring", str(cpath)]) == 0
+        out = capsys.readouterr().out
+        assert "pairs_checked=55\npairs_connected=55\n" in out
 
     @pytest.mark.parametrize("mode, flag", [("exact", "--max-len"), ("search", "--max-len"),
                                             ("search", "--budget"), ("exact", "--budget")])

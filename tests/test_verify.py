@@ -35,7 +35,7 @@ from rainbowconn.verify import (
     witness_lines,
     witness_ok,
 )
-from strategies import graphs, sparse_graphs
+from strategies import graphs, hub_path, sparse_graphs
 
 
 def mono(g, color=0, palette=1):
@@ -243,6 +243,29 @@ class TestRainbowPathSearch:
             if exact is not None and exact.length <= 4:
                 assert rainbow_path_search(g, c, 0, y, seed=seed) is not None
 
+    @given(graphs(min_n=2, max_n=8), st.integers(min_value=1, max_value=8),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_with_budget_to_spare(self, g, q, seed):
+        # 8 vertices have under 10^5 expansions over all limits, so a budget
+        # of 10^6 never runs out: a None proves absence, and the first limit
+        # that finds a path is the shortest rainbow path's length
+        c = random_coloring(g, q, seed=seed) if g.m else EdgeColoring((), q, ())
+        for x in range(g.n):
+            for y in range(x + 1, g.n):
+                exact = rainbow_path_exact(g, c, x, y)
+                w = rainbow_path_search(g, c, x, y, budget=10 ** 6, seed=seed)
+                assert (w is None) == (exact is None)
+                assert w is None or w.length == exact.length
+
+    @pytest.mark.parametrize("length", [9, 10, 12])
+    def test_deepens_past_four_diameters(self, length):
+        # diameter 2, and the one rainbow 0-length path is the path itself:
+        # a cap of 4 * diameter returned None with nearly all the budget left
+        g, c = hub_path(length)
+        w = rainbow_path_search(g, c, 0, length, budget=10 ** 6)
+        assert w is not None and w.length == rainbow_path_exact(g, c, 0, length).length == length
+
 
 class TestRewrittenSearches:
     """The searches against the versions they replaced: same witness or both None."""
@@ -258,7 +281,8 @@ class TestRewrittenSearches:
         x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         y = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         assert (rainbow_path_search(g, c, x, y, max_len, budget, seed)
-                == oracles.rainbow_path_search_before(g, c, x, y, max_len, budget, seed))
+                == oracles.rainbow_path_search_before(
+                    g, c, x, y, max_len if max_len is not None else g.n - 1, budget, seed))
         assert (rainbow_path_exact(g, c, x, y, max_len)
                 == oracles.rainbow_path_exact_before(g, c, x, y, max_len))
 
@@ -275,7 +299,8 @@ class TestRewrittenSearches:
         x = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         y = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         assert (rainbow_path_search(g, c, x, y, max_len, budget, seed)
-                == oracles.rainbow_path_search_before(g, c, x, y, max_len, budget, seed))
+                == oracles.rainbow_path_search_before(
+                    g, c, x, y, max_len if max_len is not None else g.n - 1, budget, seed))
 
     def test_every_budget_matches_on_the_threshold_graph(self):
         # each budget from 0 to one past the expansions a search spends cuts
@@ -289,7 +314,8 @@ class TestRewrittenSearches:
             spent = None  # the smallest budget that finds the witness
             for budget in range(1000):
                 w = rainbow_path_search(g, c, x, y, budget=budget, seed=x)
-                assert w == oracles.rainbow_path_search_before(g, c, x, y, budget=budget, seed=x)
+                assert w == oracles.rainbow_path_search_before(g, c, x, y, g.n - 1,
+                                                               budget=budget, seed=x)
                 if spent is None and w is not None:
                     spent, found = budget, w
                 if spent is not None and budget > spent:
@@ -304,7 +330,7 @@ class TestRewrittenSearches:
         c = distinct(g)
         for budget, found in ((4, False), (5, True)):
             new = rainbow_path_search(g, c, 0, 5, budget=budget)
-            assert new == oracles.rainbow_path_search_before(g, c, 0, 5, budget=budget)
+            assert new == oracles.rainbow_path_search_before(g, c, 0, 5, g.n - 1, budget=budget)
             assert (new is not None) == found
 
     def test_exhaustion_across_deepening_rounds(self):
@@ -315,8 +341,8 @@ class TestRewrittenSearches:
         outcomes = set()
         for budget in range(0, 30):
             new = rainbow_path_search(g, c, 0, 3, budget=budget, seed=budget)
-            assert new == oracles.rainbow_path_search_before(g, c, 0, 3, budget=budget,
-                                                             seed=budget)
+            assert new == oracles.rainbow_path_search_before(g, c, 0, 3, g.n - 1,
+                                                             budget=budget, seed=budget)
             outcomes.add(None if new is None else new.length)
         assert outcomes == {None, 5}
 
@@ -324,8 +350,8 @@ class TestRewrittenSearches:
     def test_same_witness_as_before_at_scale(self, name):
         # 300 seeded pairs per graph.  The graphs have the level growth the
         # capped sweep is for; some witnesses are longer than dist(x), so
-        # the sweep is extended mid-search.  The disconnected graph takes
-        # max_len from y's eccentricity, and some pairs cross components.
+        # the sweep is extended mid-search.  On the disconnected graph some
+        # pairs cross components.
         n = 2000
         if name == "regular_r3":
             g = gen_regular_config(GenParams(n=n, r=3, seed=0))
@@ -343,7 +369,8 @@ class TestRewrittenSearches:
         for x, y in sample_pairs(n, 300, 7):
             seed = derive_seed(3, f"{x}:{y}")
             w = rainbow_path_search(g, c, x, y, budget=20000, seed=seed)
-            assert w == oracles.rainbow_path_search_before(g, c, x, y, budget=20000, seed=seed)
+            assert w == oracles.rainbow_path_search_before(g, c, x, y, g.n - 1,
+                                                           budget=20000, seed=seed)
             dist_x = int(bfs_distances(g, y)[x])
             apart += dist_x < 0
             if w is not None:
@@ -586,7 +613,6 @@ def test_search_labels_only_the_levels_it_reads(monkeypatch):
     # of y's levels 0..dist(x) - 1, which a sweep from y labels, and no full BFS
     g = gen_gnp(GenParams(n=5000, omega=2.0, seed=0))
     c = random_coloring(g, 40, seed=1)
-    diameter(g, mode="double_sweep")
     pairs = [(3, 4000), (17, 2500), (100, 4999), (0, 1), (1234, 321)]
     dists = {y: bfs_distances(g, y) for _, y in pairs}
     bfs_calls = []
@@ -624,6 +650,33 @@ def test_search_labels_only_the_levels_it_reads(monkeypatch):
     assert far >= 3
     assert len(labelled) == len(pairs)
     assert bfs_calls == []
+
+
+@pytest.mark.parametrize("name", ["disconnected", "fresh"])
+def test_search_runs_no_whole_graph_probe(monkeypatch, name):
+    # the cap needs no diameter and no eccentricity: once a double sweep, or
+    # on a disconnected graph a full BFS from y, set the default max_len
+    if name == "disconnected":
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6), (5, 6)])
+    else:
+        g = path_graph(5)  # no diameter kept on it yet
+    calls = []
+
+    def counting(inner):
+        def wrapped(graph, *args):
+            calls.append(inner.__name__)
+            return inner(graph, *args)
+        return wrapped
+
+    for module, name in ((graphs_mod, "bfs_distances"), (verify_mod, "bfs_distances"),
+                         (graphs_mod, "_double_sweep")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    c = distinct(g)
+    w = rainbow_path_search(g, c, 0, 3)
+    assert w is not None and w.vertices == (0, 1, 2, 3)
+    if name == "disconnected":
+        assert rainbow_path_search(g, c, 0, 5) is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", [2, 9])
