@@ -76,7 +76,8 @@ class EdgeColoring:
         if self.palette_size < 0:
             raise ValueError(f"palette size {self.palette_size} is negative")
         if self.colors:
-            for c in (min(self.colors), max(self.colors)):
+            used = set(self.colors)  # a few distinct colors; one pass over the m-tuple
+            for c in (min(used), max(used)):
                 if not 0 <= c < self.palette_size:
                     raise ValueError(f"color {c} outside palette [0, {self.palette_size})")
         unknown = set(self.provenance).difference(PROVENANCE_TAGS)

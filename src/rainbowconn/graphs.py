@@ -6,16 +6,20 @@ the edge array ``Graph.ends`` stores each edge as a row ``(u, v)`` with
 id.  The array is read-only and is the graph's identity.  The constructor
 builds the adjacency once, as numpy CSR arrays with each vertex's neighbors
 in increasing order; BFS and edge lookups read only the arrays.  Every BFS
-takes one level step, ``_next_level``, which gathers a frontier's CSR
-slices at once and labels the unlabelled neighbors: ``bfs_levels`` draws
-it from one source, and ``corridor_distances`` from both ends of an x-y
-pair, labelling only the corridor of vertices on x-y walks of a given
-length bound, which is all the rainbow path search's prune reads.  Python
-loops read tuples built on first use: ``Graph.adj``, the same lists as
-``(neighbor, edge_id)`` tuples, and ``Graph.edges``, the rows as int pairs.
-Two graphs built from the same edge set are therefore identical objects
-field-for-field, and every downstream coloring or traversal that iterates
-"in edge order" or "in neighbor order" is reproducible.  Constructor
+level is labelled from CSR slices gathered at once, by one helper,
+``_gather``.  The top-down step, ``_next_level``, gathers the frontier's
+slices and labels its unlabelled neighbors; the bottom-up step gathers
+the slices of the unlabelled vertices and labels those with a neighbor in
+the frontier.  ``bfs_levels`` labels from one source, choosing the
+cheaper direction at each level, and ``corridor_distances`` steps top-down
+from both ends of an x-y pair, labelling only the corridor of vertices on
+x-y walks of a given length bound, which is all the rainbow path search's
+prune reads.  Python loops read tuples built on first use: ``Graph.adj``,
+the same lists as ``(neighbor, edge_id)`` tuples, and ``Graph.edges``, the
+rows as int pairs.  Two graphs built from the same edge set are therefore
+identical objects field-for-field, and every downstream coloring or
+traversal that iterates "in edge order" or "in neighbor order" is
+reproducible.  Constructor
 violations (a pair out of range or out of order) are found by vectorized
 checks, and ``read_edge_list`` reports them as ``path:line``.
 
@@ -465,26 +469,48 @@ def check_vertices(g: Graph, *named: tuple[str, int]) -> None:
             raise ValueError(f"{name} {v} is not a vertex of a graph on {g.n} vertices")
 
 
+# A bottom-up step makes about a dozen more numpy calls than a top-down one,
+# which cost about as much as gathering and labelling 10^4 slots top-down
+# (2-vCPU VM, numpy 2.4), so a level goes bottom-up only when that saves
+# more than this many slots.
+_BOTTOM_UP_COST = 1 << 14
+
+
+def _gather(g: Graph, vertices: np.ndarray,
+            most: Optional[int] = None) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """The neighbors of ``vertices``, their CSR slices laid end to end, and
+    where each vertex's slice ends there.  With ``most``, slices holding
+    more than ``most`` slots in all are not read, and None stands for the
+    neighbors.  ``adj`` is never built.
+    """
+    indptr = g.indptr
+    starts = indptr[vertices]
+    counts = indptr[vertices + 1] - starts
+    ends = np.cumsum(counts)
+    if most is not None and ends[-1] > most:
+        return None, ends
+    # slot j, owned by vertex i, reads nbr[starts[i] + j - (ends[i] - counts[i])]
+    slots = np.repeat(starts - ends + counts, counts)
+    slots += np.arange(slots.size)
+    return g.nbr[slots], ends
+
+
 def _next_level(g: Graph, dist: np.ndarray, frontier: np.ndarray, d: int,
                 inside: Optional[np.ndarray] = None) -> np.ndarray:
-    """One BFS level step: label d on every unlabelled neighbor of
+    """One top-down BFS level step: label d on every unlabelled neighbor of
     ``frontier`` and return them in increasing order; empty when there are
     none.  With ``inside``, only vertices that ``inside`` labels are
     entered.
-
-    The frontier's CSR neighbor slices are gathered at once, so ``adj`` is
-    never built.
     """
-    indptr, nbr = g.indptr, g.nbr
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    # slot j, owned by frontier vertex i, reads nbr[starts[i] + j - (ends[i] - counts[i])]
-    slots = np.repeat(starts - ends + counts, counts)
-    slots += np.arange(slots.size)
-    nbrs = nbr[slots]
+    nbrs = _gather(g, frontier)[0]
     if inside is not None:
         nbrs = nbrs[inside[nbrs] >= 0]
+    return _label_fresh(g, dist, nbrs, d)
+
+
+def _label_fresh(g: Graph, dist: np.ndarray, nbrs: np.ndarray, d: int) -> np.ndarray:
+    """Label d on the vertices of ``nbrs`` that ``dist`` leaves unlabelled and
+    return them, once each, in increasing order."""
     fresh = nbrs[dist[nbrs] < 0]
     if fresh.size == 0:
         return fresh
@@ -495,6 +521,23 @@ def _next_level(g: Graph, dist: np.ndarray, frontier: np.ndarray, d: int,
         return np.flatnonzero(dist == d)
     fresh.sort()
     return fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+
+
+def _bottom_up(g: Graph, dist: np.ndarray, d: int) -> np.ndarray:
+    """One bottom-up BFS level step: label d on every unlabelled vertex with
+    a neighbor at level d - 1 and return them in increasing order; empty
+    when there are none.  Each unlabelled vertex's CSR slice is gathered at
+    once, so the step reads the slots of the unlabelled vertices, not the
+    frontier's."""
+    unlabelled = np.flatnonzero(dist < 0)
+    nbrs, ends = _gather(g, unlabelled)
+    # hits[j]: how many of the first j slots read level d - 1, so vertex i
+    # has hits[ends[i]] - hits[ends[i - 1]] neighbors there
+    hits = np.zeros(nbrs.size + 1, dtype=np.int64)
+    np.cumsum(dist[nbrs] == d - 1, out=hits[1:])
+    level = unlabelled[np.diff(hits[ends], prepend=0) > 0]
+    dist[level] = d
+    return level
 
 
 def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
@@ -508,16 +551,38 @@ def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
     drawing and never pays for the far ones, which on graphs with few, fast
     growing levels hold most of the vertices.  Raises ValueError, on the
     first step, for a source outside ``[0, n)``.
+
+    Each level step picks its direction (direction-optimizing BFS: Beamer,
+    Asanovic and Patterson, SC 2012).  Top-down reads the frontier's CSR
+    slots; bottom-up lists the unlabelled vertices by one scan of ``dist``
+    and reads their slots.  A level is labelled bottom-up when the
+    frontier's slots outnumber those of the unlabelled vertices plus n / 4,
+    the scan's share, plus ``_BOTTOM_UP_COST``, the step's fixed cost.
+    The frontier's slot count comes with the gather that a top-down step
+    needs anyway, so the choice costs no extra pass.  On the threshold
+    G(10^5, p) from vertex 0 that is level 6, where the frontier of 74,052
+    vertices holds 1,035,113 slots and the 6,777 unlabelled vertices
+    76,320, and the empty level 7 that ends the sweep.  No level of the
+    random regular graphs at n = 2000 (at most 10^4 slots in all), of a
+    path or of a cycle switches.
     """
     check_vertices(g, ("source", source))
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
+    rest = g.nbr.size  # the slots of the frontier and of the unlabelled vertices
+    extra = g.n // 4 + _BOTTOM_UP_COST
     d = 0
     while frontier.size:
         yield dist
         d += 1
-        frontier = _next_level(g, dist, frontier, d)
+        # gathered unless mf > (rest - mf) + extra, mf the frontier's slots
+        nbrs, ends = _gather(g, frontier, most=(rest + extra) // 2)
+        rest -= int(ends[-1])
+        if nbrs is None:
+            frontier = _bottom_up(g, dist, d)
+        else:
+            frontier = _label_fresh(g, dist, nbrs, d)
 
 
 def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -605,12 +670,13 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distances from ``source``; -1 marks unreachable vertices.
 
     The whole of ``bfs_levels``'s sweep, drawn to its end.  It pays about
-    18 us of numpy overhead per level (2-vCPU VM, Python 3.11, numpy 2.4),
-    so it is fast on graphs with few levels and slow on long thin ones: per
-    call, the random 3-, 4- and 5-regular graphs at n = 2000 take
-    0.2-0.45 ms and the threshold G(10^5, p) 20-25 ms, but
-    ``cycle_graph(2000)`` 19 ms and ``path_graph(4000)`` 72 ms.  No library
-    caller runs BFS-heavy work on such graphs at scale.
+    9-15 us of numpy overhead per level (2-vCPU VM, Python 3.11, numpy
+    2.4), so it is fast on graphs with few levels and slow on long thin
+    ones: per call, the random 3-, 4- and 5-regular graphs at n = 2000 take
+    0.2-0.45 ms and the threshold G(10^5, p) 6.5-10.5 ms (15-21 ms with
+    every level top-down), but ``cycle_graph(2000)`` 12-18 ms and
+    ``path_graph(4000)`` 35-60 ms.  No library caller runs BFS-heavy work
+    on such graphs at scale.
     """
     for dist in bfs_levels(g, source):
         pass

@@ -536,10 +536,15 @@ class TestEdgeColoring:
     def test_empty_palette_without_edges_accepted(self):
         assert EdgeColoring((), 0, ()).m == 0
 
-    @pytest.mark.parametrize("colors, bad", [((0, 3, 1), 3), ((2, -1, 0), -1), ((-2, 5, 0), -2)])
+    @pytest.mark.parametrize("colors, bad", [
+        ((0, 3, 1), 3), ((2, -1, 0), -1), ((-2, 5, 0), -2),
+        # colors below 0 and at or above the palette: the smallest is named,
+        # and the largest when none is below 0
+        ((7, -1, 4, 1, -3, 9, -3), -3), ((3, 9, 3, 0, 4), 9), ((-5, -5, 2, 3), -5),
+    ])
     def test_color_outside_palette_named(self, colors, bad):
         with pytest.raises(ValueError, match=rf"^color {bad} outside palette \[0, 3\)$"):
-            EdgeColoring(colors, 3, ("random",) * 3)
+            EdgeColoring(colors, 3, ("random",) * len(colors))
 
     def test_unknown_tag_named(self):
         with pytest.raises(ValueError, match="^unknown provenance tag 'bogus'$"):

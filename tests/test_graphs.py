@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 from itertools import combinations, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -484,10 +485,27 @@ class TestDistances:
     @example(Graph(1, []))
     @example(Graph(5, []))
     @example(Graph(7, [(0, 1), (1, 2), (4, 5)]))
+    @example(complete_graph(9))
+    @example(star_graph(30))
     @settings(max_examples=150)
     def test_bfs_matches_deque_oracle_from_every_source(self, g):
+        # level by level too, in one shared array.  Graphs this small never
+        # save the bottom-up step's fixed cost, so it runs again without
+        # that cost: then every level whose frontier's slots outnumber the
+        # unlabelled vertices' slots plus n // 4 is labelled bottom-up, as
+        # the later levels of the complete and star graphs, dense from
+        # level 2, are
         for s in range(g.n):
-            assert bfs_distances(g, s).tolist() == oracles.bfs_distances(g.n, g.edges, s)
+            full = oracles.bfs_distances(g.n, g.edges, s)
+            assert bfs_distances(g, s).tolist() == full
+            full = np.array(full)
+            for cost in (graphs_mod._BOTTOM_UP_COST, 0):
+                with mock.patch.object(graphs_mod, "_BOTTOM_UP_COST", cost):
+                    arrays = set()
+                    for d, dist in enumerate(bfs_levels(g, s)):
+                        assert dist.tolist() == np.where(full <= d, full, -1).tolist()
+                        arrays.add(id(dist))
+                assert d == full.max() and len(arrays) == 1
 
     @pytest.mark.parametrize("make", [
         lambda: gen_gnp(GenParams(n=5000, omega=math.log(math.log(5000)), seed=0)),
@@ -504,6 +522,31 @@ class TestDistances:
             assert dist.tolist() == np.where(full <= d, full, -1).tolist()
             arrays.add(id(dist))
         assert d == full.max() and len(arrays) == 1
+
+    def test_bottom_up_only_where_levels_are_wide(self, monkeypatch):
+        # on the threshold graph of the at-scale test above, from each of
+        # its sources, level 5 is labelled bottom-up: its frontier, level 4,
+        # holds about 3400 of the 5000 vertices and 36,746 slots from vertex
+        # 0, against 5251 slots of the unlabelled vertices.  No level of a
+        # path or a cycle is
+        steps = []
+        inner = graphs_mod._bottom_up
+
+        def spy(g, dist, d):
+            steps.append(d)
+            return inner(g, dist, d)
+
+        monkeypatch.setattr(graphs_mod, "_bottom_up", spy)
+        n = 5000
+        g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+        for s in (0, n // 2, n - 1):
+            bfs_distances(g, s)
+        assert steps == [5] * 3
+        steps.clear()
+        for h in (path_graph(4000), cycle_graph(2000)):
+            for s in (0, h.n // 2, h.n - 1):
+                bfs_distances(h, s)
+        assert steps == []
 
     @given(sparse_graphs(), st.data())
     @example(Graph(5, [(0, 1), (1, 2), (3, 4)]), None)   # x and y apart

@@ -25,6 +25,11 @@ prints one sha256 per workload, with counts:
   so a pairing change that moves no witness is still seen.  For every pair
   of the regular protocol at r = 4 and 5, ``pair_tree_paths`` pairs the
   two scaffold trees under the queried coloring.
+- ``levels``: BFS distances, hashed directly, so a BFS change that moves
+  no witness is still seen.  The double sweep's two arrays on gate 5's
+  G(10^5, p), from vertex 0 and from its farthest vertex, and
+  ``bfs_distances`` from vertices 0, n/2 and n - 1 on gate 4's three
+  graphs.
 
 A pair is hashed as the line ``r seed u v: v0 v1 ... vk`` (``None`` when no
 witness came back), in query order.  A bundle is hashed as the line ``r
@@ -35,9 +40,11 @@ changes is seen even when no matched pair joins through it.  A coloring is
 hashed as the line ``r name palette: c0 c1 ...``, its colors in edge
 order.  A pairing is hashed as the line ``r seed u v:`` followed by its
 (x leaf, y leaf) pairs in order, or ``GuaranteeViolation``, or
-``NoStructure``.  Two checkouts that print the same digests return the
+``NoStructure``.  A distance array is hashed as the line ``name source:
+d0 d1 ...``.  Two checkouts that print the same digests return the
 same witnesses on these 4700 pairs, grow the same 3000 bundles, pair
-their trees the same and color gate 4's graphs the same.  ``EXPECTED`` holds the lines the current code
+their trees the same, color gate 4's graphs the same and label the same
+BFS distances on these 11 sweeps.  ``EXPECTED`` holds the lines the current code
 prints; the script exits 1, naming each line that differs, when a
 workload prints anything else.  A change that alters witnesses or
 colorings on purpose records its new lines there.  The run takes about
@@ -53,7 +60,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rainbowconn.coloring import (color_greedy_power, color_threshold,  # noqa: E402
                                   recolor_cycle_classes, regular_params, threshold_params)
-from rainbowconn.graphs import GenParams, gen_gnp, gen_regular_config  # noqa: E402
+from rainbowconn.graphs import (GenParams, bfs_distances, gen_gnp,  # noqa: E402
+                                gen_regular_config)
 from rainbowconn.errors import GuaranteeViolation, NoStructure  # noqa: E402
 from rainbowconn.pairing import (build_witness_paths, pair_tree_paths,  # noqa: E402
                                  witness_via_trees)
@@ -74,6 +82,8 @@ EXPECTED = {
                  " colorings=4",
     "pairings": "pairings e4627c47e7b5b19919c14934c41c4dd76102264f76b3b06370d553ad926b8602"
                 " pairs=3000 paired=2946 matched=25057",
+    "levels": "levels 0244c28c29ae7c974dd4b50c14823adeae1ccaf356443d08a3d627fbc1fa2f8e"
+              " arrays=11 sweep=6",
 }
 
 
@@ -92,9 +102,14 @@ def line(tag, u, v, w):
     return f"{tag} {u} {v}: {body}\n"
 
 
-def gate5():
+def gate5_graph():
     n = 100_000
-    g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+    return gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+
+
+def gate5():
+    g = gate5_graph()
+    n = g.n
     c = color_threshold(g, threshold_params(n), seed=derive_seed(0, "color"))
     lines = []
     for u, v in sample_pairs(n, 200, stream(0, "pairs")):
@@ -198,10 +213,25 @@ def pairings():
     return lines, f"pairs={len(lines)} paired={paired} matched={matched}"
 
 
+def levels():
+    def dist_line(name, source, dist):
+        return f"{name} {source}: {' '.join(map(str, dist.tolist()))}\n"
+
+    g = gate5_graph()
+    d0 = bfs_distances(g, 0)
+    far = int(d0.argmax())  # the sweep's second source, as ``graphs.diameter`` picks it
+    d1 = bfs_distances(g, far)
+    lines = [dist_line("gate5", 0, d0), dist_line("gate5", far, d1)]
+    for r, _, h, _, _ in regular_instances():
+        lines += [dist_line(f"r{r}", s, bfs_distances(h, s)) for s in (0, h.n // 2, h.n - 1)]
+    return lines, f"arrays={len(lines)} sweep={int(d1.max())}"
+
+
 def main():
     mismatched = 0
     for name, workload in (("gate5", gate5), ("regular", regular), ("bundles", bundles),
-                           ("colorings", colorings), ("pairings", pairings)):
+                           ("colorings", colorings), ("pairings", pairings),
+                           ("levels", levels)):
         lines, counts = workload()
         digest = hashlib.sha256("".join(lines).encode()).hexdigest()
         got = f"{name} {digest} {counts}"
