@@ -7,19 +7,17 @@ id.  The array is read-only and is the graph's identity.  The constructor
 builds the adjacency once, as numpy CSR arrays with each vertex's neighbors
 in increasing order; BFS and edge lookups read only the arrays.  Every BFS
 level is labelled from CSR slices gathered at once, by one helper,
-``_gather``.  The top-down step, ``_next_level``, gathers the frontier's
-slices and labels its unlabelled neighbors; the bottom-up step gathers
-the slices of the unlabelled vertices and labels those with a neighbor in
-the frontier.  ``bfs_levels`` labels from one source, choosing the
-cheaper direction at each level, and ``corridor_distances`` steps top-down
-from both ends of an x-y pair, labelling only the corridor of vertices on
-x-y walks of a given length bound, which is all the rainbow path search's
-prune reads.  Python loops read tuples built on first use: ``Graph.adj``,
-the same lists as ``(neighbor, edge_id)`` tuples, and ``Graph.edges``, the
-rows as int pairs.  Two graphs built from the same edge set are therefore
-identical objects field-for-field, and every downstream coloring or
-traversal that iterates "in edge order" or "in neighbor order" is
-reproducible.  Constructor
+``_gather``.  ``bfs_levels`` is the one single-source level loop: it takes
+level 1 as the source's slice and each later level top-down (the
+frontier's slices) or bottom-up (the slices of the unlabelled vertices),
+whichever is cheaper.  ``bfs_distances`` draws it to its end, and
+``corridor_distances`` draws two sweeps, one from each end of an x-y pair,
+only as far as the rainbow path search's prune reads.  Python loops read
+tuples built on first use: ``Graph.adj``, the same lists as ``(neighbor,
+edge_id)`` tuples, and ``Graph.edges``, the rows as int pairs.  Two graphs
+built from the same edge set are therefore identical objects
+field-for-field, and every downstream coloring or traversal that iterates
+"in edge order" or "in neighbor order" is reproducible.  Constructor
 violations (a pair out of range or out of order) are found by vectorized
 checks, and ``read_edge_list`` reports them as ``path:line``.
 
@@ -160,6 +158,7 @@ class Graph:
         return self._adj_cache
 
     def degree(self, v: int) -> int:
+        check_vertices(self, ("v", v))
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
@@ -495,19 +494,6 @@ def _gather(g: Graph, vertices: np.ndarray,
     return g.nbr[slots], ends
 
 
-def _next_level(g: Graph, dist: np.ndarray, frontier: np.ndarray, d: int,
-                inside: Optional[np.ndarray] = None) -> np.ndarray:
-    """One top-down BFS level step: label d on every unlabelled neighbor of
-    ``frontier`` and return them in increasing order; empty when there are
-    none.  With ``inside``, only vertices that ``inside`` labels are
-    entered.
-    """
-    nbrs = _gather(g, frontier)[0]
-    if inside is not None:
-        nbrs = nbrs[inside[nbrs] >= 0]
-    return _label_fresh(g, dist, nbrs, d)
-
-
 def _label_fresh(g: Graph, dist: np.ndarray, nbrs: np.ndarray, d: int) -> np.ndarray:
     """Label d on the vertices of ``nbrs`` that ``dist`` leaves unlabelled and
     return them, once each, in increasing order."""
@@ -540,49 +526,52 @@ def _bottom_up(g: Graph, dist: np.ndarray, d: int) -> np.ndarray:
     return level
 
 
-def bfs_levels(g: Graph, source: int) -> Iterator[np.ndarray]:
+def bfs_levels(g: Graph, source: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Hop distances from ``source``, labelled one BFS level per step.
 
-    Yields one array ``dist``, the same object every time: first with
-    ``source`` alone labelled 0, then once more after each further level is
-    labelled, so after the d-th yield (counting from 0) it holds levels
-    0..d and reads -1 everywhere else.  It stops after the last level of
-    the source's component.  A caller that needs only the near levels stops
-    drawing and never pays for the far ones, which on graphs with few, fast
-    growing levels hold most of the vertices.  Raises ValueError, on the
-    first step, for a source outside ``[0, n)``.
+    Yields ``(dist, level)`` once per nonempty level d = 0, 1, ...:
+    ``level`` holds the vertices just labelled d, in increasing order, and
+    ``dist``, the same array every time, holds levels 0..d and reads -1
+    everywhere else.  Neither may be written.  It stops after the last
+    level of the source's component.  A caller that needs only the near
+    levels stops drawing and never pays for the far ones, which on graphs
+    with few, fast growing levels hold most of the vertices.  Raises
+    ValueError, on the first step, for a source outside ``[0, n)``.
 
-    Each level step picks its direction (direction-optimizing BFS: Beamer,
-    Asanovic and Patterson, SC 2012).  Top-down reads the frontier's CSR
-    slots; bottom-up lists the unlabelled vertices by one scan of ``dist``
-    and reads their slots.  A level is labelled bottom-up when the
-    frontier's slots outnumber those of the unlabelled vertices plus n / 4,
-    the scan's share, plus ``_BOTTOM_UP_COST``, the step's fixed cost.
-    The frontier's slot count comes with the gather that a top-down step
-    needs anyway, so the choice costs no extra pass.  On the threshold
-    G(10^5, p) from vertex 0 that is level 6, where the frontier of 74,052
-    vertices holds 1,035,113 slots and the 6,777 unlabelled vertices
-    76,320, and the empty level 7 that ends the sweep.  No level of the
-    random regular graphs at n = 2000 (at most 10^4 slots in all), of a
-    path or of a cycle switches.
+    Level 1 is the source's CSR slice, sorted and unlabelled in a simple
+    graph, so it costs no level step.  Each later step picks its direction
+    (direction-optimizing BFS: Beamer, Asanovic and Patterson, SC 2012).
+    Top-down reads the frontier's CSR slots; bottom-up lists the
+    unlabelled vertices by one scan of ``dist`` and reads their slots.  A
+    level is labelled bottom-up when the frontier's slots outnumber those
+    of the unlabelled vertices plus n / 4, the scan's share, plus
+    ``_BOTTOM_UP_COST``, the step's fixed cost.  The frontier's slot count
+    comes with the gather that a top-down step needs anyway, so the choice
+    costs no extra pass.  On the threshold G(10^5, p) from vertex 0 that is
+    level 6, where the frontier of 74,052 vertices holds 1,035,113 slots
+    and the 6,777 unlabelled vertices 76,320, and the empty level 7 that
+    ends the sweep.  No level of the random regular graphs at n = 2000 (at
+    most 10^4 slots in all), of a path or of a cycle switches.
     """
     check_vertices(g, ("source", source))
     dist = np.full(g.n, -1, dtype=np.int64)
     dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    rest = g.nbr.size  # the slots of the frontier and of the unlabelled vertices
+    yield dist, np.array([source], dtype=np.int64)
+    level = g.nbr[g.indptr[source]:g.indptr[source + 1]]
+    dist[level] = 1
+    rest = g.nbr.size - level.size  # the slots of the frontier and of the unlabelled vertices
     extra = g.n // 4 + _BOTTOM_UP_COST
-    d = 0
-    while frontier.size:
-        yield dist
+    d = 1
+    while level.size:
+        yield dist, level
         d += 1
         # gathered unless mf > (rest - mf) + extra, mf the frontier's slots
-        nbrs, ends = _gather(g, frontier, most=(rest + extra) // 2)
+        nbrs, ends = _gather(g, level, most=(rest + extra) // 2)
         rest -= int(ends[-1])
         if nbrs is None:
-            frontier = _bottom_up(g, dist, d)
+            level = _bottom_up(g, dist, d)
         else:
-            frontier = _label_fresh(g, dist, nbrs, d)
+            level = _label_fresh(g, dist, nbrs, d)
 
 
 def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -596,72 +585,57 @@ def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarr
     as "far", cuts exactly what exact distances would cut: it reaches v at
     a depth of at least d(x, v).  Nothing is yielded when x lies outside
     y's component.  ``dist`` may be a different array from one step to the
-    next, and is valid until the next step.  Raises ValueError, on the
-    first step, for an x or y outside ``[0, n)``.
+    next, is valid until the next step, and may not be written.  Raises
+    ValueError, on the first step, for an x or y outside ``[0, n)``.
 
-    A ball grows from each end (bidirectional search, Pohl 1971): x's from
-    radius 1, its CSR neighbor slice, and y's from {y}.  The ball with the
-    smaller frontier grows one level at a time, ties to y, so where y's
-    levels never outgrow x's this is the one-sided sweep from y.  When a
-    new level touches the other ball, d(x, y) = rx + ry.  For each L the
-    balls grow by the same rule until rx + ry >= L - 1.  If then ry < L - 1,
-    y's labels are copied and continued from its last level to level
-    L - 1, entering only vertices of x's ball.  That labels every corridor
-    vertex exactly: on a shortest v-y path, each vertex w outside y's ball
-    has d(x, w) <= L - d(w, y) <= L - ry - 1 <= rx.  Labels of the
-    continuation are lengths of real paths, so they never read short.  A
-    ball whose level comes out empty holds its whole component, and its
-    radius counts as unbounded from then on.  On the threshold G(10^5, p),
-    over 200 sampled pairs, a search at d(x, y) = 5 labelled a median of
-    2741 vertices where y's levels 0..4 hold 32068, and at d(x, y) = 4 443
-    against 3081.
+    A ball grows from each end (bidirectional search, Pohl 1971), each a
+    ``bfs_levels`` sweep drawn one level at a time: the one with the
+    smaller last level, ties to y, so where y's levels never outgrow x's
+    this is the one-sided sweep from y.  When a new level touches the
+    other ball, d(x, y) = rx + ry, the radii.  For each L the balls grow by
+    the same rule until rx + ry >= L - 1.  If then ry < L - 1, y's labels
+    are copied and continued from its last level to level L - 1, entering
+    only vertices of x's ball.  That labels every corridor vertex exactly:
+    on a shortest v-y path, each vertex w outside y's ball has d(x, w) <=
+    L - d(w, y) <= L - ry - 1 <= rx.  Labels of the continuation are
+    lengths of real paths, so they never read short.  An exhausted sweep
+    is a whole component, and its radius counts as unbounded.  On the
+    threshold G(10^5, p), over gate 5's 200 sampled pairs, a search at
+    d(x, y) = 5 labelled a median of 2807 vertices where y's levels 0..4
+    hold 31902, and at d(x, y) = 4 450 against 2890.
     """
     check_vertices(g, ("x", x), ("y", y))
-    near_x = np.full(g.n, -1, dtype=np.int64)
-    near_y = np.full(g.n, -1, dtype=np.int64)
-    near_x[x] = 0
-    front_x = g.nbr[g.indptr[x]:g.indptr[x + 1]]
-    near_x[front_x] = 1
-    near_y[y] = 0
-    front_y = np.array([y], dtype=np.int64)
-    rx, ry = 1, 0
-    limit = int(near_x[y])  # -1 until the balls meet
-    copy = None     # y's labels continued inside x's ball ...
-    cont = None     # ... as (frontier, level), while neither ball has grown
+    sweeps = (bfs_levels(g, y), bfs_levels(g, x))  # y's ball, then x's
+    (near_y, front_y), (near_x, front_x) = map(next, sweeps)
+    fronts, radii = [front_y, front_x], [0, 0]
+    limit = 0 if x == y else -1  # -1 until the balls meet
+    cont = None  # y's labels continued inside x's ball, as (copy, frontier, level)
     while True:
-        while limit < 0 or rx + ry < limit - 1:
+        while limit < 0 or sum(radii) < limit - 1:
             cont = None
-            if front_y.size <= front_x.size:
-                ry += 1
-                front_y = grown = _next_level(g, near_y, front_y, ry)
-                other = near_x
-                if not grown.size:
-                    ry = math.inf
-            else:
-                rx += 1
-                front_x = grown = _next_level(g, near_x, front_x, rx)
-                other = near_y
-                if not grown.size:
-                    rx = math.inf
-            if limit < 0:
-                if not grown.size:
+            side = int(fronts[0].size > fronts[1].size)
+            step = next(sweeps[side], None)
+            if step is None:
+                if limit < 0:
                     return  # x lies outside y's component
-                if other[grown].max() >= 0:
-                    limit = rx + ry
-        if ry >= limit - 1:
+                radii[side] = math.inf
+                continue
+            radii[side] += 1
+            fronts[side] = step[1]
+            other = (near_x, near_y)[side]
+            if limit < 0 and other[step[1]].max() >= 0:
+                limit = sum(radii)
+        if radii[0] >= limit - 1:
             yield limit, near_y
         else:
             if cont is None:
-                if copy is None:
-                    copy = near_y.copy()
-                else:
-                    np.copyto(copy, near_y)
-                cont = front_y, ry
-            frontier, level = cont
+                cont = near_y.copy(), fronts[0], radii[0]
+            copy, frontier, level = cont
             while level < limit - 1 and frontier.size:
                 level += 1
-                frontier = _next_level(g, copy, frontier, level, inside=near_x)
-            cont = frontier, level
+                nbrs = _gather(g, frontier)[0]
+                frontier = _label_fresh(g, copy, nbrs[near_x[nbrs] >= 0], level)
+            cont = copy, frontier, level
             yield limit, copy
         limit += 1
 
@@ -678,7 +652,7 @@ def bfs_distances(g: Graph, source: int) -> np.ndarray:
     ``path_graph(4000)`` 35-60 ms.  No library caller runs BFS-heavy work
     on such graphs at scale.
     """
-    for dist in bfs_levels(g, source):
+    for dist, _ in bfs_levels(g, source):
         pass
     return dist
 

@@ -190,20 +190,11 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     lower bound) are cut.  The expansion budget is shared across all
     deepening rounds.
 
-    The hop distances come from ``corridor_distances``, which grows a ball
-    from each end until they meet, so its first limit is the x-y distance,
-    and then labels, for each limit L, only the corridor: the vertices v
-    other than x with d(x, v) + d(v, y) <= L, with their exact distance to
-    y.  Every other vertex is unlabelled, which the unsigned view reads as
-    2^64 - 1, or carries a distance no shorter than its true one.  The
-    prune ``depth + dist[v] > limit`` is therefore unchanged: the search
-    reaches v at a depth of at least d(x, v), so a vertex off the corridor
-    is cut either way, and on the corridor it reads the exact distance.  So
-    every expansion, shuffle, witness and budget cut-off is the one full
-    distances from y would give; only the labelling costs less.  On the
-    threshold G(10^5, p) a search at the typical x-y distance 5 labels
-    about a tenth of what y's levels up to distance 4 hold, which a sweep
-    from y labels.
+    The hop distances to y come from ``corridor_distances``, whose
+    contract makes the prune ``depth + dist[v] > limit`` cut what exact
+    distances would cut (an unlabelled -1 reads as 2^64 - 1), so every
+    expansion, shuffle, witness and budget cut-off is the one full
+    distances from y would give; only the labelling costs less.
     Raises ValueError as ``_pair_cap`` does.
     """
     cap = _pair_cap(g, c, x, y, max_len, budget)

@@ -104,6 +104,14 @@ class TestGraphForm:
     def test_degrees_sum_to_twice_m(self, g):
         assert sum(g.degrees()) == 2 * g.m
 
+    def test_degree_rejects_vertex_out_of_range(self):
+        # -1 would read the slice from the last vertex to the first, and n
+        # would index past indptr
+        g = path_graph(3)
+        for v in (-1, g.n):
+            with pytest.raises(ValueError, match=f"^v {v} is not a vertex of a graph on 3 vertices$"):
+                g.degree(v)
+
 
 def assert_adjacency_matches_reference(g):
     ref = oracles.canonical_adjacency(g.n, g.edges)
@@ -408,6 +416,21 @@ class TestGenRegular:
         pytest.fail("no rejecting seed found in 50 tries")
 
 
+def assert_levels_one_per_step(g, source, full):
+    """The d-th step of ``bfs_levels`` holds exactly levels 0..d of the full
+    distances, in one shared array, and yields level d in increasing order,
+    level 1 being the source's CSR slice; the sweep ends at the source's
+    eccentricity."""
+    arrays = set()
+    for d, (dist, level) in enumerate(bfs_levels(g, source)):
+        assert dist.tolist() == np.where(full <= d, full, -1).tolist()
+        assert level.tolist() == np.flatnonzero(full == d).tolist()
+        arrays.add(id(dist))
+        if d == 1:
+            assert level.tolist() == g.nbr[g.indptr[source]:g.indptr[source + 1]].tolist()
+    assert d == full.max() and len(arrays) == 1
+
+
 class TestDistances:
     def test_diameter_examples(self):
         assert diameter(path_graph(4)) == 3
@@ -501,11 +524,7 @@ class TestDistances:
             full = np.array(full)
             for cost in (graphs_mod._BOTTOM_UP_COST, 0):
                 with mock.patch.object(graphs_mod, "_BOTTOM_UP_COST", cost):
-                    arrays = set()
-                    for d, dist in enumerate(bfs_levels(g, s)):
-                        assert dist.tolist() == np.where(full <= d, full, -1).tolist()
-                        arrays.add(id(dist))
-                assert d == full.max() and len(arrays) == 1
+                    assert_levels_one_per_step(g, s, full)
 
     @pytest.mark.parametrize("make", [
         lambda: gen_gnp(GenParams(n=5000, omega=math.log(math.log(5000)), seed=0)),
@@ -513,15 +532,8 @@ class TestDistances:
         lambda: path_graph(40),
     ], ids=["threshold_gnp", "disconnected", "path"])
     def test_levels_labelled_one_per_step(self, make):
-        # the d-th step holds exactly levels 0..d of the full distances, in
-        # one shared array, and the sweep ends at the source's eccentricity
         g = make()
-        full = bfs_distances(g, 7)
-        arrays = set()
-        for d, dist in enumerate(bfs_levels(g, 7)):
-            assert dist.tolist() == np.where(full <= d, full, -1).tolist()
-            arrays.add(id(dist))
-        assert d == full.max() and len(arrays) == 1
+        assert_levels_one_per_step(g, 7, bfs_distances(g, 7))
 
     def test_bottom_up_only_where_levels_are_wide(self, monkeypatch):
         # on the threshold graph of the at-scale test above, from each of
@@ -552,31 +564,36 @@ class TestDistances:
     @example(Graph(5, [(0, 1), (1, 2), (3, 4)]), None)   # x and y apart
     @example(Graph(3, [(1, 2)]), None)                   # x isolated
     @example(path_graph(30), None)                       # narrow levels only
+    @example(complete_graph(9), None)                    # y's level 2 bottom-up at cost 0
     @settings(max_examples=300, deadline=None)
     def test_corridor_against_two_full_bfs(self, g, data):
         # the first limit is d(x, y); nothing is yielded across components;
         # up to d + 3 every vertex v != x with d(x, v) + d(v, y) <= L reads
-        # d(v, y), and every other vertex -1 or no less than d(v, y)
+        # d(v, y), and every other vertex -1 or no less than d(v, y).  The
+        # balls are bfs_levels sweeps, which graphs this small take
+        # bottom-up only without the step's fixed cost, so that runs too
         if data is None:
             x, y = 0, g.n - 1
         else:
             x = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="x")
             y = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="y")
         from_x, from_y = bfs_distances(g, x), bfs_distances(g, y)
-        steps = corridor_distances(g, x, y)
-        if from_y[x] < 0:
-            assert next(steps, None) is None
-            return
-        d = int(from_y[x])
-        limits = []
-        for limit, dist in islice(steps, 4):
-            limits.append(limit)
-            inside = (from_x >= 0) & (from_x + from_y <= limit)
-            inside[x] = False
-            assert (dist[inside] == from_y[inside]).all()
-            rest = dist[~inside]
-            assert ((rest == -1) | (rest >= from_y[~inside]) & (from_y[~inside] >= 0)).all()
-        assert limits == list(range(d, d + 4))
+        for cost in (graphs_mod._BOTTOM_UP_COST, 0):
+            with mock.patch.object(graphs_mod, "_BOTTOM_UP_COST", cost):
+                steps = corridor_distances(g, x, y)
+                if from_y[x] < 0:
+                    assert next(steps, None) is None
+                    continue
+                d = int(from_y[x])
+                limits = []
+                for limit, dist in islice(steps, 4):
+                    limits.append(limit)
+                    inside = (from_x >= 0) & (from_x + from_y <= limit)
+                    inside[x] = False
+                    assert (dist[inside] == from_y[inside]).all()
+                    rest, far = dist[~inside], from_y[~inside]
+                    assert ((rest == -1) | (rest >= far) & (far >= 0)).all()
+                assert limits == list(range(d, d + 4))
 
     def test_corridor_rejects_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="y 5 is not a vertex"):

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a package module imports is used in it.
+"""Import hygiene: every name a module imports is used in it, in the
+package, the tests and the demos.
 
 No linter is a dependency, so this AST scan stands in for one.  A name
 counts as used when it appears as a name anywhere in the module (attribute
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rainbowconn"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rainbowconn"
+SCANNED = [path for folder in (SRC, ROOT / "tests", ROOT / "demos")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -38,6 +42,11 @@ def test_scan_finds_unused_names():
     assert unused_imports(src) == [(2, "os"), (4, "b")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def scan_id(path: Path) -> str:
+    """A package module by its file name, any other by its folder and name."""
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=scan_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

@@ -13,7 +13,7 @@ from rainbowconn import pairing as pairing_mod
 from rainbowconn import verify as verify_mod
 from rainbowconn.coloring import EdgeColoring, color_greedy_power, regular_params
 from rainbowconn.errors import GuaranteeViolation, NoStructure
-from rainbowconn.graphs import (GenParams, Graph, bfs_distances, complete_graph, cycle_graph,
+from rainbowconn.graphs import (GenParams, bfs_distances, complete_graph, cycle_graph,
                                 gen_regular_config, graph_from_edges, grow_bfs_tree, path_graph,
                                 petersen_graph)
 from rainbowconn.pairing import (

@@ -617,27 +617,31 @@ def test_search_labels_only_the_levels_it_reads(monkeypatch):
     dists = {y: bfs_distances(g, y) for _, y in pairs}
     bfs_calls = []
     labelled = []  # per search, the vertices its corridor labelled
-    inner_bfs, inner_corridor, inner_step = (graphs_mod.bfs_distances,
-                                             graphs_mod.corridor_distances,
-                                             graphs_mod._next_level)
+    inner_bfs, inner_corridor = graphs_mod.bfs_distances, graphs_mod.corridor_distances
 
     def counting_bfs(graph, source):
         bfs_calls.append(source)
         return inner_bfs(graph, source)
 
     def counting_corridor(graph, x, y):
-        labelled.append(2 + graph.degree(x))  # x, y and x's neighbors
+        # levels 0 and 1 of both balls, x, y and their CSR slices, are
+        # labelled without a level step: counted whole, whether drawn or not
+        labelled.append(2 + graph.degree(x) + graph.degree(y))
         yield from inner_corridor(graph, x, y)
 
-    def counting_step(graph, dist, frontier, d, inside=None):
-        level = inner_step(graph, dist, frontier, d, inside)
-        labelled[-1] += level.size
-        return level
+    def counting_step(inner):
+        # each level step, bfs_levels' and the continuation's, top-down or not
+        def step(*args):
+            level = inner(*args)
+            labelled[-1] += level.size
+            return level
+        return step
 
     monkeypatch.setattr(graphs_mod, "bfs_distances", counting_bfs)
     monkeypatch.setattr(verify_mod, "bfs_distances", counting_bfs)
     monkeypatch.setattr(verify_mod, "corridor_distances", counting_corridor)
-    monkeypatch.setattr(graphs_mod, "_next_level", counting_step)
+    for name in ("_label_fresh", "_bottom_up"):
+        monkeypatch.setattr(graphs_mod, name, counting_step(getattr(graphs_mod, name)))
     far = 0
     for x, y in pairs:
         w = rainbow_path_search(g, c, x, y, budget=20000, seed=x)
