@@ -640,20 +640,32 @@ def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarr
         limit += 1
 
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
+def bfs_distances(g: Graph, source: int, *, target: Optional[int] = None,
+                  cutoff: Optional[int] = None) -> np.ndarray:
     """Hop distances from ``source``; -1 marks unreachable vertices.
 
-    The whole of ``bfs_levels``'s sweep, drawn to its end.  It pays about
-    9-15 us of numpy overhead per level (2-vCPU VM, Python 3.11, numpy
-    2.4), so it is fast on graphs with few levels and slow on long thin
-    ones: per call, the random 3-, 4- and 5-regular graphs at n = 2000 take
-    0.2-0.45 ms and the threshold G(10^5, p) 6.5-10.5 ms (15-21 ms with
-    every level top-down), but ``cycle_graph(2000)`` 12-18 ms and
-    ``path_graph(4000)`` 35-60 ms.  No library caller runs BFS-heavy work
-    on such graphs at scale.
+    ``bfs_levels``'s sweep, drawn to its end unless a stop is given.  With
+    ``target`` it stops after the level that labels ``target``; with
+    ``cutoff`` it stops after level ``cutoff``; with both, at whichever
+    comes first.  Every level up to the stop reads exactly, and every
+    vertex beyond it reads -1, like an unreachable one.  Raises ValueError
+    for a source or target outside ``[0, n)`` and for a negative cutoff.
+
+    The sweep pays about 9-15 us of numpy overhead per level (2-vCPU VM,
+    Python 3.11, numpy 2.4), so it is fast on graphs with few levels and
+    slow on long thin ones: per full call, the random 3-, 4- and 5-regular
+    graphs at n = 2000 take 0.2-0.45 ms and the threshold G(10^5, p)
+    6.5-10.5 ms (15-21 ms with every level top-down), but
+    ``cycle_graph(2000)`` 12-18 ms and ``path_graph(4000)`` 35-60 ms.  No
+    library caller runs BFS-heavy work on such graphs at scale.
     """
-    for dist, _ in bfs_levels(g, source):
-        pass
+    if target is not None:
+        check_vertices(g, ("target", target))
+    if cutoff is not None and cutoff < 0:
+        raise ValueError(f"cutoff {cutoff} is negative")
+    for d, (dist, _) in enumerate(bfs_levels(g, source)):
+        if d == cutoff or (target is not None and dist[target] >= 0):
+            break
     return dist
 
 

@@ -399,13 +399,16 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     was re-checked by ``make_witness``; None when y is unreachable, the
     scaffold cannot be grown, or no matched pair yields a rainbow path.
     Raises ValueError when x or y is not a vertex of g, k < 1, gamma < 0,
-    d < 2 or c does not color g's edges, for close and far pairs alike."""
+    d < 2 or c does not color g's edges, for close and far pairs alike.
+
+    The BFS from x stops at y's level or at level 2k + 1, whichever comes
+    first, so y reads -1 when it lies farther out or in another component.
+    Both go to the scaffold, which finds no witness for an unreachable y:
+    either it cannot grow, or no edge joins the two sides' hanging trees."""
     _check_scaffold(g, x, y, k, gamma, d)
     check_coloring(g, c)
-    dist = bfs_distances(g, x)
-    if dist[y] < 0:
-        return None
-    if dist[y] <= 2 * k + 1:
+    dist = bfs_distances(g, x, target=y, cutoff=2 * k + 1)
+    if dist[y] >= 0:
         # close pair: the shortest path spans at most the two tree depths,
         # so under a distance-2k proper coloring it is rainbow as-is
         w = _shortest_path_witness(g, c, x, y, dist)
@@ -420,7 +423,10 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
 
 def _shortest_path_witness(g: Graph, c: EdgeColoring, x: int, y: int,
                            dist) -> Optional[PathWitness]:
-    """Walk back from y along ``dist`` (BFS distances from x, y reachable)."""
+    """Walk back from y along ``dist``: BFS distances from x, exact on every
+    level up to y's.  Each step takes a neighbor one level nearer x, at
+    least 0, so a vertex beyond y's level, which may read -1, is never
+    taken."""
     adj = g.adj
     verts = [y]
     eids = []

@@ -24,7 +24,14 @@ __all__ = ["derive_seed", "stream", "np_stream", "mt_continuation"]
 
 
 def derive_seed(seed: int, tag: str, index: int = 0) -> int:
-    """64-bit sub-seed for the stream named ``tag``/``index`` under ``seed``."""
+    """64-bit sub-seed for the stream named ``tag``/``index`` under ``seed``.
+
+    ``seed`` must be an int, not a bool: the key formats it as text, so an
+    object whose text holds its address, such as a ``random.Random``, would
+    key a different stream in every process.  TypeError otherwise.
+    """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     key = f"{seed}:{tag}:{index}".encode()
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 

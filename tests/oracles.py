@@ -18,8 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rainbowconn.coloring import EdgeColoring
-from rainbowconn.errors import GuaranteeViolation, PaletteExhausted
+from rainbowconn import pairing
+from rainbowconn.coloring import EdgeColoring, check_coloring
+from rainbowconn.errors import GuaranteeViolation, NoStructure, PaletteExhausted
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
 from rainbowconn.graphs import AMBIGUOUS, DegreeStats, Graph, default_small_threshold, diameter
 from rainbowconn.rng import stream
@@ -641,3 +642,24 @@ def max_leaf_pairs(t1, t2, c):
         return out
 
     return best(0, 0)
+
+
+def witness_via_trees_before(g, c, x, y, k, gamma, d):
+    """``pairing.witness_via_trees`` as it was while it ran a full BFS from
+    x per pair, argument checks included: None at once for an unreachable
+    y, the shortest path for a pair at most 2k + 1 apart when it is
+    rainbow, and the scaffold otherwise."""
+    pairing._check_scaffold(g, x, y, k, gamma, d)
+    check_coloring(g, c)
+    dist = graph_bfs_distances(g, x)
+    if dist[y] < 0:
+        return None
+    if dist[y] <= 2 * k + 1:
+        w = pairing._shortest_path_witness(g, c, x, y, dist)
+        if w is not None:
+            return w
+    try:
+        bundle = pairing.build_witness_paths(g, x, y, k, gamma, d)
+    except NoStructure:
+        return None
+    return pairing.rainbow_witness(g, c, x, y, bundle)

@@ -595,6 +595,39 @@ class TestDistances:
                     assert ((rest == -1) | (rest >= far) & (far >= 0)).all()
                 assert limits == list(range(d, d + 4))
 
+    @given(sparse_graphs(), st.data())
+    @example(path_graph(8), None)                        # stops at the target
+    @example(Graph(5, [(0, 1), (1, 2), (3, 4)]), None)   # target unreachable
+    @example(complete_graph(9), None)                    # level 2 bottom-up at cost 0
+    @settings(max_examples=200, deadline=None)
+    def test_stops_label_up_to_the_first_stop(self, g, data):
+        # every level up to target's or cutoff, whichever comes first,
+        # reads as the deque oracle's and every vertex beyond it -1; with
+        # the bottom-up step's fixed cost and without it
+        if data is None:
+            source, target, cutoff = 0, g.n - 1, 3
+        else:
+            vertex = st.integers(min_value=0, max_value=g.n - 1)
+            source = data.draw(vertex, label="source")
+            target = data.draw(st.none() | vertex, label="target")
+            cutoff = data.draw(st.none() | st.integers(min_value=0, max_value=g.n), label="cutoff")
+        full = np.array(oracles.bfs_distances(g.n, g.edges, source))
+        stop = g.n if cutoff is None else cutoff
+        if target is not None and full[target] >= 0:
+            stop = min(stop, full[target])
+        want = np.where(full <= stop, full, -1).tolist()
+        for cost in (graphs_mod._BOTTOM_UP_COST, 0):
+            with mock.patch.object(graphs_mod, "_BOTTOM_UP_COST", cost):
+                assert bfs_distances(g, source, target=target, cutoff=cutoff).tolist() == want
+
+    def test_stops_reject_target_out_of_range_and_negative_cutoff(self):
+        g = path_graph(5)
+        for t in (-1, 5):
+            with pytest.raises(ValueError, match=f"target {t} is not a vertex"):
+                bfs_distances(g, 0, target=t)
+        with pytest.raises(ValueError, match="cutoff -1 is negative"):
+            bfs_distances(g, 0, cutoff=-1)
+
     def test_corridor_rejects_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="y 5 is not a vertex"):
             next(corridor_distances(path_graph(5), 0, 5))

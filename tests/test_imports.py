@@ -1,5 +1,5 @@
 """Import hygiene: every name a module imports is used in it, in the
-package, the tests and the demos.
+package, the tests, the demos and the benchmark scripts.
 
 No linter is a dependency, so this AST scan stands in for one.  A name
 counts as used when it appears as a name anywhere in the module (attribute
@@ -13,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rainbowconn"
-SCANNED = [path for folder in (SRC, ROOT / "tests", ROOT / "demos")
+SCANNED = [path for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
            for path in sorted(folder.glob("*.py"))]
 
 

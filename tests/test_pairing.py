@@ -5,7 +5,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,12 +29,12 @@ from rainbowconn.pairing import (
 )
 from rainbowconn.rng import derive_seed
 from rainbowconn.verify import sample_pairs, witness_ok
-from strategies import graphs
+from strategies import graphs, sparse_graphs
 
 
 PETERSEN = petersen_graph()
 
-# the regular instance used for bundle tests; generated once, reused
+# gate 4's regular instances at n = 2000, generated once, reused
 _REGULAR_CACHE = {}
 
 
@@ -46,11 +46,19 @@ def depths(t):
     return {v: i for i, level in enumerate(t.levels) for v in level}
 
 
-def regular_instance():
-    if "g" not in _REGULAR_CACHE:
-        _REGULAR_CACHE["g"] = gen_regular_config(GenParams(n=2000, r=5, seed=0))
-        _REGULAR_CACHE["params"] = regular_params(2000, 5)
-    return _REGULAR_CACHE["g"], _REGULAR_CACHE["params"]
+def regular_instance(r=5):
+    if r not in _REGULAR_CACHE:
+        _REGULAR_CACHE[r] = (gen_regular_config(GenParams(n=2000, r=r, seed=0)),
+                             regular_params(2000, r))
+    return _REGULAR_CACHE[r]
+
+
+def outcome(f, *args, **kwargs):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        return f(*args, **kwargs)
+    except (ValueError, GuaranteeViolation) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestGrowBfsTree:
@@ -813,6 +821,76 @@ class TestWitnessViaTrees:
             assert any(w is seen for seen in checked)
             found["close" if bfs_distances(g, x)[y] <= 2 * p.k + 1 else "far"] += 1
         assert found["close"] and found["far"]
+
+    @given(st.one_of(graphs(min_n=1, max_n=12), sparse_graphs(max_n=12)), st.data())
+    @example(path_graph(4), None)                        # 2k + 1 apart: the shortcut
+    @example(path_graph(5), None)                        # 2k + 2 apart: the scaffold
+    @example(graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]), None)   # y unreachable
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_bfs_before(self, g, data):
+        # the dense graphs give close pairs and scaffolds that grow; the
+        # sparse ones isolated vertices, several components and pairs on
+        # both sides of 2k + 1 apart, for k this small.  A graph on one
+        # vertex has no valid k, so both refuse it
+        if data is None:
+            x, y, k, gamma, d = 0, g.n - 1, 1, 1, 2
+            c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        else:
+            vertex = st.integers(min_value=0, max_value=g.n - 1)
+            x, y = data.draw(vertex, label="x"), data.draw(vertex, label="y")
+            k = data.draw(st.integers(min_value=1, max_value=max(1, min(2, g.n - 1))), label="k")
+            gamma = data.draw(st.integers(min_value=0, max_value=min(3, g.n - 1)), label="gamma")
+            d = data.draw(st.integers(min_value=2, max_value=3), label="d")
+            palette = data.draw(st.integers(min_value=1, max_value=max(1, g.m)), label="palette")
+            colors = data.draw(st.lists(st.integers(min_value=0, max_value=palette - 1),
+                                        min_size=g.m, max_size=g.m), label="colors")
+            c = EdgeColoring(tuple(colors), palette, ("random",) * g.m)
+        want = outcome(oracles.witness_via_trees_before, g, c, x, y, k, gamma, d)
+        assert outcome(witness_via_trees, g, c, x, y, k=k, gamma=gamma, d=d) == want
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_matches_the_full_bfs_before_on_gate4(self, r):
+        # gate 4's greedy colorings; d = r - 2 as the regular queries take
+        # it, and 2 at r = 3.  Close pairs, far pairs and tree witnesses
+        # all occur at r = 4 and 5
+        g, p = regular_instance(r)
+        c = color_greedy_power(g, radius=2 * p.k, q=p.q, seed=1)
+        d = max(2, r - 2)
+        seen = {"close": 0, "far": 0, "found": 0}
+        for x, y in sample_pairs(g.n, 150, r):
+            w = witness_via_trees(g, c, x, y, k=p.k, gamma=p.gamma, d=d)
+            assert w == oracles.witness_via_trees_before(g, c, x, y, p.k, p.gamma, d)
+            seen["close" if bfs_distances(g, x)[y] <= 2 * p.k + 1 else "far"] += 1
+            seen["found"] += w is not None
+        if r > 3:
+            assert all(seen.values()), seen
+
+    def test_unreachable_y_beyond_the_stop_is_none(self, monkeypatch):
+        # x's component, a complete binary tree of depth 4, is deeper than
+        # 2k + 1 = 3, so the BFS stops at level 3 with y unlabelled, as for
+        # a far pair.  Both scaffold trees and their hats grow, in two
+        # components, and no edge joins the hats
+        g, t1, t2 = build_tree_pair_graph(2, 4)
+        x, y = t1.root, t2.root
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        swept, bundles = [], []
+        real_bfs, real_join = pairing_mod.bfs_distances, pairing_mod.rainbow_witness
+
+        def bfs_spy(*args, **kwargs):
+            swept.append(real_bfs(*args, **kwargs))
+            return swept[-1]
+
+        def join_spy(g_, c_, x_, y_, bundle):
+            bundles.append(bundle)
+            return real_join(g_, c_, x_, y_, bundle)
+
+        monkeypatch.setattr(pairing_mod, "bfs_distances", bfs_spy)
+        monkeypatch.setattr(pairing_mod, "rainbow_witness", join_spy)
+        assert witness_via_trees(g, c, x, y, k=1, gamma=1, d=2) is None
+        (dist,) = swept
+        assert dist.max() == 3 and dist[y] == -1
+        (bundle,) = bundles
+        assert all(bundle.hats_x.values()) and all(bundle.hats_y.values())
 
     def test_regular_graph_success_and_soundness(self):
         g, p = regular_instance()

@@ -48,7 +48,7 @@ BFS distances on these 11 sweeps.  ``EXPECTED`` holds the lines the current code
 prints; the script exits 1, naming each line that differs, when a
 workload prints anything else.  A change that alters witnesses or
 colorings on purpose records its new lines there.  The run takes about
-25 s on 2 vCPUs.  Not a test: pytest does not collect this file.
+12 s on 2 vCPUs (Python 3.11, numpy 2.4).  Not a test: pytest does not collect this file.
 """
 
 import hashlib
@@ -87,8 +87,10 @@ EXPECTED = {
 }
 
 
-def sample_pairs(n, count, rng):
-    """Distinct unordered pairs, drawn as gate 5 and perfbench draw them, sorted."""
+def pairs_from_stream(n, count, rng):
+    """Distinct unordered pairs, drawn from the ``random.Random`` ``rng`` as
+    gate 5 and perfbench draw them, sorted.  Not ``verify.sample_pairs``,
+    which takes an int seed and draws from a stream of its own."""
     chosen = set()
     while len(chosen) < count:
         u, v = rng.randrange(n), rng.randrange(n)
@@ -112,7 +114,7 @@ def gate5():
     n = g.n
     c = color_threshold(g, threshold_params(n), seed=derive_seed(0, "color"))
     lines = []
-    for u, v in sample_pairs(n, 200, stream(0, "pairs")):
+    for u, v in pairs_from_stream(n, 200, stream(0, "pairs")):
         w = rainbow_path_search(g, c, u, v, budget=BUDGET, seed=derive_seed(0, f"{u}:{v}"))
         lines.append(line("gate5", u, v, w))
     found = sum(not s.endswith("None\n") for s in lines)
@@ -135,7 +137,7 @@ def regular_instances():
 
 def regular_pairs(g, seed, r):
     """Round 0's 150 pairs of perfbench's regular run ``seed`` at degree r."""
-    return sample_pairs(g.n, 150, stream(seed, f"regular:{r}:0"))
+    return pairs_from_stream(g.n, 150, stream(seed, f"regular:{r}:0"))
 
 
 def regular():
