@@ -19,11 +19,15 @@ Modes
   regular        random r-regular via the configuration model, greedy
                  power coloring; r = 3 additionally rewrites cycle classes;
                  pairs try the tree-witness construction first (r >= 4) and
-                 fall back to search.
+                 fall back to search, also on a GuaranteeViolation (flagged).
+                 ``sigma`` is the paper's count ``RegularParams.sigma``; at
+                 r = 5, n = 2000 (k = 2) it is 3 - 6, clamped to 1.
   brute          exact rc on small instances against ``rc_lower_bound``,
                  max(distinct pendant edges, diameter).
   lemcol_stress  matched path pairing on synthetic rainbow tree pairs,
-                 counting pairs and guarantee violations.
+                 counting pairs and guarantee violations.  ``sigma`` is the
+                 floor the matching is checked against, ``pairing_floor(d,
+                 ell)``: 4 for the d = 3, depth-2 trees of that r = 5 case.
 """
 
 from __future__ import annotations
@@ -303,11 +307,14 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
     rec.Q = c.palette_size
     d = r - 2
     rec.d = d if d >= 2 else None
-    via_tree = 0
+    via_tree = violations = 0
 
     def find(u, v):
-        nonlocal via_tree
-        w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=d) if d >= 2 else None
+        nonlocal via_tree, violations
+        try:
+            w = witness_via_trees(g, c, u, v, k=rp.k, gamma=rp.gamma, d=d) if d >= 2 else None
+        except GuaranteeViolation:
+            violations, w = violations + 1, None
         if w is None:
             return rainbow_path_search(g, c, u, v, budget=cfg.budget,
                                        seed=derive_seed(tseed, f"pair:{u}:{v}"))
@@ -317,6 +324,8 @@ def _trial_regular(cfg: ExperimentConfig, n: int, trial: int, tseed: int) -> Exp
     _tally(rec, verify_pairs(sample_pairs(g.n, cfg.sampled_pairs, tseed), find, "search",
                              keep_witnesses=False))
     rec.flags.append(f"tree_witness:{via_tree}")
+    if violations:
+        rec.flags.append(f"guarantee_violation:{violations}")
     return rec
 
 

@@ -12,12 +12,13 @@ level 1 as the source's slice and each later level top-down (the
 frontier's slices) or bottom-up (the slices of the unlabelled vertices),
 whichever is cheaper.  ``bfs_distances`` draws it to its end, and
 ``corridor_distances`` draws two sweeps, one from each end of an x-y pair,
-only as far as the rainbow path search's prune reads.  Python loops read
-tuples built on first use: ``Graph.adj``, the same lists as ``(neighbor,
-edge_id)`` tuples, and ``Graph.edges``, the rows as int pairs.  Two graphs
-built from the same edge set are therefore identical objects
-field-for-field, and every downstream coloring or traversal that iterates
-"in edge order" or "in neighbor order" is reproducible.  Constructor
+only as far as the rainbow path search's prune reads.  A Graph caches only
+what the package re-reads: ``Graph.adj``, the CSR rows as ``(neighbor,
+edge_id)`` tuples, is built on first use and kept; ``Graph.edges``, the
+rows of ``ends`` as int pairs, is built on each read.  Two graphs built
+from the same edge set are therefore identical objects field-for-field,
+and every downstream coloring or traversal that iterates "in edge order"
+or "in neighbor order" is reproducible.  Constructor
 violations (a pair out of range or out of order) are found by vectorized
 checks, and ``read_edge_list`` reports them as ``path:line``.
 
@@ -97,15 +98,16 @@ class Graph:
     built once by the constructor and read-only: the neighbors of ``v`` are
     ``nbr[indptr[v]:indptr[v + 1]]`` in increasing order, and ``eid`` holds
     the id of the edge to each; ``edge_id`` binary-searches the slice of the
-    smaller endpoint.  Two views for Python loops are built on first use, so
-    work that reads only the arrays never pays for them: ``adj[v]``, the
-    same lists as ``(neighbor, edge_id)`` tuples, and ``edges``, the rows of
-    ``ends`` as a tuple of int pairs.  ``meta`` carries generator
-    diagnostics (attempt counts, effective p) and is not part of identity.
+    smaller endpoint.  A Graph caches only what the package re-reads:
+    ``adj[v]``, the same rows as ``(neighbor, edge_id)`` tuples for Python
+    loops, and the double sweep's memo are built on first use and kept;
+    ``edges``, the rows of ``ends`` as int pairs, is built on each read.
+    ``meta`` carries generator diagnostics (attempt counts, effective p) and
+    is not part of identity.
     """
 
     __slots__ = ("n", "ends", "indptr", "nbr", "eid", "meta",
-                 "_edges_cache", "_adj_cache", "_sweep_cache")
+                 "_adj_cache", "_sweep_cache")
 
     def __init__(self, n: int, edges: Union[Sequence[tuple[int, int]], np.ndarray],
                  meta: Optional[dict] = None):
@@ -123,7 +125,6 @@ class Graph:
         self.ends = e
         self.indptr, self.nbr, self.eid = _build_csr(n, e[:, 0], e[:, 1])
         self.meta: dict = dict(meta) if meta else {}
-        self._edges_cache = None
         self._adj_cache = None
         self._sweep_cache = None
 
@@ -133,28 +134,18 @@ class Graph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """``edges[i]``: the pair with edge id ``i``, as Python ints."""
-        if self._edges_cache is None:
-            self._edges_cache = tuple(self._pairs())
-        return self._edges_cache
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        """The rows of ``ends`` as int pairs, zipped from the two columns:
-        ``ends.tolist()`` would also hold m 2-lists at once, which raised a
-        thm1 run's peak memory at n = 10^5 by about a fifth."""
-        return zip(*self.ends.T.tolist())
+        """``edges[i]``: the pair with edge id ``i``; a new tuple on each read,
+        zipped from the two columns, as ``ends.tolist()`` would also hold m
+        2-lists at once."""
+        return tuple(zip(*self.ends.T.tolist()))
 
     @property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``adj[v]``: ``(neighbor, edge_id)`` tuples sorted by neighbor."""
+        """``adj[v]``: ``(neighbor, edge_id)`` tuples sorted by neighbor, the CSR row of v."""
         if self._adj_cache is None:
-            # In edge order every vertex meets its lower neighbors first, in
-            # increasing order, then its higher ones, so no list needs sorting.
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-            for i, (u, v) in enumerate(self._pairs()):
-                adj[u].append((v, i))
-                adj[v].append((u, i))
-            self._adj_cache = tuple(map(tuple, adj))
+            slots = list(zip(self.nbr.tolist(), self.eid.tolist()))
+            bounds = self.indptr.tolist()
+            self._adj_cache = tuple(tuple(slots[a:b]) for a, b in zip(bounds, bounds[1:]))
         return self._adj_cache
 
     def degree(self, v: int) -> int:
@@ -898,7 +889,7 @@ def neighborhood_cycle(g: Graph, x: int, depth: int):
 
 def write_edge_list(g: Graph, path: Union[str, Path]) -> None:
     lines = [f"{g.n} {g.m}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g._pairs())
+    lines.extend(f"{u} {v}\n" for u, v in zip(*g.ends.T.tolist()))
     Path(path).write_text("".join(lines))
 
 

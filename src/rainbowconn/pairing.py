@@ -365,21 +365,19 @@ def rainbow_witness(g: Graph, c: EdgeColoring, x: int, y: int,
     Runs the matched pairing on the two pruned trees, then walks the pairs
     in order, joining each matched leaf pair through its connector.  A
     composition whose colors repeat is skipped; the first rainbow one is
-    returned through ``make_witness``.  None when the trees are not rainbow
-    under c or no composition is rainbow, and None before any pairing when
-    one side excluded every leaf, since then no pair has a connector;
-    GuaranteeViolation (a broken scaffold) when a rainbow one fails the
-    re-check or does not run x..y; ValueError when c does not color g's
-    edges.
+    returned through ``make_witness``.  None before any pairing when one
+    side excluded every leaf (no pair has a connector) or either tree is not
+    rainbow under c, and None when no composition is rainbow.
+    GuaranteeViolation when the pairing of two rainbow trees breaks (see
+    ``pair_tree_paths``), or a rainbow composition fails the re-check or
+    does not run x..y; ValueError when c does not color g's edges.
     """
     check_coloring(g, c)
-    if not any(bundle.hats_x.values()) or not any(bundle.hats_y.values()):
+    trees = (bundle.tree_x, bundle.tree_y)
+    if (not any(bundle.hats_x.values()) or not any(bundle.hats_y.values())
+            or not all(_rainbow(c, t.edge_ids()) for t in trees)):
         return None
-    try:
-        pairing = pair_tree_paths(bundle.tree_x, bundle.tree_y, c)
-    except GuaranteeViolation:
-        return None
-    for px, py in pairing.pairs:
+    for px, py in pair_tree_paths(*trees, c).pairs:
         conn = _find_connector(g, bundle.hats_x[px.leaf], bundle.hats_y[py.leaf])
         if conn is None:
             continue
@@ -397,8 +395,9 @@ def witness_via_trees(g: Graph, c: EdgeColoring, x: int, y: int,
     otherwise the scaffold (``build_witness_paths``) joined at its matched
     leaf pairs (``rainbow_witness``).  Every witness it returns runs x..y and
     was re-checked by ``make_witness``; None when y is unreachable, the
-    scaffold cannot be grown, or no matched pair yields a rainbow path.
-    Raises ValueError when x or y is not a vertex of g, k < 1, gamma < 0,
+    scaffold cannot be grown or is not rainbow, or no matched pair yields a
+    rainbow path.  GuaranteeViolation when a rainbow scaffold's pairing
+    breaks; ValueError when x or y is not a vertex of g, k < 1, gamma < 0,
     d < 2 or c does not color g's edges, for close and far pairs alike.
 
     The BFS from x stops at y's level or at level 2k + 1, whichever comes

@@ -435,12 +435,13 @@ def grow_bfs_tree_before(g, root, depth, min_branching=0, forbidden=frozenset())
                            bad_edges=bad, shortfall=shortfall)
 
 
-def line_ball_before(g, e, radius, visited, stamp):
+def line_ball_before(g, edges, e, radius, visited, stamp):
     """``coloring._line_ball``, the edge walk ``_edge_ball``'s two vertex
     balls replaced: edge ids within line distance 1..radius of ``e``, found
     level by level over edges, ``visited`` (one slot per edge) marked with
-    ``stamp``, a value not yet in it, so one array serves many calls."""
-    adj, edges = g.adj, g.edges
+    ``stamp``, a value not yet in it, so one array serves many calls.
+    ``edges`` is ``g.edges``, read once by the caller."""
+    adj = g.adj
     visited[e] = stamp
     ball = []
     frontier = [e]
@@ -461,7 +462,7 @@ def line_ball_before(g, e, radius, visited, stamp):
 
 def line_distance_neighbors_before(g, edge_id, radius):
     """``coloring.line_distance_neighbors`` over ``line_ball_before``."""
-    return set(line_ball_before(g, edge_id, radius, [0] * g.m, 1))
+    return set(line_ball_before(g, g.edges, edge_id, radius, [0] * g.m, 1))
 
 
 def color_greedy_power_before(g, radius, q, seed=0):
@@ -471,8 +472,10 @@ def color_greedy_power_before(g, radius, q, seed=0):
     m = g.m
     colors = [-1] * m
     visited = [0] * m
+    edges = g.edges
     for e in range(m):
-        blocked = {colors[f] for f in line_ball_before(g, e, radius, visited, e + 1) if f < e}
+        blocked = {colors[f] for f in line_ball_before(g, edges, e, radius, visited, e + 1)
+                   if f < e}
         free = q - len(blocked)
         if free <= 0:
             raise PaletteExhausted(e, len(blocked), q)

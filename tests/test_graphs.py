@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import re
@@ -237,9 +238,19 @@ class TestEdgeArrayIdentity:
         with pytest.raises(ValueError):
             g.ends[..., 0] = 1
 
-    def test_threshold_pipeline_leaves_edges_unbuilt(self):
+    @staticmethod
+    def spy_on_edges(monkeypatch) -> list:
+        """The graphs whose ``edges`` is read from now on, one entry per read."""
+        reads = []
+        tuple_view = Graph.edges
+        monkeypatch.setattr(Graph, "edges", property(
+            lambda g: reads.append(g) or tuple_view.fget(g)))
+        return reads
+
+    def test_threshold_pipeline_leaves_edges_unbuilt(self, monkeypatch):
         # generation, probes, coloring, and searches whose witnesses pass
         # make_witness read the array, never the tuple
+        reads = self.spy_on_edges(monkeypatch)
         g = gen_gnp(GenParams(n=5000, omega=2.0, seed=1))
         degree_stats(g)
         diameter(g, mode="double_sweep")
@@ -248,18 +259,42 @@ class TestEdgeArrayIdentity:
         found = [rainbow_path_search(g, c, u, v, seed=derive_seed(0, f"{u}:{v}"))
                  for u, v in sample_pairs(g.n, 10, seed=0)]
         assert any(w is not None for w in found)
-        assert g._edges_cache is None
+        assert reads == []
 
     def test_experiment_thm1_never_reads_edges(self, tmp_path, monkeypatch):
-        reads = []
-        tuple_view = Graph.edges
-        monkeypatch.setattr(Graph, "edges", property(
-            lambda g: reads.append(g) or tuple_view.fget(g)))
+        reads = self.spy_on_edges(monkeypatch)
         cfg = ExperimentConfig(mode="thm1", n_values=(300,), omega=2.0, trials=2, seed=0,
                                sampled_pairs=10, out=str(tmp_path / "t.csv"))
         records, _ = run_experiment(cfg)
         assert sum(rec.pairs_connected or 0 for rec in records) > 0
         assert reads == []
+
+
+class TestEdgesView:
+    """``edges`` is the rows of ``ends`` as int pairs, built on each read and
+    never held by the graph."""
+
+    @staticmethod
+    def assert_built_per_read(g):
+        view = g.edges
+        assert view == tuple(map(tuple, g.ends.tolist()))
+        again = g.edges
+        assert again == view
+        assert again is not view or g.m == 0  # () is one object in CPython
+        # nothing the graph refers to is the tuple, or any tuple of m items
+        # (neither adj nor the double-sweep memo is built here)
+        assert not any(isinstance(r, tuple) and len(r) == g.m for r in gc.get_referents(g))
+
+    @given(graphs(min_n=0, max_n=12))
+    @example(Graph(0, []))
+    @example(Graph(5, []))
+    @settings(max_examples=100)
+    def test_built_per_read(self, g):
+        self.assert_built_per_read(g)
+
+    def test_built_per_read_on_gate5(self):
+        n = 10 ** 5
+        self.assert_built_per_read(gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0)))
 
 
 class TestGenGnp:
@@ -494,10 +529,11 @@ class TestDistances:
             g = gen_regular_config(GenParams(n=2000, r=int(name[-1]), seed=0))
         sources = (0, g.n // 2, g.n - 1)
         got = [bfs_distances(g, s) for s in sources]
+        edges = g.edges
         for s, dist in zip(sources, got):
             assert dist.dtype == np.int64
-            assert dist.tolist() == oracles.bfs_distances(g.n, g.edges, s)
-            sizes = oracles.bfs_levels(g.n, g.edges, s)
+            assert dist.tolist() == oracles.bfs_distances(g.n, edges, s)
+            sizes = oracles.bfs_levels(g.n, edges, s)
             assert np.bincount(dist[dist >= 0]).tolist() == sizes
         if name == "disconnected":
             assert all((d < 0).any() for d in got)
@@ -518,8 +554,9 @@ class TestDistances:
         # unlabelled vertices' slots plus n // 4 is labelled bottom-up, as
         # the later levels of the complete and star graphs, dense from
         # level 2, are
+        edges = g.edges
         for s in range(g.n):
-            full = oracles.bfs_distances(g.n, g.edges, s)
+            full = oracles.bfs_distances(g.n, edges, s)
             assert bfs_distances(g, s).tolist() == full
             full = np.array(full)
             for cost in (graphs_mod._BOTTOM_UP_COST, 0):

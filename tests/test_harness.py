@@ -8,6 +8,7 @@ import pytest
 
 from rainbowconn import experiment as experiment_mod
 from rainbowconn import graphs as graphs_mod
+from rainbowconn import pairing as pairing_mod
 from rainbowconn.cli import build_parser, main
 from rainbowconn.coloring import EdgeColoring, read_coloring, threshold_params, write_coloring
 from rainbowconn.errors import GuaranteeViolation
@@ -322,6 +323,29 @@ class TestRunExperiment:
             assert rec.cycle_classes is not None
             assert "tree_witness:0" in rec.flags
             assert rec.pairs_tried == 4
+
+    def test_regular_row_counts_broken_pairings(self, tmp_path, monkeypatch):
+        # a pairing below its floor is flagged and its pair answered by the
+        # search, so the row is written and every pair is still tried
+        def run(out):
+            cfg = ExperimentConfig(mode="regular", n_values=(1000,), r=5, trials=1,
+                                   sampled_pairs=40, budget=20000, seed=0, out=str(out))
+            return run_experiment(cfg)[0][0]
+
+        def counts(rec):
+            pairs = (fl.partition(":") for fl in rec.flags)
+            return {name: int(n) for name, _, n in pairs
+                    if name in ("tree_witness", "guarantee_violation")}
+
+        plain = run(tmp_path / "plain.csv")
+        assert "guarantee_violation" not in counts(plain)
+        monkeypatch.setattr(pairing_mod, "pairing_floor", lambda d, depth: 10 ** 9)
+        broken = run(tmp_path / "broken.csv")
+        violations = counts(broken)["guarantee_violation"]
+        assert violations > 0
+        assert counts(broken)["tree_witness"] + violations == counts(plain)["tree_witness"]
+        assert broken.pairs_tried == plain.pairs_tried == 40
+        assert broken.sigma == plain.sigma
 
     def test_thm1_mode_carries_threshold_params(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -112,12 +112,13 @@ class TestGrowBfsTree:
 
     def test_path_from_root_reaches_each_leaf(self):
         t = grow_bfs_tree(PETERSEN, 0, 2)
+        edges = PETERSEN.edges
         for leaf in t.leaves:
             p = t.path_from_root(leaf)
             assert p.vertices[0] == 0 and p.leaf == leaf
             assert len(p.edge_ids) == 2
             for (a, b), eid in zip(zip(p.vertices, p.vertices[1:]), p.edge_ids):
-                u, v = PETERSEN.edges[eid]
+                u, v = edges[eid]
                 assert {a, b} == {u, v}
 
     @given(graphs(min_n=2, max_n=8, force_connected=True),
@@ -125,13 +126,14 @@ class TestGrowBfsTree:
     @settings(max_examples=60, deadline=None)
     def test_plain_growth_matches_bfs_oracle(self, g, depth):
         t = grow_bfs_tree(g, 0, depth)
-        want = oracles.bfs_levels(g.n, list(g.edges), 0)[:depth + 1]
+        edges = g.edges
+        want = oracles.bfs_levels(g.n, edges, 0)[:depth + 1]
         assert list(level_sizes(t)) == want + [0] * (depth + 1 - len(want))
         assert (t.root, t.target_depth) == (0, depth)
         # parent edges really exist and depths are parent + 1
         depth_of = depths(t)
         for v, (p, eid) in t.parent.items():
-            assert {v, p} == set(g.edges[eid])
+            assert {v, p} == set(edges[eid])
             assert depth_of[v] == depth_of[p] + 1
 
     @staticmethod
@@ -579,6 +581,7 @@ def matched_joins(g, c, bundle):
 class TestBuildWitnessPaths:
     def test_bundle_invariants_on_regular_graph(self):
         g, p = regular_instance()
+        edges = g.edges
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         n_joins = 0
         for x, y in [(10, 900), (10, 1100), (20, 1500), (3, 777)]:
@@ -591,7 +594,7 @@ class TestBuildWitnessPaths:
                 assert len(verts) == len(eids) + 1
                 assert len(eids) <= 2 * p.k + 2 * bundle.gamma + 1
                 for (a, b), eid in zip(zip(verts, verts[1:]), eids):
-                    assert {a, b} == set(g.edges[eid])
+                    assert {a, b} == set(edges[eid])
                 outside = set(eids) - tree_edges
                 assert not outside & seen_outside  # edge-disjoint beyond the scaffold
                 seen_outside |= outside
@@ -724,6 +727,16 @@ class TestRainbowWitness:
         c = EdgeColoring((0,) * g.m, 1, ("random",) * g.m)
         assert rainbow_witness(g, c, x, y, bundle) is None
 
+    def test_broken_pairing_raises(self, monkeypatch):
+        # both trees are rainbow, so a matching below its floor means the
+        # pairing broke: it must surface, not read as "no witness here"
+        g, p = regular_instance()
+        bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
+        c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
+        monkeypatch.setattr(pairing_mod, "pairing_floor", lambda d, depth: 10 ** 9)
+        with pytest.raises(GuaranteeViolation, match="floor is 1000000000"):
+            rainbow_witness(g, c, 3, 777, bundle)
+
     def test_broken_composition_raises(self, monkeypatch):
         # a rainbow composition that is not a path means the scaffold is
         # broken: it must surface, not read as "no witness here"
@@ -731,6 +744,7 @@ class TestRainbowWitness:
         bundle = build_witness_paths(g, 3, 777, k=p.k, gamma=p.gamma, d=3)
         c = EdgeColoring(tuple(range(g.m)), g.m, ("random",) * g.m)
         tree_edges = set(bundle.tree_x.edge_ids()) | set(bundle.tree_y.edge_ids())
+        edges = g.edges
         real = pairing_mod._find_connector
 
         def corrupt(graph, hx, hy):
@@ -739,7 +753,7 @@ class TestRainbowWitness:
                 return None
             verts, eids = conn
             stray = next(e for e in range(g.m)
-                         if not set(g.edges[e]) & set(verts) and e not in tree_edges)
+                         if not set(edges[e]) & set(verts) and e not in tree_edges)
             return verts, eids[:-1] + (stray,)
 
         monkeypatch.setattr(pairing_mod, "_find_connector", corrupt)

@@ -48,7 +48,7 @@ BFS distances on these 11 sweeps.  ``EXPECTED`` holds the lines the current code
 prints; the script exits 1, naming each line that differs, when a
 workload prints anything else.  A change that alters witnesses or
 colorings on purpose records its new lines there.  The run takes about
-12 s on 2 vCPUs (Python 3.11, numpy 2.4).  Not a test: pytest does not collect this file.
+15 s on 2 vCPUs (Python 3.11, numpy 2.4).  Not a test: pytest does not collect this file.
 """
 
 import hashlib
