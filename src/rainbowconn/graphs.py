@@ -297,10 +297,15 @@ AMBIGUOUS = _Ambiguous()
 # ----------------------------------------------------------------------------
 
 def check_gnp_params(params: GenParams) -> None:
-    """Refuse what ``gen_gnp`` cannot generate: n < 1, not exactly one of p
-    and omega, p outside [0, 1], or a NaN omega."""
+    """Refuse what ``gen_gnp`` cannot generate: n < 1, an n whose pair keys
+    w*n + v overflow int64, not exactly one of p and omega, p outside
+    [0, 1], or a NaN omega."""
     if params.n < 1:
         raise ValueError("gen_gnp needs n >= 1")
+    most = math.isqrt(int(np.iinfo(np.int64).max))  # the pair keys w*n + v are int64
+    if params.n > most:
+        raise ValueError(f"n={params.n} is more vertices than gen_gnp can pair: "
+                         f"n*n must fit in int64 (n at most {most})")
     if (params.p is None) == (params.omega is None):
         raise ValueError("give exactly one of p or omega")
     if params.p is not None and not 0.0 <= float(params.p) <= 1.0:
@@ -311,12 +316,15 @@ def check_gnp_params(params: GenParams) -> None:
 
 def check_regular_params(params: GenParams) -> None:
     """Refuse what ``gen_regular_config`` cannot generate: r missing or below
-    3, r >= n, an odd n*r (ParityError), or max_attempts below 1."""
+    3, r >= n, more points n*r than numpy can index, an odd n*r
+    (ParityError), or max_attempts below 1."""
     n, r = params.n, params.r
     if r is None or r < 3:
         raise ValueError("gen_regular_config needs r >= 3")
     if r >= n:
         raise ValueError(f"no simple {r}-regular graph on {n} vertices")
+    if n * r > _MAX_N:
+        raise ValueError(f"n*r = {n * r} points are more than numpy can index (at most {_MAX_N})")
     if (n * r) % 2 != 0:
         raise ParityError(f"n*r = {n * r} is odd")
     if params.max_attempts < 1:
@@ -590,20 +598,26 @@ def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarr
     on a shortest v-y path, each vertex w outside y's ball has d(x, w) <=
     L - d(w, y) <= L - ry - 1 <= rx.  Labels of the continuation are
     lengths of real paths, so they never read short.  An exhausted sweep
-    is a whole component, and its radius counts as unbounded.  On the
-    threshold G(10^5, p), over gate 5's 200 sampled pairs, a search at
-    d(x, y) = 5 labelled a median of 2807 vertices where y's levels 0..4
-    hold 31902, and at d(x, y) = 4 450 against 2890.
+    is a whole component, and its radius counts as unbounded.
+
+    The continuation is redone at each such L from y's last level, and
+    nothing is kept from one limit to the next but the two sweeps.  A
+    level step is deterministic, so the redo labels what extending the
+    previous continuation would; it repeats steps only in a search that
+    draws a second limit.  Of gate 5's 200 searches 18 do, and of the
+    searches on gate 4's graphs at n = 2000 (``tests/witness_digests.py``'s
+    regular protocol) 12 of 1500 at r = 3 and none of 463 at r = 4 and 5.
+    On the threshold G(10^5, p), over gate 5's 200 sampled pairs, a search
+    at d(x, y) = 5 labelled a median of 2807 vertices where y's levels
+    0..4 hold 31902, and at d(x, y) = 4 450 against 2890.
     """
     check_vertices(g, ("x", x), ("y", y))
     sweeps = (bfs_levels(g, y), bfs_levels(g, x))  # y's ball, then x's
     (near_y, front_y), (near_x, front_x) = map(next, sweeps)
     fronts, radii = [front_y, front_x], [0, 0]
     limit = 0 if x == y else -1  # -1 until the balls meet
-    cont = None  # y's labels continued inside x's ball, as (copy, frontier, level)
     while True:
         while limit < 0 or sum(radii) < limit - 1:
-            cont = None
             side = int(fronts[0].size > fronts[1].size)
             step = next(sweeps[side], None)
             if step is None:
@@ -616,18 +630,14 @@ def corridor_distances(g: Graph, x: int, y: int) -> Iterator[tuple[int, np.ndarr
             other = (near_x, near_y)[side]
             if limit < 0 and other[step[1]].max() >= 0:
                 limit = sum(radii)
-        if radii[0] >= limit - 1:
-            yield limit, near_y
-        else:
-            if cont is None:
-                cont = near_y.copy(), fronts[0], radii[0]
-            copy, frontier, level = cont
+        labels = near_y
+        if radii[0] < limit - 1:  # y's labels continued inside x's ball
+            labels, frontier, level = near_y.copy(), fronts[0], radii[0]
             while level < limit - 1 and frontier.size:
                 level += 1
                 nbrs = _gather(g, frontier)[0]
-                frontier = _label_fresh(g, copy, nbrs[near_x[nbrs] >= 0], level)
-            cont = copy, frontier, level
-            yield limit, copy
+                frontier = _label_fresh(g, labels, nbrs[near_x[nbrs] >= 0], level)
+        yield limit, labels
         limit += 1
 
 

@@ -10,12 +10,13 @@ with different truth guarantees:
   The state space scales with 2^Q, so a guard refuses a cap above 24.
 - ``rainbow_path_search``: iterative-deepening DFS with the used-color set,
   seeded neighbor shuffling, an admissible distance-to-target prune, and a
-  node-expansion budget.  Sound (every witness it returns is valid); a None
-  proves absence only when the budget did not run out.  Its distances
-  cover only the x-y corridor of each length limit (``corridor_distances``,
-  a ball from each end), and elsewhere never read short, so the prune cuts
-  what exact distances would cut and every witness is the one full
-  distances would give.
+  budget on the neighbor slots it shuffles, so its work is bounded even
+  through a hub.  Sound (every witness it returns is valid); a None proves
+  absence only when the budget did not run out.  It loops over
+  ``corridor_distances``, one length limit per step: distances that cover
+  only the x-y corridor of the limit (a ball from each end), and elsewhere
+  never read short, so the prune cuts what exact distances would cut and
+  every witness is the one full distances would give.
 - ``brute_force_rc``: smallest palette size that admits a rainbow-connected
   coloring, by scanning q upward from ``rc_lower_bound`` and enumerating
   colorings in canonical color-introduction order.
@@ -183,43 +184,53 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
     rainbow path has at most ``_pair_cap`` edges; a None that ran out of
     budget proves nothing.
 
-    Iterative deepening on path length from the x-y distance up to the
-    cap.  At each expansion the neighbor order is reshuffled from the
-    seeded stream, the used-color set prunes non-rainbow extensions, and
-    branches that cannot reach y within the current limit (hop distance
-    lower bound) are cut.  The expansion budget is shared across all
-    deepening rounds.
+    Iterative deepening on path length: one DFS per step of
+    ``corridor_distances``, from the x-y distance up to the cap, and none
+    when x lies outside y's component.  At each expansion the neighbor
+    order is reshuffled from the seeded stream, the used-color set prunes
+    non-rainbow extensions, and branches that cannot reach y within the
+    current limit (hop distance lower bound) are cut.
 
-    The hop distances to y come from ``corridor_distances``, whose
-    contract makes the prune ``depth + dist[v] > limit`` cut what exact
-    distances would cut (an unlabelled -1 reads as 2^64 - 1), so every
-    expansion, shuffle, witness and budget cut-off is the one full
-    distances from y would give; only the labelling costs less.
-    Raises ValueError as ``_pair_cap`` does.
+    The budget counts the neighbor slots shuffled, the root's at each
+    limit included, over all deepening rounds, and the search returns
+    None before a shuffle that would pass it.  So the budget bounds the
+    work: a search that passes a hub of degree D pays D for each visit.
+    On the hub path of ``length`` 2000 (``tests/strategies.py``) with edge
+    (1, 2) recolored to edge (0, 1)'s color, which has no rainbow 0-2000
+    path, the default budget runs out in 0.36 s (2-vCPU VM, Python 3.11).
+    Gate 5's 200 searches shuffle at most 357 slots each, and the 1963 of
+    ``tests/witness_digests.py``'s regular protocol at most 159.
+
+    The corridor's contract makes the prune ``depth + dist[v] > limit``
+    cut what exact distances would cut (an unlabelled -1 reads as
+    2^64 - 1), so every expansion, shuffle, witness and budget cut-off is
+    the one full distances from y would give; only the labelling costs
+    less.  Raises ValueError as ``_pair_cap`` does.
     """
     cap = _pair_cap(g, c, x, y, max_len, budget)
     if x == y:
         return PathWitness((x,), (), frozenset())
-    corridor = corridor_distances(g, x, y)
-    dist_x, labels = next(corridor, (None, None))
-    if dist_x is None or dist_x > cap:
-        return None  # x lies outside y's component, or too far for the cap
     indptr, nbr, eids = g.csr()
     rng = stream(seed, f"search:{x}:{y}")
     colors = c.colors
 
+    spent = 0  # neighbor slots shuffled, over all limits
+
     def shuffled(v: int):
-        # adj[v] read off the CSR, so that adj is never built, in seeded order
+        # adj[v] read off the CSR, so that adj is never built, in seeded
+        # order; None, unshuffled, when its slots would pass the budget
+        nonlocal spent
         a, b = indptr[v], indptr[v + 1]
+        spent += b - a
+        if spent > budget:
+            return None
         out = list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
         rng.shuffle(out)
         return iter(out)
 
-    expansions = 0
-
-    for limit in range(dist_x, cap + 1):
-        if limit > dist_x:
-            _, labels = next(corridor)
+    for limit, labels in corridor_distances(g, x, y):
+        if limit > cap:
+            break
         # Read as unsigned, an unlabelled -1 is 2^64 - 1: farther than any
         # limit, so the prune cuts it.  The labels may move to another array
         # from one limit to the next.
@@ -231,13 +242,12 @@ def rainbow_path_search(g: Graph, c: EdgeColoring, x: int, y: int,
         used: set[int] = set()
         stack = [shuffled(x)]
         while stack:
+            if stack[-1] is None:
+                return None  # out of budget
             depth = len(path)  # of the extension tried next
             for v, eid in stack[-1]:
                 if v in on_path or colors[eid] in used or depth + dist[v] > limit:
                     continue
-                expansions += 1
-                if expansions > budget:
-                    return None
                 if v == y:
                     return make_witness(g, c, path + [v], edge_path + [eid])
                 path.append(v)

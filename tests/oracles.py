@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from rainbowconn import pairing
+from rainbowconn import graphs, pairing
 from rainbowconn.coloring import EdgeColoring, check_coloring
 from rainbowconn.errors import GuaranteeViolation, NoStructure, PaletteExhausted
 from rainbowconn.graphs import bfs_distances as graph_bfs_distances
@@ -267,7 +267,9 @@ def rainbow_path_exact_before(g, c, x, y, max_len=None):
 
 def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0):
     """``verify.rainbow_path_search`` with (vertex, neighbor list, cursor)
-    stack entries, one rebuilt per step."""
+    stack entries, one rebuilt per step.  Its budget rule is the search's
+    own, ported: the budget counts the neighbor slots shuffled, and the
+    search gives up before a shuffle that would pass it."""
     if x == y:
         return PathWitness((x,), (), frozenset())
     dist_arr = graph_bfs_distances(g, y)
@@ -291,7 +293,7 @@ def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0)
         a, b = indptr[v], indptr[v + 1]
         return list(zip(nbr[a:b].tolist(), eids[a:b].tolist()))
 
-    expansions = 0
+    spent = 0  # neighbor slots shuffled
 
     for limit in range(dist[x], limit_cap + 1):
         path = [x]
@@ -299,6 +301,9 @@ def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0)
         edge_path = []
         used = set()
         first = incident(x)
+        spent += len(first)
+        if spent > budget:
+            return None
         rng.shuffle(first)
         stack = [(x, first, 0)]
         while stack:
@@ -319,9 +324,6 @@ def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0)
             depth = len(edge_path) + 1
             if depth + dist[v] > limit:
                 continue
-            expansions += 1
-            if expansions > budget:
-                return None
             if v == y:
                 return make_witness(g, c, path + [v], edge_path + [eid])
             path.append(v)
@@ -329,9 +331,52 @@ def rainbow_path_search_before(g, c, x, y, max_len=None, budget=10 ** 6, seed=0)
             edge_path.append(eid)
             used.add(col)
             nxt = incident(v)
+            spent += len(nxt)
+            if spent > budget:
+                return None
             rng.shuffle(nxt)
             stack.append((v, nxt, 0))
     return None
+
+
+def corridor_distances_before(g, x, y):
+    """``graphs.corridor_distances`` with y's continued labels kept across
+    limits, as ``(copy, frontier, level)``, and dropped on each growth of a
+    ball.  It reads the live ``bfs_levels``, ``_gather`` and
+    ``_label_fresh``, so patching ``graphs._BOTTOM_UP_COST`` reaches it."""
+    sweeps = (graphs.bfs_levels(g, y), graphs.bfs_levels(g, x))  # y's ball, then x's
+    (near_y, front_y), (near_x, front_x) = map(next, sweeps)
+    fronts, radii = [front_y, front_x], [0, 0]
+    limit = 0 if x == y else -1  # -1 until the balls meet
+    cont = None  # y's labels continued inside x's ball, as (copy, frontier, level)
+    while True:
+        while limit < 0 or sum(radii) < limit - 1:
+            cont = None
+            side = int(fronts[0].size > fronts[1].size)
+            step = next(sweeps[side], None)
+            if step is None:
+                if limit < 0:
+                    return  # x lies outside y's component
+                radii[side] = math.inf
+                continue
+            radii[side] += 1
+            fronts[side] = step[1]
+            other = (near_x, near_y)[side]
+            if limit < 0 and other[step[1]].max() >= 0:
+                limit = sum(radii)
+        if radii[0] >= limit - 1:
+            yield limit, near_y
+        else:
+            if cont is None:
+                cont = near_y.copy(), fronts[0], radii[0]
+            copy, frontier, level = cont
+            while level < limit - 1 and frontier.size:
+                level += 1
+                nbrs = graphs._gather(g, frontier)[0]
+                frontier = graphs._label_fresh(g, copy, nbrs[near_x[nbrs] >= 0], level)
+            cont = copy, frontier, level
+            yield limit, copy
+        limit += 1
 
 
 def _ball_before(g, x, radius):

@@ -2,7 +2,7 @@ import gc
 import hashlib
 import math
 import re
-from itertools import combinations, islice
+from itertools import combinations, islice, zip_longest
 from unittest import mock
 
 import numpy as np
@@ -15,9 +15,10 @@ from rainbowconn.coloring import color_threshold, threshold_params
 from rainbowconn.errors import GenerationExhausted, ParityError
 from rainbowconn.experiment import ExperimentConfig, run_experiment
 from rainbowconn.graphs import (AMBIGUOUS, GenParams, Graph, bfs_distances,
-                                bfs_levels, check_regular_params, complete_graph,
-                                connected, corridor_distances, cycle_graph, degree_stats,
-                                diameter, gen_gnp, gen_regular_config, graph_from_edges,
+                                bfs_levels, check_gnp_params, check_regular_params,
+                                complete_graph, connected, corridor_distances,
+                                cycle_graph, degree_stats, diameter, gen_gnp,
+                                gen_regular_config, graph_from_edges,
                                 neighborhood_cycle, path_graph, petersen_graph,
                                 read_edge_list, star_graph, write_edge_list)
 from rainbowconn.rng import derive_seed
@@ -316,6 +317,17 @@ class TestGenGnp:
         b = gen_gnp(GenParams(n=200, p=0.05, omega=None, r=None, seed=10))
         assert a.edges != b.edges
 
+    def test_refuses_n_whose_pair_keys_overflow(self):
+        # the pair keys w*n + v are sorted as int64, so n*n must fit; the
+        # check allocates nothing, so the boundary is tried on both sides
+        largest = math.isqrt(np.iinfo(np.int64).max)
+        check_gnp_params(GenParams(n=largest, p=0.0))
+        for n in (largest + 1, 10 ** 19):
+            with pytest.raises(ValueError, match=f"n={n} .*n\\*n must fit in int64"):
+                check_gnp_params(GenParams(n=n, p=0.0))
+            with pytest.raises(ValueError, match="n\\*n must fit in int64"):
+                gen_gnp(GenParams(n=n, omega=1.0))
+
     def test_omega_mode_edge_count_within_5_sigma(self):
         n = 10 ** 4
         g = gen_gnp(GenParams(n=n, p=None, omega=3.0, r=None, seed=7))
@@ -439,6 +451,17 @@ class TestGenRegular:
             check_regular_params(params)
         with pytest.raises(ValueError, match="allows no attempt"):
             gen_regular_config(params)
+
+    def test_refuses_more_points_than_numpy_indexes(self):
+        # n*r points, listed before the first shuffle; the check allocates
+        # nothing, so the boundary is tried on both sides
+        most = graphs_mod._MAX_N
+        check_regular_params(GenParams(n=most // 4, r=4))
+        for n, r in ((most // 4 + 1, 4), (10 ** 20, 4)):
+            with pytest.raises(ValueError, match=f"n\\*r = {n * r} points are more than numpy"):
+                check_regular_params(GenParams(n=n, r=r))
+        with pytest.raises(ValueError, match="points are more than numpy"):
+            gen_regular_config(GenParams(n=10 ** 20, r=4))
 
     def test_exhausted_raises(self):
         # seed chosen so the single allowed attempt yields a non-simple pairing
@@ -631,6 +654,41 @@ class TestDistances:
                     rest, far = dist[~inside], from_y[~inside]
                     assert ((rest == -1) | (rest >= far) & (far >= 0)).all()
                 assert limits == list(range(d, d + 4))
+
+    @staticmethod
+    def assert_corridor_as_before(g, x, y):
+        # the first four steps, each pair compared as it is drawn: a step's
+        # array is valid only until the next step
+        both = zip_longest(islice(corridor_distances(g, x, y), 4),
+                           islice(oracles.corridor_distances_before(g, x, y), 4),
+                           fillvalue=(None, None))
+        for (limit, dist), (want_limit, want) in both:
+            assert limit == want_limit and np.array_equal(dist, want)
+
+    @given(sparse_graphs(), st.data())
+    @example(Graph(5, [(0, 1), (1, 2), (3, 4)]), None)   # x and y apart
+    @example(Graph(3, [(1, 2)]), None)                   # x isolated
+    @example(path_graph(30), None)                       # narrow levels only
+    @example(complete_graph(9), None)                    # y's level 2 bottom-up at cost 0
+    @settings(max_examples=300, deadline=None)
+    def test_corridor_as_before(self, g, data):
+        # the continuation redone at each limit labels what the one kept
+        # across limits did, with the bottom-up step's fixed cost and
+        # without it
+        if data is None:
+            x, y = 0, g.n - 1
+        else:
+            x = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="x")
+            y = data.draw(st.integers(min_value=0, max_value=g.n - 1), label="y")
+        for cost in (graphs_mod._BOTTOM_UP_COST, 0):
+            with mock.patch.object(graphs_mod, "_BOTTOM_UP_COST", cost):
+                self.assert_corridor_as_before(g, x, y)
+
+    def test_corridor_as_before_on_gate5(self):
+        n = 10 ** 5
+        g = gen_gnp(GenParams(n=n, omega=math.log(math.log(n)), seed=0))
+        for x, y in sample_pairs(n, 30, 5):
+            self.assert_corridor_as_before(g, x, y)
 
     @given(sparse_graphs(), st.data())
     @example(path_graph(8), None)                        # stops at the target

@@ -460,6 +460,26 @@ class TestCliGenStats:
         assert captured.err == "error: max_attempts=0 allows no attempt; need >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, want", [
+        (["gen", "gnp", "--n", "10000000000000000000", "--p", "0"], "n*n must fit in int64"),
+        (["gen", "regular", "--n", "100000000000000000000", "--r", "4"],
+         "points are more than numpy can index"),
+        (["experiment", "--mode", "thm1", "--n-values", "100000000000000000000",
+          "--omega", "1"], "n*n must fit in int64"),
+        (["experiment", "--mode", "regular", "--n-values", "100000000000000000000",
+          "--r", "4"], "points are more than numpy can index"),
+    ], ids=["gnp", "regular", "experiment_thm1", "experiment_regular"])
+    def test_unindexable_n_refused_before_generation(self, tmp_path, capsys, argv, want):
+        # the pair keys w*n + v of gen_gnp and the n*r points of the pairing
+        # model must be indexable; the refusal comes before any allocation,
+        # and an experiment refuses before its first row
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert want in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_bad_env_seed_is_domain_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RAINBOW_SEED", "lots")
         rc = main(["gen", "gnp", "--n", "10", "--p", "0.5",

@@ -247,9 +247,10 @@ class TestRainbowPathSearch:
            st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_exact_with_budget_to_spare(self, g, q, seed):
-        # 8 vertices have under 10^5 expansions over all limits, so a budget
-        # of 10^6 never runs out: a None proves absence, and the first limit
-        # that finds a path is the shortest rainbow path's length
+        # 8 vertices have under 10^5 expansions over all limits, each
+        # shuffling at most 7 neighbor slots, so a budget of 10^6 never runs
+        # out: a None proves absence, and the first limit that finds a path
+        # is the shortest rainbow path's length
         c = random_coloring(g, q, seed=seed) if g.m else EdgeColoring((), q, ())
         for x in range(g.n):
             for y in range(x + 1, g.n):
@@ -265,6 +266,36 @@ class TestRainbowPathSearch:
         g, c = hub_path(length)
         w = rainbow_path_search(g, c, 0, length, budget=10 ** 6)
         assert w is not None and w.length == rainbow_path_exact(g, c, 0, length).length == length
+
+    @pytest.mark.parametrize("length, budget", [(300, 0), (300, 1), (300, 5000),
+                                                (300, 10 ** 5), (2000, 10 ** 6)])
+    def test_budget_bounds_the_slots_shuffled(self, monkeypatch, length, budget):
+        # the hub path with edge (1, 2) recolored to edge (0, 1)'s color has
+        # no rainbow 0-length path, and each visit to the hub shuffles its
+        # length + 1 slots.  The search gives up before the shuffle that
+        # would pass the budget, so the slots it shuffled stay within it
+        # and within one hub slice of it
+        g, c = hub_path(length)
+        colors = list(c.colors)
+        colors[g.edge_id(1, 2)] = colors[g.edge_id(0, 1)]
+        c = EdgeColoring(tuple(colors), c.palette_size, c.provenance)
+        slots = []
+        inner = verify_mod.stream
+
+        def spying_stream(*args):
+            rng = inner(*args)
+            shuffle = rng.shuffle
+
+            def counted(items):
+                slots.append(len(items))
+                shuffle(items)
+
+            rng.shuffle = counted
+            return rng
+
+        monkeypatch.setattr(verify_mod, "stream", spying_stream)
+        assert rainbow_path_search(g, c, 0, length, budget=budget) is None
+        assert budget - (length + 1) < sum(slots) <= budget
 
 
 class TestRewrittenSearches:
@@ -303,7 +334,7 @@ class TestRewrittenSearches:
                     g, c, x, y, max_len if max_len is not None else g.n - 1, budget, seed))
 
     def test_every_budget_matches_on_the_threshold_graph(self):
-        # each budget from 0 to one past the expansions a search spends cuts
+        # each budget from 0 to one past the slots a search shuffles cuts
         # it where the one-sided sweep's search was cut; the tight palette
         # makes some searches run past their first limit
         n = 2000
@@ -325,17 +356,18 @@ class TestRewrittenSearches:
         assert longer > 0
 
     def test_budget_exhaustion_matches(self):
-        # the x..y path of 5 edges takes exactly 5 expansions: one fewer runs out
+        # the x..y path of 5 edges shuffles exactly 9 neighbor slots, x's
+        # one and two at each inner vertex: one fewer runs out
         g = path_graph(6)
         c = distinct(g)
-        for budget, found in ((4, False), (5, True)):
+        for budget, found in ((8, False), (9, True)):
             new = rainbow_path_search(g, c, 0, 5, budget=budget)
             assert new == oracles.rainbow_path_search_before(g, c, 0, 5, g.n - 1, budget=budget)
             assert (new is not None) == found
 
     def test_exhaustion_across_deepening_rounds(self):
         # C8 with one color repeated on the short side: the first round's
-        # expansions count against the budget of the longer rounds
+        # shuffled slots count against the budget of the longer rounds
         g = cycle_graph(8)
         c = EdgeColoring((0, 1, 0, 2, 3, 4, 5, 6), 7, ("random",) * 8)
         outcomes = set()
