@@ -28,10 +28,9 @@ random r-regular graphs via the pairing (configuration) model with rejection
 of loops and repeated edges; ``check_gnp_params`` and
 ``check_regular_params`` hold what each refuses.  ``grow_bfs_tree`` is the
 one depth-capped BFS tree, and the one breadth-first vertex walk in Python,
-behind the pairing scaffold, ``neighborhood_cycle`` and the greedy
-coloring's line balls; its ``RootedTree`` is the parent edges and the
-levels alone, the root, depth and leaves read off the levels and the
-children derived on first use.
+behind the pairing scaffold and ``neighborhood_cycle``; its ``RootedTree``
+is the parent edges and the levels alone, the root, depth and leaves read
+off the levels and the children derived on first use.
 
 File format (``write_edge_list``/``read_edge_list``): line 1 is ``n m``,
 followed by ``m`` lines ``u v`` in canonical order, so line ``i+1`` defines

@@ -15,10 +15,16 @@ any order (or concurrently) without perturbing each other.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 import numpy as np
+
+try:
+    # hashlib loads OpenSSL, about 3.5 MB of resident memory that nothing
+    # here uses; CPython's random.py loads its sha512 the same way
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 __all__ = ["derive_seed", "stream", "np_stream", "mt_continuation"]
 
@@ -33,7 +39,7 @@ def derive_seed(seed: int, tag: str, index: int = 0) -> int:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     key = f"{seed}:{tag}:{index}".encode()
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(key, digest_size=8).digest(), "big")
 
 
 def stream(seed: int, tag: str, index: int = 0) -> random.Random:

@@ -481,8 +481,8 @@ def grow_bfs_tree_before(g, root, depth, min_branching=0, forbidden=frozenset())
 
 
 def line_ball_before(g, edges, e, radius, visited, stamp):
-    """``coloring._line_ball``, the edge walk ``_edge_ball``'s two vertex
-    balls replaced: edge ids within line distance 1..radius of ``e``, found
+    """``coloring._line_ball``, the edge walk that vertex balls replaced:
+    edge ids within line distance 1..radius of ``e``, found
     level by level over edges, ``visited`` (one slot per edge) marked with
     ``stamp``, a value not yet in it, so one array serves many calls.
     ``edges`` is ``g.edges``, read once by the caller."""

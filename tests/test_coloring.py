@@ -1,8 +1,11 @@
 """Parameter derivation, the three coloring passes, and the coloring file format."""
 
 import math
+import random
 import re
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,21 @@ from strategies import graphs
 PETERSEN = petersen_graph()
 # a triangle, a path and two isolated vertices (3 and 8)
 TWO_PARTS = Graph(9, [(0, 1), (0, 2), (1, 2), (4, 5), (5, 6), (6, 7)])
+
+
+def two_parts(n):
+    """A sparse graph on n vertices with two components, on the vertices
+    below n // 2 and on the rest but the last, which is isolated: each a
+    random tree plus a third as many chords.  Balls cross byte and 64-bit
+    word edges of the greedy coloring's bitset rows."""
+    rng = random.Random(n)
+    pairs = set()
+    for lo, hi in ((0, n // 2), (n // 2, n - 1)):
+        for w in range(lo + 1, hi):
+            pairs.add((rng.randrange(lo, w), w))
+        for _ in range((hi - lo) // 3):
+            pairs.add(tuple(sorted(rng.sample(range(lo, hi), 2))))
+    return graph_from_edges(n, pairs)
 
 
 class TestThresholdParams:
@@ -384,10 +402,25 @@ class TestColorGreedyPower:
         with pytest.raises(ValueError):
             color_greedy_power(PETERSEN, radius=-1, q=5)
 
+    def test_gate4_r5_temporary_memory(self):
+        # regular_n2000's peak RSS is reached at the end of a run, so a
+        # large transient here would show there; the ball rows take
+        # n^2 / 8 = 0.5 MB, and the build holds three such arrays at most
+        g = gen_regular_config(GenParams(n=2000, r=5, seed=0))
+        p = regular_params(2000, 5)
+        tracemalloc.start()
+        try:
+            color_greedy_power(g, radius=2 * p.k, q=p.q, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
 
 class TestGreedyMatchesEdgeWalk:
-    """``color_greedy_power`` and ``line_distance_neighbors`` grow two
-    vertex balls per edge; ``oracles`` keeps the edge walk they replaced."""
+    """``color_greedy_power`` reads each edge's ball off per-vertex bitset
+    rows and ``line_distance_neighbors`` off two cut BFS sweeps;
+    ``oracles`` keeps the edge walk they replaced."""
 
     @staticmethod
     def outcome(color, g, radius, q, seed):
@@ -421,8 +454,27 @@ class TestGreedyMatchesEdgeWalk:
         want = oracles.color_greedy_power_before(g, 2 * p.k, p.q, seed=1)
         assert color_greedy_power(g, radius=2 * p.k, q=p.q, seed=1) == want
 
-    @pytest.mark.parametrize("g", [path_graph(12), PETERSEN, TWO_PARTS],
-                             ids=["path", "petersen", "disconnected"])
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129])
+    def test_bitset_word_edges_match_before(self, n):
+        g = two_parts(n)
+        for radius in range(7):
+            for q in (3, g.m + 1):  # g.m + 1 is never exhausted
+                want = self.outcome(oracles.color_greedy_power_before, g, radius, q, 2)
+                assert self.outcome(color_greedy_power, g, radius, q, 2) == want
+        if n > 64:
+            assert self.outcome(color_greedy_power, g, 6, 3, 2)[0] == "exhausted"
+
+    @pytest.mark.parametrize("g", [PETERSEN, path_graph(40)], ids=["petersen", "path"])
+    @pytest.mark.parametrize("q", [10 ** 9, 10 ** 30], ids=["1e9", "1e30"])
+    def test_huge_palette_costs_nothing(self, g, q):
+        # no step may grow with q; past int64 the colors stay Python ints
+        start = time.perf_counter()
+        got = color_greedy_power(g, radius=3, q=q, seed=4)
+        assert time.perf_counter() - start < 1.0
+        assert got == oracles.color_greedy_power_before(g, 3, q, seed=4)
+
+    @pytest.mark.parametrize("g", [path_graph(12), PETERSEN, TWO_PARTS, two_parts(129)],
+                             ids=["path", "petersen", "disconnected", "n129"])
     def test_huge_radius_is_radius_n_minus_1(self, g):
         # two balls n - 2 deep already hold every end of e's component, and
         # a ball is never grown deeper than n - 1, however large the radius

@@ -1,4 +1,9 @@
+import importlib.util
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,3 +41,24 @@ def test_derive_seed_refuses_a_seed_that_is_not_an_int(seed):
     with pytest.raises(TypeError, match="seed must be an int"):
         sample_pairs(100, 5, seed)
 
+
+def test_derive_seed_pinned():
+    # every stream, and so every seeded output, rests on these 64-bit keys
+    assert derive_seed(0, "color") == 15439409394379248584
+    assert derive_seed(5, "pair:3:1:2") == 1941539833975668857
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_blake2") is None,
+                    reason="this Python has no built-in _blake2")
+def test_package_import_leaves_openssl_out():
+    # hashlib loads OpenSSL's _hashlib, about 3.5 MB resident that the
+    # package does not use
+    script = ("import sys; from rainbowconn import graphs, coloring, verify, pairing, rng; "
+              "print('_hashlib' in sys.modules)")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
